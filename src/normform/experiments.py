@@ -9,6 +9,7 @@ counts with an order-independent integer sum.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,8 +27,17 @@ from .localdata import (
     degree1_prime_ideals,
     ideal_tau,
 )
-from .primes import is_prime_certified, primes_in, sieve_primes, window_factorizations
+from .primes import (
+    BATCH_HI,
+    is_prime_batch,
+    is_prime_certified,
+    primes_in,
+    sieve_primes,
+    window_factorizations,
+)
 from .series import SeriesEstimate, singular_series
+
+log = logging.getLogger("normform")
 
 
 @dataclass
@@ -122,7 +132,7 @@ def _box_grid_eval(cfg: ExperimentConfig, lo1: int, hi1: int) -> np.ndarray:
     for lo, hi in cfg.box[1:]:
         axes.append(np.arange(lo, hi + 1, dtype=np.int64))
     grids = np.meshgrid(*axes, indexing="ij")
-    bound = max(abs(hi) for _, hi in cfg.box) ** cfg.ctx.n
+    bound = max(max(abs(lo), abs(hi)) for lo, hi in cfg.box) ** cfg.ctx.n
     worst = sum(abs(c) for c in poly.values()) * bound
     if worst >= 2**62:
         raise BudgetExceeded("norm values overflow the vectorized int64 path")
@@ -134,12 +144,20 @@ def _box_grid_eval(cfg: ExperimentConfig, lo1: int, hi1: int) -> np.ndarray:
 _SMALL_SIEVE = [int(p) for p in sieve_primes(100)]
 
 
-def _count_primes_in_values(vals: np.ndarray, seed: int) -> tuple[int, int, bool]:
-    """(# N >= 2 prime, # N <= -2 with |N| prime, all_certified)."""
+def _count_primes_in_values(vals: np.ndarray, seed: int
+                            ) -> tuple[int, int, bool, tuple[int, int, int]]:
+    """Prime counts among the values and the work done to find them.
+
+    Returns (# N >= 2 prime, # N <= -2 with |N| prime, all_certified,
+    (# removed by the small-prime sieve, # batch-tested, # scalar-tested)).
+    Sieve survivors below BATCH_HI go to the batch test, larger ones to
+    is_prime_certified one at a time.
+    """
     flat = vals.ravel()
     pos = flat[flat >= 2]
     neg = -flat[flat <= -2]
     certified = True
+    tally = [0, 0, 0]
 
     def count(arr: np.ndarray) -> int:
         nonlocal certified
@@ -151,21 +169,22 @@ def _count_primes_in_values(vals: np.ndarray, seed: int) -> tuple[int, int, bool
             dy = arr % p == 0
             small_hits += int((dy & (arr == p)).sum())
             keep &= ~dy | (arr == p)
+        # every composite <= 100 has a factor <= 97, so survivors <= 100
+        # are exactly the small primes already counted
         survivors = arr[keep & (arr > _SMALL_SIEVE[-1])]
-        c = small_hits
-        for v in survivors.tolist():
+        small = survivors < BATCH_HI
+        big = survivors[~small].tolist()
+        tally[0] += arr.size - int(keep.sum())
+        tally[1] += int(small.sum())
+        tally[2] += len(big)
+        c = small_hits + int(is_prime_batch(survivors[small]).sum())
+        for v in big:
             ok, cert = is_prime_certified(int(v), seed=seed)
             certified &= cert
             c += ok
-        # small values <= 100 not caught above
-        tiny = arr[keep & (arr <= _SMALL_SIEVE[-1])]
-        for v in tiny.tolist():
-            if v not in _SMALL_SIEVE:
-                ok, _ = is_prime_certified(int(v))
-                c += ok
         return c
 
-    return count(pos), count(neg), certified
+    return count(pos), count(neg), certified, tuple(tally)
 
 
 def observed_prime_count(cfg: ExperimentConfig):
@@ -185,20 +204,29 @@ def observed_prime_count(cfg: ExperimentConfig):
     def work(i: int):
         a, b = int(edges[i]), int(edges[i + 1]) - 1
         if a > b:
-            return (i, a, b, 0, 0, 0, True)
+            return (i, a, b, 0, 0, 0, True), 0.0, 0.0, (0, 0, 0)
+        t0 = time.perf_counter()
         vals = _box_grid_eval(cfg, a, b)
-        pos, neg, cert = _count_primes_in_values(vals, cfg.seed)
-        return (i, a, b, vals.size, pos, neg, cert)
+        t1 = time.perf_counter()
+        pos, neg, cert, counts = _count_primes_in_values(vals, cfg.seed)
+        t2 = time.perf_counter()
+        return (i, a, b, vals.size, pos, neg, cert), t1 - t0, t2 - t1, counts
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            rows = list(ex.map(work, range(nslabs)))
+            results = list(ex.map(work, range(nslabs)))
     else:
-        rows = [work(i) for i in range(nslabs)]
-    rows.sort()
+        results = [work(i) for i in range(nslabs)]
+    rows = sorted(r[0] for r in results)
     pos = sum(r[4] for r in rows)
     neg = sum(r[5] for r in rows)
     certified = all(r[6] for r in rows)
+    sieved, batch, scalar = (sum(r[3][j] for r in results) for j in range(3))
+    log.info("box evaluation: %.3f s summed over %d slabs, %d values",
+             sum(r[1] for r in results), nslabs, npoints)
+    log.info("primality: %.3f s summed over %d slabs, %d values, %d removed by "
+             "the small-prime sieve, %d batch-tested, %d scalar-tested",
+             sum(r[2] for r in results), nslabs, npoints, sieved, batch, scalar)
     slab_rows = [{"slab": r[0], "x1_lo": r[1], "x1_hi": r[2],
                   "points": r[3], "primes_pos": r[4], "primes_neg": r[5]}
                  for r in rows]
@@ -272,8 +300,13 @@ def log_norm_integral(cfg: ExperimentConfig) -> tuple[float, float]:
 
 def predicted_main_term(cfg: ExperimentConfig) -> tuple[float, float, SeriesEstimate]:
     """S(p_cut) times the box integral of 1/log N_K, with combined error bar."""
+    t0 = time.perf_counter()
     S = singular_series(cfg.ctx, cfg.p_cut)
+    t1 = time.perf_counter()
     integral, int_err = log_norm_integral(cfg)
+    t2 = time.perf_counter()
+    log.info("singular series: %.3f s, p_cut %d", t1 - t0, cfg.p_cut)
+    log.info("log-integral: %.3f s", t2 - t1)
     value = S.value * integral
     err = S.tail_bound * integral + S.value * int_err
     return value, err, S

@@ -9,12 +9,25 @@ import numpy as np
 
 from .errors import FactorizationBudget
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.317e24
-# (Sorenson-Webster).
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin regimes as (bound, bases): the bases decide
+# primality for every n below the bound.  Jaeschke (1993) for {2, 7, 61};
+# Sinclair (2011) for the 7-base set, where a base that is 0 mod n is
+# skipped; Sorenson-Webster (2015) for the first 13 primes, whose first 12
+# alone are fooled by 318665857834031151167461.  Above the last bound a
+# seeded probabilistic test runs.
+_MR_REGIMES = (
+    (4_759_123_141, (2, 7, 61)),
+    (2**64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (3_317_044_064_679_887_385_961_981,
+     (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Domain of is_prime_batch: above its largest base, and small enough that
+# a product of two residues is exact in uint64.
+BATCH_LO = max(_MR_REGIMES[0][1])
+BATCH_HI = 2**32
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -43,7 +56,12 @@ def is_prime(n: int, rounds: int = 64, seed: int = 0) -> bool:
 
 
 def is_prime_certified(n: int, rounds: int = 64, seed: int = 0) -> tuple[bool, bool]:
-    """Return (is_prime, certified) where certified means non-probabilistic."""
+    """Return (is_prime, certified) where certified means non-probabilistic.
+
+    The witness bases are chosen by the size of n from _MR_REGIMES; past
+    the last bound the seeded probabilistic regime applies and certified
+    is False whatever the verdict.
+    """
     if n < 2:
         return False, True
     for p in _SMALL_PRIMES:
@@ -52,16 +70,59 @@ def is_prime_certified(n: int, rounds: int = 64, seed: int = 0) -> tuple[bool, b
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    if n < _MR_DETERMINISTIC_BOUND:
-        for a in _MR_BASES:
-            if _mr_witness(n, a, d, s):
-                return False, True
-        return True, True
+    for bound, bases in _MR_REGIMES:
+        if n < bound:
+            return not any(_mr_witness(n, a, d, s) for a in bases), True
     rng = random.Random(seed ^ (n & 0xFFFFFFFF))
     for _ in range(rounds):
         if _mr_witness(n, rng.randrange(2, n - 1), d, s):
-            return False, True
+            return False, False
     return True, False
+
+
+def _powmod_batch(a: int, d: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a^d mod n elementwise for uint64 d, n with a < n < 2^32."""
+    x = np.ones_like(n)
+    base = np.full_like(n, a)
+    t = np.empty_like(n)
+    for i in range(int(d.max()).bit_length()):
+        bit = ((d >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        np.multiply(x, base, out=t)
+        np.remainder(t, n, out=t)
+        np.copyto(x, t, where=bit)
+        np.multiply(base, base, out=base)
+        np.remainder(base, n, out=base)
+    return x
+
+
+def is_prime_batch(n: np.ndarray) -> np.ndarray:
+    """Deterministic Miller-Rabin on a 1-D array of odd BATCH_LO < n < BATCH_HI.
+
+    Uses the first regime of _MR_REGIMES; every residue is below 2^32, so
+    each product is exact in uint64.  Returns a bool array.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    if n.size and (int(n.min()) <= BATCH_LO or int(n.max()) >= BATCH_HI
+                   or not (n & np.uint64(1)).all()):
+        raise ValueError(f"is_prime_batch needs odd n in ({BATCH_LO}, {BATCH_HI})")
+    nm1 = n - np.uint64(1)
+    # n - 1 = d 2^s: its lowest set bit is a power of two, exact in float64
+    s = np.log2((nm1 & (~nm1 + np.uint64(1))).astype(np.float64)).astype(np.uint64)
+    d = nm1 >> s
+    prime = np.ones(n.shape, dtype=bool)
+    for a in _MR_REGIMES[0][1]:
+        idx = np.flatnonzero(prime)
+        if idx.size == 0:
+            break
+        nn, dd, ss, m1 = n[idx], d[idx], s[idx], nm1[idx]
+        x = _powmod_batch(a, dd, nn)
+        ok = (x == 1) | (x == m1)
+        for r in range(1, int(ss.max())):
+            np.multiply(x, x, out=x)
+            np.remainder(x, nn, out=x)
+            ok |= (x == m1) & (ss > r)
+        prime[idx[~ok]] = False
+    return prime
 
 
 def sieve_primes(limit: int) -> np.ndarray:

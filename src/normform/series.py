@@ -114,26 +114,26 @@ def singular_series(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate:
     """
     if p_cut < 100:
         raise ValueError("p_cut must be at least 100")
-    mp.mp.prec = _PREC_BITS
     data = _local_factor_data(ctx, p_cut)
-    log_acc = mp.mpf(0)
     partial_first_order = []
-    for p, nu, nu2, degs, nu_p in data:
-        a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
-        if a >= 1:
-            return SeriesEstimate(
-                value=0.0, cutoff=p_cut, tail_cert=0.0, tail_osc=0.0,
-                kind="singular_series",
-                notes={"fixed_divisor_at": p},
-            )
-        log_acc += mp.log(1 - a) - mp.log(1 - mp.mpf(1) / p)
-        partial_first_order.append((p, (nu_p - 1) / p))
-    value = mp.e**log_acc
-    c2 = _second_order_constant(ctx)
-    tail_cert = float(mp.expm1(mp.mpf(c2) / p_cut)) * float(value)
-    tail_osc = _oscillation_estimate(partial_first_order) * float(value)
+    with mp.workprec(_PREC_BITS):
+        log_acc = mp.mpf(0)
+        for p, nu, nu2, degs, nu_p in data:
+            a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
+            if a >= 1:
+                return SeriesEstimate(
+                    value=0.0, cutoff=p_cut, tail_cert=0.0, tail_osc=0.0,
+                    kind="singular_series",
+                    notes={"fixed_divisor_at": p},
+                )
+            log_acc += mp.log(1 - a) - mp.log(1 - mp.mpf(1) / p)
+            partial_first_order.append((p, (nu_p - 1) / p))
+        value = float(mp.e**log_acc)
+        c2 = _second_order_constant(ctx)
+        tail_cert = float(mp.expm1(mp.mpf(c2) / p_cut)) * value
+    tail_osc = _oscillation_estimate(partial_first_order) * value
     return SeriesEstimate(
-        value=float(value), cutoff=p_cut, tail_cert=tail_cert,
+        value=value, cutoff=p_cut, tail_cert=tail_cert,
         tail_osc=tail_osc, kind="singular_series",
         notes={"bad_primes_brute_forced": bad_primes(ctx)},
     )
@@ -146,23 +146,23 @@ def singular_series_tilde(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate
     """
     if p_cut < 100:
         raise ValueError("p_cut must be at least 100")
-    mp.mp.prec = _PREC_BITS
     data = _local_factor_data(ctx, p_cut)
-    log_acc = mp.mpf(0)
-    for p, nu, nu2, _degs, _nu_p in data:
-        a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
-        b = mp.mpf(nu2) / mp.mpf(p) ** ctx.n
-        if a >= 1:
-            return SeriesEstimate(
-                value=0.0, cutoff=p_cut, tail_cert=0.0, tail_osc=0.0,
-                kind="singular_series_tilde", notes={"fixed_divisor_at": p},
-            )
-        log_acc += mp.log(1 - a) - mp.log(1 - b)
-    value = mp.e**log_acc
-    c2 = _second_order_constant(ctx)
-    tail_cert = float(mp.expm1(mp.mpf(c2) / p_cut)) * float(value)
+    with mp.workprec(_PREC_BITS):
+        log_acc = mp.mpf(0)
+        for p, nu, nu2, _degs, _nu_p in data:
+            a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
+            b = mp.mpf(nu2) / mp.mpf(p) ** ctx.n
+            if a >= 1:
+                return SeriesEstimate(
+                    value=0.0, cutoff=p_cut, tail_cert=0.0, tail_osc=0.0,
+                    kind="singular_series_tilde", notes={"fixed_divisor_at": p},
+                )
+            log_acc += mp.log(1 - a) - mp.log(1 - b)
+        value = float(mp.e**log_acc)
+        c2 = _second_order_constant(ctx)
+        tail_cert = float(mp.expm1(mp.mpf(c2) / p_cut)) * value
     return SeriesEstimate(
-        value=float(value), cutoff=p_cut, tail_cert=tail_cert, tail_osc=0.0,
+        value=value, cutoff=p_cut, tail_cert=tail_cert, tail_osc=0.0,
         kind="singular_series_tilde",
         notes={"bad_primes_brute_forced": bad_primes(ctx), "qstar": 1},
     )
@@ -190,21 +190,21 @@ def _oscillation_estimate(first_order: list[tuple[int, float]]) -> float:
 
 def per_prime_factor_table(ctx: FieldSpec, p_cut: int):
     """Rows (p, degree_pattern, nu_p, nu, factor, running_product) for CSV."""
-    mp.mp.prec = _PREC_BITS
     data = _local_factor_data(ctx, p_cut)
     rows = []
-    running = mp.mpf(1)
-    for p, nu, nu2, degs, nu_p in data:
-        factor = (1 - mp.mpf(nu) / mp.mpf(p) ** ctx.m) / (1 - mp.mpf(1) / p)
-        running *= factor
-        rows.append({
-            "p": p,
-            "degree_pattern": "+".join(str(d) for d in degs),
-            "nu_p": nu_p,
-            "nu": nu,
-            "factor": float(factor),
-            "running_product": float(running),
-        })
+    with mp.workprec(_PREC_BITS):
+        running = mp.mpf(1)
+        for p, nu, nu2, degs, nu_p in data:
+            factor = (1 - mp.mpf(nu) / mp.mpf(p) ** ctx.m) / (1 - mp.mpf(1) / p)
+            running *= factor
+            rows.append({
+                "p": p,
+                "degree_pattern": "+".join(str(d) for d in degs),
+                "nu_p": nu_p,
+                "nu": nu,
+                "factor": float(factor),
+                "running_product": float(running),
+            })
     return rows
 
 

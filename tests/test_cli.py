@@ -41,6 +41,12 @@ class TestExitCodes:
         assert run(["theorem", "--config", cfg, "--out", str(tmp_path),
                     "--budget", "1000"]) == 3
 
+    def test_box_lower_end_exceeds_int64_budget(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"field": {"f": [-2, 0, 0, 0, 1], "k": 1}, "X": 2,
+                         "box": [[-70000, 1], [1, 1], [1, 1]]})
+        assert run(["theorem", "--config", cfg, "--out", str(tmp_path)]) == 3
+
     def test_selftest(self):
         assert run(["lattice", "--selftest"]) == 0
 

@@ -1,13 +1,19 @@
 """End-to-end experiment pipelines at small scale."""
 
 import itertools
+import logging
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normform.errors import BudgetExceeded
 from normform.experiments import (
     ExperimentConfig,
+    _count_primes_in_values,
     divisor_sum_check,
     divisor_sum_growth,
     log_norm_integral,
@@ -20,6 +26,7 @@ from normform.experiments import (
 from normform.fields import make_context
 from normform.integrals import PolytopeSpec
 from normform.localdata import resultant
+from normform.primes import is_prime_certified
 
 CTX3 = make_context([-2, 0, 0], 1)
 CTX4 = make_context([-2, 0, 0, 0], 1)
@@ -86,6 +93,57 @@ class TestObservedPrimeCount:
         with pytest.raises(BudgetExceeded):
             cfg = ExperimentConfig(ctx=CTX3, X=10**5, point_budget=10**5)
             observed_prime_count(cfg)
+
+    def test_int64_guard_bounds_lower_end(self):
+        # N(-70000, 1, 1) = 24009999980399440002 wraps in int64
+        assert oracle_norm((-70000, 1, 1), CTX4) == 24009999980399440002
+        cfg = ExperimentConfig(ctx=CTX4, X=2, box=((-70000, 1), (1, 1), (1, 1)))
+        with pytest.raises(BudgetExceeded):
+            observed_prime_count(cfg)
+
+
+LARGEST_PRIME_BELOW_2_32 = 4294967291
+SMALLEST_PRIME_ABOVE_2_32 = 4294967311
+
+
+def scalar_counts(vals):
+    pos = sum(is_prime_certified(v)[0] for v in vals if v >= 2)
+    neg = sum(is_prime_certified(-v)[0] for v in vals if v <= -2)
+    return pos, neg
+
+
+class TestCountRouting:
+    def test_both_sides_of_the_batch_guard(self):
+        vals = np.array([LARGEST_PRIME_BELOW_2_32, SMALLEST_PRIME_ABOVE_2_32,
+                         -LARGEST_PRIME_BELOW_2_32, -SMALLEST_PRIME_ABOVE_2_32,
+                         2**32 - 1, 2**32 + 1])
+        # (sieved, batch-tested, scalar-tested): 2^32 -+ 1 have factors 3 and 641
+        assert _count_primes_in_values(vals, 0) == (2, 2, True, (1, 2, 3))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(-2**36, 2**36),
+                              st.integers(2**32 - 3000, 2**32 + 3000),
+                              st.integers(-2**32 - 3000, -2**32 + 3000),
+                              st.integers(-200, 200)),
+                    max_size=80))
+    def test_matches_all_scalar_count(self, vals):
+        vals = vals + [LARGEST_PRIME_BELOW_2_32, SMALLEST_PRIME_ABOVE_2_32]
+        pos, neg, cert, _work = _count_primes_in_values(np.array(vals), 0)
+        assert (pos, neg) == scalar_counts(vals) and cert
+
+
+def test_info_log_one_line_per_stage(caplog):
+    cfg = ExperimentConfig(ctx=CTX3, X=10, p_cut=200, seed=1)
+    with caplog.at_level(logging.INFO, logger="normform"):
+        theorem_check(cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "normform"]
+    assert [m.split(":")[0] for m in lines] == [
+        "box evaluation", "primality", "singular series", "log-integral"]
+    assert all(re.search(r": \d+\.\d{3} s", m) for m in lines)
+    values, sieved, batch, scalar = map(int, re.search(
+        r"(\d+) values, (\d+) removed by the small-prime sieve, "
+        r"(\d+) batch-tested, (\d+) scalar-tested", lines[1]).groups())
+    assert values == 100 and scalar == 0 and 0 < sieved + batch <= values
 
 
 class TestPredictedMainTerm:

@@ -3,12 +3,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normform.errors import FactorizationBudget
 from normform.primes import (
+    _mr_witness,
     factorize,
     is_prime,
+    is_prime_batch,
     is_prime_certified,
     least_prime_factor,
     primes_in,
@@ -46,6 +51,62 @@ def test_random_64bit_against_trial_division_products():
 def test_certified_flag_below_bound():
     ok, cert = is_prime_certified(2**61 - 1)
     assert ok and cert
+
+
+def _witnessed(n: int, bases) -> bool:
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    return any(_mr_witness(n, a, d >> s, s) for a in bases)
+
+
+def test_jaeschke_regime_boundary():
+    # strong pseudoprime to 2, 3, 5, 7 inside the {2, 7, 61} regime
+    assert is_prime_certified(3215031751) == (False, True)
+    # the smallest strong pseudoprime to 2, 7 and 61 is the regime's bound,
+    # so it must be sent on to the next regime
+    assert not _witnessed(4759123141, (2, 7, 61))
+    assert is_prime_certified(4759123141) == (False, True)
+    assert is_prime_certified(4759123129) == (True, True)
+    assert is_prime_certified(4759123151) == (True, True)
+
+
+def test_sinclair_regime_boundary():
+    assert is_prime_certified(3825123056546413051) == (False, True)  # spsp to 2..23
+    assert is_prime_certified(2**64 - 59) == (True, True)  # largest prime < 2^64
+    assert is_prime_certified(2**64 + 13) == (True, True)  # smallest prime > 2^64
+
+
+def test_sorenson_webster_regime_boundary():
+    # psi_12: a strong pseudoprime to the first 12 prime bases, so the
+    # 3.3e24 regime needs base 41 as well
+    psi12 = 318665857834031151167461
+    assert not _witnessed(psi12, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert is_prime_certified(psi12) == (False, True)
+    # psi_13 is the bound: past it the probabilistic regime applies
+    assert is_prime_certified(3317044064679887385961981) == (False, False)
+    assert is_prime_certified(2**89 - 1) == (True, False)
+
+
+def test_batch_domain_guard():
+    assert is_prime_batch(np.array([63, 2**32 - 5, 2**32 - 1])).tolist() == [
+        False, True, False]
+    assert is_prime_batch(np.zeros((0,), dtype=np.uint64)).shape == (0,)
+    for bad in ([61], [64], [2**32 + 15]):
+        with pytest.raises(ValueError):
+            is_prime_batch(np.array(bad))
+
+
+def test_batch_on_strong_pseudoprimes():
+    spsp = [2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 3215031751]
+    assert not is_prime_batch(np.array(spsp)).any()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(31, 2**31 - 1), min_size=1, max_size=64))
+def test_batch_agrees_with_scalar(halves):
+    n = np.array([2 * h + 1 for h in halves], dtype=np.uint64)  # odd, in (61, 2^32)
+    got = is_prime_batch(n).tolist()
+    assert got == [is_prime_certified(int(v))[0] for v in n]
 
 
 def test_mersenne_and_carmichael():

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath as mp
 import pytest
 
 from normform.fields import make_context
 from normform.localdata import gamma_estimate
 from normform.series import (
     fixed_divisor_check,
+    per_prime_factor_table,
     sieve_sum,
     sieve_sum_classical,
     sieve_weights,
@@ -20,6 +22,13 @@ CTX4 = make_context([-2, 0, 0, 0], 1)
 
 
 class TestSingularSeries:
+    def test_mpmath_precision_left_alone(self):
+        with mp.workprec(60):
+            singular_series(CTX3, 200)
+            singular_series_tilde(CTX3, 200)
+            per_prime_factor_table(CTX3, 200)
+            assert mp.mp.prec == 60
+
     def test_positive_no_fixed_divisor(self):
         assert fixed_divisor_check(CTX3) is None
         S = singular_series(CTX3, 2000)
