@@ -11,46 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FactorizationBudget
 from .primes import factorize, primes_in
 
 
 def _lpf(fac: dict[int, int]) -> float:
     return min(fac) if fac else float("inf")
-
-
-def s_count(values, z) -> int:
-    """# of a with least prime factor of |a| strictly greater than z."""
-    return sum(1 for a in values if _lpf(factorize(a)) > z)
-
-
-def buchstab_residual(values, z1, z2, size_limit: int = 2**64) -> int:
-    """S(A, z2) - [S(A, z1) - sum_(z1 < p <= z2) S_>=(A_p, p)]; must be 0.
-
-    values: finite iterable of nonzero integers (absolute values are used).
-    Factorization failures raise FactorizationBudget.
-    """
-    vals = [abs(int(v)) for v in values]
-    if any(v == 0 for v in vals):
-        raise ValueError("0 has no least prime factor")
-    try:
-        facs = [factorize(v, size_limit=size_limit) for v in vals]
-    except FactorizationBudget:
-        raise
-    lhs = sum(1 for f in facs if _lpf(f) > z2)
-    s_z1 = sum(1 for f in facs if _lpf(f) > z1)
-    middle = 0
-    for p in primes_in(max(2, int(z1) + 1), int(z2)):
-        for f in facs:
-            if p in f:
-                g = dict(f)
-                if g[p] == 1:
-                    del g[p]
-                else:
-                    g[p] -= 1
-                if _lpf(g) >= p:
-                    middle += 1
-    return lhs - (s_z1 - middle)
 
 
 @dataclass
@@ -68,6 +33,11 @@ class BuchstabReport:
 
 
 def buchstab_report(values, z1, z2, size_limit: int = 2**64) -> BuchstabReport:
+    """Both sides of the identity for the values; residual must be 0.
+
+    residual = S(A, z2) - [S(A, z1) - sum_(z1 < p <= z2) S_>=(A_p, p)].
+    Factorization failures raise FactorizationBudget.
+    """
     vals = [abs(int(v)) for v in values]
     facs = [factorize(v, size_limit=size_limit) for v in vals]
     s2 = sum(1 for f in facs if _lpf(f) > z2)
@@ -85,3 +55,11 @@ def buchstab_report(values, z1, z2, size_limit: int = 2**64) -> BuchstabReport:
                     middle += 1
     return BuchstabReport(size=len(vals), z1=z1, z2=z2, s_z1=s1, s_z2=s2,
                           middle_sum=middle, residual=s2 - (s1 - middle))
+
+
+def buchstab_residual(values, z1, z2, size_limit: int = 2**64) -> int:
+    """The residual of buchstab_report for nonzero integer values."""
+    vals = [abs(int(v)) for v in values]
+    if 0 in vals:
+        raise ValueError("0 has no least prime factor")
+    return buchstab_report(vals, z1, z2, size_limit=size_limit).residual

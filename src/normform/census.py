@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .fields import FieldSpec, mul_matrix
+from .intlinalg import rank_mod_p
 from .lattices import wedge_pair, colex_subsets
 
 
@@ -93,33 +94,9 @@ def fp_wedge_census(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     count = 0
     for t in range(total):
         stack = np.stack([rows[i][t] for i in range(k)]) % p
-        if _rank_mod_p(stack, p) < k:
+        if rank_mod_p(stack, p) < k:
             count += 1
     return count
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    m = mat.copy() % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def fp_wedge_census_report(ctx: FieldSpec, primes: list[int],

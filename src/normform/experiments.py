@@ -476,7 +476,7 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
         kind="typeii_density",
         observed=observed,
         predicted=predicted,
-        pred_err=abs(predicted) * 0.0,
+        pred_err=0.0,
         ratio=ratio,
         config={"X": X, "eta": eta, "intervals": [list(iv) for iv in intervals],
                 "seed": seed},

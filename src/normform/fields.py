@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateDegree, NonMonic, ReducibleDetected, ZeroVector
+from .intlinalg import det_bareiss, solve_rational
+from .primes import primes_in
 
 Vec = tuple[int, ...]
 
@@ -110,7 +112,7 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
         raise ReducibleDetected("repeated factor (gcd(f, f') nontrivial)")
     # spot check: degree patterns mod three good primes, recorded for reports
     rng = random.Random(sum(abs(c) for c in f) * 1009 + n)
-    small_primes = [p for p in range(101, 400) if _is_small_prime(p)]
+    small_primes = primes_in(101, 399)
     pats: list[tuple[int, tuple[int, ...]]] = []
     while len(pats) < 3:
         p = rng.choice(small_primes)
@@ -125,15 +127,6 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
         pure = -f[0]
     return FieldSpec(n=n, k=k, f_coeffs=tuple(f), pure_theta=pure,
                      degree_patterns=tuple(pats))
-
-
-def _is_small_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
-            return False
-    return True
 
 
 def _divisors_signed(c: int) -> list[int]:
@@ -204,33 +197,9 @@ def mul_matrix(v, ctx: FieldSpec) -> list[list[int]]:
     return [[cols[i][j] for i in range(n)] for j in range(n)]
 
 
-def det_int(mat) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    m = [list(map(int, row)) for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i]:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
 def norm(v, ctx: FieldSpec) -> int:
     """Field norm of the order element v: det of its multiplication matrix."""
-    return det_int(mul_matrix(v, ctx))
+    return det_bareiss(mul_matrix(v, ctx))
 
 
 def norm_form(x, ctx: FieldSpec) -> int:
@@ -294,7 +263,7 @@ def norm_form_polynomial(ctx: FieldSpec) -> dict[tuple[int, ...], int]:
         rows = [[Fraction(math.prod(x ** e for x, e in zip(pt, ex)))
                  for ex in exps] for pt in pts]
         rhs = [Fraction(norm_form(pt, ctx)) for pt in pts]
-        sol = _solve_fraction(rows, rhs)
+        sol = solve_rational(rows, rhs)
         if sol is None:
             continue
         coeffs = {}
@@ -317,24 +286,6 @@ def norm_form_polynomial(ctx: FieldSpec) -> dict[tuple[int, ...], int]:
         if ok:
             return coeffs
     raise RuntimeError("norm form interpolation failed")  # pragma: no cover
-
-
-def _solve_fraction(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve a square rational system by Gaussian elimination; None if singular."""
-    n = len(rows)
-    a = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [t * inv for t in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                fac = a[r][col]
-                a[r] = [t - fac * s for t, s in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def eval_norm_poly_grid(coeffs, grids):

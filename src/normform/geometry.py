@@ -13,8 +13,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, Unbounded
-from .intlinalg import successive_minima, lll_reduce, enumerate_short_vectors
+from .errors import BudgetExceeded, RankTooLarge, Unbounded
+from .intlinalg import (
+    enumerate_short_vectors,
+    gram_det,
+    lll_reduce,
+    solve_rational,
+    successive_minima,
+)
 from .lattices import IntLattice
 
 
@@ -127,14 +133,10 @@ def points_in_region(lat: IntLattice, region: LinearRegion,
     """
     region.require_bounded()
     if lat.rank > 10:
-        from .errors import RankTooLarge
-
         raise RankTooLarge(f"rank {lat.rank} > 10")
     r2 = region.box.radius_sq()
     red = lll_reduce([list(b) for b in lat.basis])
     # crude count estimate: vol ball / det
-    from .intlinalg import gram_det
-
     det_sq = gram_det(red)
     est = (float(r2) ** (lat.rank / 2) * _ball_volume(lat.rank)) / math.sqrt(det_sq)
     if est > budget:
@@ -265,31 +267,13 @@ def _polytope_vertices(halves, d: int):
     for combo in itertools.combinations(idx, d):
         rows = [list(halves[i][0]) for i in combo]
         rhs = [halves[i][1] for i in combo]
-        x = _solve_square(rows, rhs)
+        x = solve_rational(rows, rhs)
         if x is None:
             continue
         if all(sum(Fraction(c) * xi for c, xi in zip(a, x)) <= b + 0
                for a, b in halves):
             verts.add(tuple(x))
     return list(verts)
-
-
-def _solve_square(rows, rhs):
-    d = len(rows)
-    a = [[Fraction(rows[i][j]) for j in range(d)] + [Fraction(rhs[i])]
-         for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [t * inv for t in a[col]]
-        for r in range(d):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [t - f * s for t, s in zip(a[r], a[col])]
-    return [a[i][d] for i in range(d)]
 
 
 def _integrate_interpolant(nodes, vals, a: Fraction, b: Fraction) -> Fraction:
@@ -343,8 +327,6 @@ def davenport_estimate(lat: IntLattice, region: LinearRegion,
     region.require_bounded()
     vol, se = region_volume(region, mc_samples=mc_samples, seed=seed)
     minima, _ = successive_minima([list(b) for b in lat.basis])
-    from .intlinalg import gram_det
-
     det = math.sqrt(gram_det([list(b) for b in lat.basis]))
     B = math.sqrt(float(region.box.radius_sq()))
     err = 1.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DependentRows, RankTooLarge
+from .errors import BudgetExceeded, DependentRows, RankTooLarge
 
 Matrix = list[list[int]]
 
@@ -47,26 +47,69 @@ def gram_det(basis: Matrix) -> int:
     return det_bareiss(gram_matrix(basis))
 
 
-def rank_rational(mat) -> int:
-    """Rank over Q by fraction-free elimination."""
+def _row_reduce(mat):
+    """Reduced row echelon form over Q: (rows, pivot columns).
+
+    Gauss-Jordan with exact Fractions; stops once every row holds a pivot.
+    """
     m = [[Fraction(x) for x in row] for row in mat]
     rows = len(m)
-    if rows == 0:
-        return 0
-    cols = len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [t * inv for t in m[r]]
         for i in range(rows):
             if i != r and m[i][c]:
-                fac = m[i][c] / m[r][c]
+                fac = m[i][c]
                 m[i] = [a - fac * b for a, b in zip(m[i], m[r])]
-        r += 1
+        pivots.append(c)
+    return m, pivots
+
+
+def rank_rational(mat) -> int:
+    """Rank over Q."""
+    return len(_row_reduce(mat)[1])
+
+
+def solve_rational(rows, rhs):
+    """The unique rational x with rows @ x == rhs, or None.
+
+    None when the system is inconsistent or its solution is not unique
+    (for a square system: singular).
+    """
+    n = len(rows[0]) if rows else 0
+    red, pivots = _row_reduce([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n] for row in red[:n]]
+
+
+def rank_mod_p(mat, p: int) -> int:
+    """Rank over F_p (p prime)."""
+    m = [[int(x) % p for x in row] for row in mat]
+    rows = len(m)
+    r = 0
+    for c in range(len(m[0]) if m else 0):
         if r == rows:
             break
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [t * inv % p for t in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                fac = m[i][c]
+                m[i] = [(a - fac * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
     return r
 
 
@@ -158,42 +201,54 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def _gram_schmidt(basis) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact Gram-Schmidt data of the rows from their Gram matrix.
+
+    Returns (mu, norms): b_i = b_i* + sum_{j<i} mu[i][j] b_j* and
+    norms[i] = ||b_i*||^2.
+    """
+    r = len(basis)
+    mu = [[Fraction(0)] * r for _ in range(r)]
+    norms: list[Fraction] = []
+    for i in range(r):
+        for j in range(i):
+            s = _dot(basis[i], basis[j]) - sum(mu[j][t] * mu[i][t] * norms[t]
+                                               for t in range(j))
+            mu[i][j] = s / norms[j] if norms[j] else Fraction(0)
+        norms.append(Fraction(_dot(basis[i], basis[i]))
+                     - sum(mu[i][t] ** 2 * norms[t] for t in range(i)))
+    return mu, norms
+
+
 def lll_reduce(basis: Matrix, delta: Fraction = Fraction(99, 100)) -> Matrix:
     """LLL reduction over exact rationals; rows span the same lattice."""
-    b = [[Fraction(x) for x in row] for row in basis]
-    nrows = len(b)
-    if nrows <= 1:
-        return [[int(x) for x in row] for row in b]
-
-    def gs():
-        ortho = []
-        mu = [[Fraction(0)] * nrows for _ in range(nrows)]
-        for i in range(nrows):
-            v = b[i][:]
-            for j in range(i):
-                denom = _dot(ortho[j], ortho[j])
-                mu[i][j] = _dot(b[i], ortho[j]) / denom if denom else Fraction(0)
-                v = [x - mu[i][j] * y for x, y in zip(v, ortho[j])]
-            ortho.append(v)
-        return ortho, mu
-
-    ortho, mu = gs()
+    b = [list(map(int, row)) for row in basis]
+    mu, norms = _gram_schmidt(b)
     k = 1
-    while k < nrows:
+    while k < len(b):
         for j in range(k - 1, -1, -1):
             if abs(mu[k][j]) > Fraction(1, 2):
                 q = _round_frac(mu[k][j])
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                ortho, mu = gs()
-        lhs = _dot(ortho[k], ortho[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * _dot(ortho[k - 1], ortho[k - 1])
-        if lhs >= rhs:
+                mu, norms = _gram_schmidt(b)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            ortho, mu = gs()
+            mu, norms = _gram_schmidt(b)
             k = max(k - 1, 1)
-    return [[int(x) for x in row] for row in b]
+    return b
+
+
+def near_orthogonality(basis) -> float:
+    """c such that ||sum l_i z_i|| >= c sum ||l_i z_i|| for all real l.
+
+    ||sum l_i z_i|| >= |l_i| ||z_i*|| for each i, so c = min_i(||z_i*||/||z_i||)/r
+    works; this is the constant we report.
+    """
+    _, norms = _gram_schmidt(basis)
+    ratios = [math.sqrt(float(ns / _dot(z, z))) for z, ns in zip(basis, norms)]
+    return min(ratios) / len(ratios) if ratios else 1.0
 
 
 def _dot(u, v):
@@ -212,8 +267,6 @@ def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7
     rational arithmetic.  Each +-v pair is yielded once (canonical sign).
     Raises RankTooLarge beyond rank 10 and BudgetExceeded via limit.
     """
-    from .errors import BudgetExceeded
-
     r = len(basis)
     if r == 0:
         return

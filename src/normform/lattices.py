@@ -21,7 +21,9 @@ from .intlinalg import (
     gram_det,
     kernel_sequential,
     lll_reduce,
+    near_orthogonality,
     rank_rational,
+    solve_rational,
     successive_minima,
 )
 
@@ -38,47 +40,13 @@ class IntLattice:
         return len(self.basis)
 
     def contains(self, x) -> bool:
-        """Exact membership test (solve over Q, check integrality)."""
-        coeffs = _solve_in_basis(self.basis, x)
+        """Exact membership test: solve B^T c = x over Q, check integrality."""
+        cols = [[row[j] for row in self.basis] for j in range(self.ambient_dim)]
+        coeffs = solve_rational(cols, x)
         return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
     def to_json(self):
         return [list(row) for row in self.basis]
-
-
-def _solve_in_basis(basis, x):
-    """Rational coefficients expressing x in the given rows, or None."""
-    rows = [list(map(Fraction, row)) + [Fraction(0)] for row in basis]
-    m = len(rows)
-    if m == 0:
-        return None if any(x) else []
-    n = len(basis[0])
-    # solve B^T c = x by elimination on the transpose
-    a = [[Fraction(basis[i][j]) for i in range(m)] + [Fraction(x[j])]
-         for j in range(n)]
-    piv_cols = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [t * inv for t in a[r]]
-        for i in range(n):
-            if i != r and a[i][c]:
-                fac = a[i][c]
-                a[i] = [t - fac * s for t, s in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-    # consistency
-    for i in range(r, n):
-        if a[i][m] != 0:
-            return None
-    coeffs = [Fraction(0)] * m
-    for i, c in enumerate(piv_cols):
-        coeffs[c] = a[i][m]
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -196,7 +164,7 @@ def reduced_basis(lat: IntLattice, enum_limit: int = 10**7) -> ReducedBasis:
     red = lll_reduce([list(r) for r in lat.basis])
     red.sort(key=lambda row: (sum(x * x for x in row), row))
     minima, vecs = successive_minima(red, limit=enum_limit)
-    c = _near_orthogonality_constant(red)
+    c = near_orthogonality(red)
     return ReducedBasis(
         lattice=lat,
         basis=tuple(tuple(r) for r in red),
@@ -204,28 +172,6 @@ def reduced_basis(lat: IntLattice, enum_limit: int = 10**7) -> ReducedBasis:
         minima_vectors=tuple(tuple(v) for v in vecs),
         near_orthogonality=c,
     )
-
-
-def _near_orthogonality_constant(basis) -> float:
-    """c such that ||sum l_i z_i|| >= c sum ||l_i z_i|| for all real l.
-
-    ||sum l_i z_i|| >= |l_i| ||z_i*|| for each i, so c = min_i(||z_i*||/||z_i||)/r
-    works; this is the constant we report.
-    """
-    r = len(basis)
-    ortho = []
-    ratios = []
-    for i in range(r):
-        v = [Fraction(x) for x in basis[i]]
-        for u in ortho:
-            den = sum(a * a for a in u)
-            mu = sum(a * b for a, b in zip(v, u)) / den
-            v = [a - mu * b for a, b in zip(v, u)]
-        ortho.append(v)
-        num = sum(a * a for a in v)
-        den = sum(a * a for a in basis[i])
-        ratios.append(math.sqrt(float(num / den)))
-    return min(ratios) / r if ratios else 1.0
 
 
 def nice_basis(v, ctx: FieldSpec, search_bound: int = 2) -> ReducedBasis:
@@ -266,7 +212,7 @@ def nice_basis(v, ctx: FieldSpec, search_bound: int = 2) -> ReducedBasis:
                     basis=tuple(tuple(r) for r in new_basis),
                     minima_sq=rb.minima_sq,
                     minima_vectors=rb.minima_vectors,
-                    near_orthogonality=_near_orthogonality_constant(new_basis),
+                    near_orthogonality=near_orthogonality(new_basis),
                 )
     raise SearchExhausted("no bounded combination makes the target wedge pair nonzero")
 

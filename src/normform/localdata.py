@@ -20,12 +20,12 @@ import numpy as np
 from .errors import BadPrime, BudgetExceeded, CompositeP, NotSquarefree
 from .fields import (
     FieldSpec,
-    det_int,
     embed,
     norm,
     norm_form,
     norm_form_polynomial,
 )
+from .intlinalg import det_bareiss, rank_mod_p
 from .primes import is_prime, sieve_primes
 from .splitting import (
     batch_degree_patterns,
@@ -62,7 +62,7 @@ def resultant(a: list[int], b: list[int]) -> int:
         rows.append([0] * i + list(reversed(a)) + [0] * (db - 1 - i))
     for i in range(da):
         rows.append([0] * i + list(reversed(b)) + [0] * (da - 1 - i))
-    return det_int(rows)
+    return det_bareiss(rows)
 
 
 def is_bad_prime(p: int, ctx: FieldSpec) -> bool:
@@ -370,8 +370,6 @@ def rho(d: IdealSym, ctx: FieldSpec) -> Fraction:
     p^(d_sum - rank) with rank the honest F_p-rank of the stacked condition
     matrix; multiplicative across distinct p by CRT.
     """
-    from .census import _rank_mod_p
-
     if not d.is_squarefree:
         raise NotSquarefree("rho is defined on squarefree symbols here")
     groups: dict[int, list[PrimeIdeal]] = {}
@@ -382,7 +380,7 @@ def rho(d: IdealSym, ctx: FieldSpec) -> Fraction:
         if is_bad_prime(p, ctx):
             raise BadPrime(f"{p} divides disc(f)")
         mat = _condition_matrix(pis, ctx.m)
-        rank = _rank_mod_p(mat, p)
+        rank = rank_mod_p(mat, p)
         dsum = sum(pi.degree for pi in pis)
         out *= Fraction(p) ** (dsum - rank)
     return out
@@ -469,14 +467,12 @@ def ideal_count(Y: int, ctx: FieldSpec, budget: int = 10**7) -> int:
     slots = _prime_ideal_norm_table(ctx, int(Y))
     norms = [s[0] for s in slots]
     counts = [s[3] for s in slots]
-    import sys
-
-    sys.setrecursionlimit(10000)
 
     def count_from(i: int, cap: int) -> int:
         # ideals supported on slots[i:] with norm <= cap, incl. the unit ideal;
         # a slot holding c distinct primes of norm q contributes
-        # C(t+c-1, c-1) exponent patterns of total q-exponent t
+        # C(t+c-1, c-1) exponent patterns of total q-exponent t.  Each level
+        # divides cap by a norm >= 2, so the depth stays below log2(Y)
         cnt = 1
         for j in range(i, len(norms)):
             q = norms[j]

@@ -8,16 +8,22 @@ vectorized gcd, which is what makes ideal counting to 2e6 feasible.
 
 from __future__ import annotations
 
+import random
+from itertools import zip_longest
+
 import numpy as np
 
 # --- single-prime polynomial arithmetic over F_p ----------------------------
 
 
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 def _pmod(poly: list[int], p: int) -> list[int]:
-    out = [c % p for c in poly]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim([c % p for c in poly])
 
 
 def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -28,50 +34,77 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim(out)
 
 
-def _prem(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p (b nonzero)."""
-    a = a[:]
+def _padd(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _psub(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _pdivmod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over Z/q.
+
+    The leading coefficient of b must be a unit mod q: any nonzero one
+    when q is prime, 1 for the monic divisors of the mod-p^k Hensel lift.
+    """
+    rem = [c % q for c in a]
     db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] % p == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        q = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - q * bc) % p
-        a.pop()
-    while a and a[-1] % p == 0:
-        a.pop()
-    return a
+    inv = pow(b[-1], -1, q)
+    quo = [0] * max(0, len(rem) - db)
+    while len(rem) > db:
+        c = rem.pop() * inv % q  # cancels the top term, or it was zero
+        if c:
+            shift = len(rem) - db
+            quo[shift] = c
+            for i in range(db):
+                rem[shift + i] = (rem[shift + i] - c * b[i]) % q
+    return _trim(quo), _trim(rem)
 
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _pmod(a, p), _pmod(b, p)
     while b:
-        a, b = b, _prem(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     if a:
-        inv = pow(a[-1], p - 2, p)
+        inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
 
 
 def _ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     result = [1]
-    base = _prem(base, mod, p)
+    base = _pdivmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _prem(_pmul(result, base, p), mod, p)
-        base = _prem(_pmul(base, base, p), mod, p)
+            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
+        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
         e >>= 1
     return result
+
+
+def _ddf(g: list[int], p: int):
+    """Distinct-degree factorization of squarefree monic g mod p.
+
+    Yields (d, g_d) with g_d the product of the degree-d irreducible
+    factors, for each d that has any, in increasing d.
+    """
+    h = [0, 1]  # X
+    d = 0
+    while len(g) - 1 > 0:
+        d += 1
+        if 2 * d > len(g) - 1:
+            yield len(g) - 1, g
+            return
+        h = _ppowmod(h, p, g, p)
+        g_d = _pgcd(g, _psub(h, [0, 1], p), p)
+        if len(g_d) > 1:
+            yield d, g_d
+            g = _pdivmod(g, g_d, p)[0]
+            h = _pdivmod(h, g, p)[1]
 
 
 def degree_pattern_mod_p(f: list[int], p: int) -> tuple[list[int], bool]:
@@ -87,60 +120,16 @@ def degree_pattern_mod_p(f: list[int], p: int) -> tuple[list[int], bool]:
     d1 = [(i * c) % p for i, c in enumerate(fp)][1:]
     g = _pgcd(fp, d1, p)
     if len(g) - 1 == 0:
-        return sorted(_ddf_squarefree(fp, p)), True
+        degs = [d for d, g_d in _ddf(fp, p) for _ in range((len(g_d) - 1) // d)]
+        return sorted(degs), True
     facs = monic_factors_mod_p(f, p)
     degs = sorted(len(fac) - 1 for fac, mult in facs for _ in range(mult))
     return degs, False
 
 
-def _pquo(a: list[int], b: list[int], p: int) -> list[int]:
-    """Exact quotient a / b over F_p."""
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * (len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] % p == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % p
-        a.pop()
-    return q
-
-
 def _pth_root(g: list[int], p: int) -> list[int]:
     """For g with only X^(p*i) terms over F_p, return h with h(X)^p = g."""
     return [g[i] for i in range(0, len(g), p)]
-
-
-def _ddf_squarefree(g: list[int], p: int) -> list[int]:
-    """Degrees of irreducible factors of squarefree monic g mod p."""
-    degs = []
-    h = [0, 1]  # X
-    work = g[:]
-    d = 0
-    while len(work) - 1 > 0:
-        d += 1
-        if 2 * d > len(work) - 1:
-            degs.append(len(work) - 1)
-            break
-        h = _ppowmod(h, p, work, p)
-        diff = h[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g_d = _pgcd(work, diff, p)
-        if len(g_d) > 1:
-            deg_part = len(g_d) - 1
-            degs += [d] * (deg_part // d)
-            work = _pquo(work, g_d, p)
-            h = _prem(h, work, p)
-    return degs
 
 
 def roots_mod_p(f: list[int], p: int) -> list[int]:
@@ -152,11 +141,7 @@ def roots_mod_p(f: list[int], p: int) -> list[int]:
     if p < 4096:
         return [x for x in range(p) if _poly_eval_mod(f, x, p) == 0]
     h = _ppowmod([0, 1], p, _pmod(f, p), p)
-    diff = h[:]
-    while len(diff) < 2:
-        diff.append(0)
-    diff[1] = (diff[1] - 1) % p
-    g = _pgcd(_pmod(f, p), diff, p)
+    g = _pgcd(_pmod(f, p), _psub(h, [0, 1], p), p)
     return sorted(_split_linear(g, p, seed=1))
 
 
@@ -167,20 +152,14 @@ def _split_linear(g: list[int], p: int, seed: int) -> list[int]:
         return []
     if deg == 1:
         return [(-g[0]) % p]
-    import random
-
     rng = random.Random(seed * 7919 + deg)
     while True:
         c = rng.randrange(p)
-        shift = [(g_i) for g_i in g]
-        t = _ppowmod([c, 1], (p - 1) // 2, shift, p)
-        t = t[:]
-        if not t:
-            t = [0]
-        t[0] = (t[0] - 1) % p
+        t = _psub(_ppowmod([c, 1], (p - 1) // 2, g, p), [1], p)
         h = _pgcd(g, t, p)
         if 0 < len(h) - 1 < deg:
-            return _split_linear(h, p, seed + 1) + _split_linear(_pquo(g, h, p), p, seed + 1)
+            return (_split_linear(h, p, seed + 1)
+                    + _split_linear(_pdivmod(g, h, p)[0], p, seed + 1))
 
 
 def _poly_eval_mod(f: list[int], x: int, p: int) -> int:
@@ -197,8 +176,6 @@ def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     equal-degree splitting (seeded, deterministic), multiplicities by exact
     division.  Desk scale only: small p or small degree.
     """
-    import random
-
     rng = random.Random(0x5EED ^ p)
 
     def edf(g: list[int], d: int, out: list[list[int]]):
@@ -211,57 +188,27 @@ def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
         while True:
             a = [rng.randrange(p) for _ in range(deg)] + [1]
             if p == 2:
-                acc = a
-                t = a[:]
+                acc = t = a
                 for _ in range(d - 1):
-                    acc = _prem(_pmul(acc, acc, p), g, p)
-                    t = [(x + y) % p for x, y in _zip_pad(t, acc)]
-                t = _pmod(t, p)
+                    acc = _pdivmod(_pmul(acc, acc, p), g, p)[1]
+                    t = _padd(t, acc, p)
             else:
-                t = _ppowmod(a, (p**d - 1) // 2, g, p)
-                t = t[:] if t else [0]
-                t[0] = (t[0] - 1) % p
+                t = _psub(_ppowmod(a, (p**d - 1) // 2, g, p), [1], p)
             h = _pgcd(g, t, p)
             if 0 < len(h) - 1 < deg:
                 edf(h, d, out)
-                edf(_pquo(g, h, p), d, out)
+                edf(_pdivmod(g, h, p)[0], d, out)
                 return
-
-    def squarefree_irreducibles(g: list[int]) -> list[list[int]]:
-        """Irreducible factors of squarefree monic g."""
-        found: list[list[int]] = []
-        h = [0, 1]
-        rem = g
-        d = 0
-        while len(rem) - 1 > 0:
-            d += 1
-            if 2 * d > len(rem) - 1:
-                found.append(rem)
-                break
-            h = _ppowmod(h, p, rem, p)
-            diff = h[:]
-            while len(diff) < 2:
-                diff.append(0)
-            diff[1] = (diff[1] - 1) % p
-            gd = _pgcd(rem, diff, p)
-            if len(gd) - 1 > 0:
-                edf(gd, d, found)
-                rem = _pquo(rem, gd, p)
-                h = _prem(h, rem, p)
-        return found
 
     # collect distinct irreducible factors of f by peeling squarefree parts
     work = _pmod(f, p)
     irreducibles: list[list[int]] = []
     while len(work) - 1 > 0:
-        d1 = [(i * c) % p for i, c in enumerate(work)][1:]
-        gc = _pgcd(work, d1, p)
-        if len(gc) - 1 == 0:
-            irreducibles += squarefree_irreducibles(work)
-            break
-        sqfree = _pquo(work, gc, p)
+        gc = _pgcd(work, [(i * c) % p for i, c in enumerate(work)][1:], p)
+        sqfree = _pdivmod(work, gc, p)[0]
         if len(sqfree) - 1 > 0:
-            irreducibles += squarefree_irreducibles(sqfree)
+            for d, g_d in _ddf(sqfree, p):
+                edf(g_d, d, irreducibles)
             work = gc
         else:
             work = _pth_root(work, p)  # work is a p-th power
@@ -284,14 +231,6 @@ def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _zip_pad(a: list[int], b: list[int]):
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    else:
-        b = b + [0] * (len(a) - len(b))
-    return zip(a, b)
-
-
 # --- batched splitting over many primes --------------------------------------
 
 
@@ -304,36 +243,12 @@ def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
     of the gcd), but callers normally exclude bad primes anyway.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    n = len(f) - 1
-    h = _batch_xp_mod_f(f, primes)
-    # g = h - X
-    g = h.copy()
-    g[:, 1] = (g[:, 1] - 1) % primes
+    x = np.zeros((len(primes), len(f) - 1), dtype=np.int64)
+    x[:, 1] = 1  # X mod f, as deg f >= 2
+    g = _batch_poly_pow_p(x, f, primes)  # X^p mod f
+    g[:, 1] = (g[:, 1] - 1) % primes  # X^p - X
     fmat = np.tile(np.array(f, dtype=np.int64), (len(primes), 1)) % primes[:, None]
     return _batch_gcd_degree(fmat, g, primes)
-
-
-def _batch_xp_mod_f(f: list[int], primes: np.ndarray) -> np.ndarray:
-    """X^p mod (f, p) per prime; rows are coefficient vectors of length n."""
-    n = len(f) - 1
-    N = len(primes)
-    p = primes
-    result = np.zeros((N, n), dtype=np.int64)
-    result[:, 0] = 1
-    base = np.zeros((N, n), dtype=np.int64)
-    if n == 1:
-        base[:, 0] = (-f[0]) % p
-    else:
-        base[:, 1] = 1
-    maxbits = int(primes.max()).bit_length()
-    fall = np.array(f[:-1], dtype=np.int64)
-    for bit in range(maxbits):
-        mask = ((p >> bit) & 1).astype(bool)
-        if mask.any():
-            result[mask] = _batch_polymulmod(result[mask], base[mask], fall, p[mask])
-        if bit + 1 < maxbits:
-            base = _batch_polymulmod(base, base, fall, p)
-    return result
 
 
 def _batch_polymulmod(a: np.ndarray, b: np.ndarray, f_low: np.ndarray,
@@ -428,15 +343,13 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
     primes = np.asarray(primes, dtype=np.int64)
     n = len(f) - 1
     N = len(primes)
-    fall = np.array(f[:-1], dtype=np.int64)
     fmat = np.tile(np.array(f, dtype=np.int64), (N, 1)) % primes[:, None]
     # roots_j[j] = #roots of f in F_{p^(j+1)} = deg gcd(X^(p^(j+1)) - X, f)
-    h = _batch_xp_mod_f(f, primes)  # X^p mod f
-    hj = h.copy()
+    hj = np.zeros((N, n), dtype=np.int64)
+    hj[:, 1] = 1  # X mod f, as deg f >= 2
     counts = np.zeros((N, n), dtype=np.int64)
     for j in range(1, n + 1):
-        if j > 1:
-            hj = _batch_poly_pow_p(hj, f, primes)  # X^(p^j) = (X^(p^(j-1)))^p
+        hj = _batch_poly_pow_p(hj, f, primes)  # X^(p^j) = (X^(p^(j-1)))^p
         g = hj.copy()
         g[:, 1] = (g[:, 1] - 1) % primes
         counts[:, j - 1] = _batch_gcd_degree(fmat.copy(), g, primes)
@@ -473,37 +386,6 @@ def _batch_poly_pow_p(base: np.ndarray, f: list[int], primes: np.ndarray) -> np.
 # --- Hensel lifting for prime-ideal valuations --------------------------------
 
 
-def _pdivmod(a: list[int], b: list[int], p: int):
-    a = a[:]
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] % p == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] * inv % p
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % p
-        a.pop()
-    while a and a[-1] % p == 0:
-        a.pop()
-    qq = q[:]
-    while qq and qq[-1] == 0:
-        qq.pop()
-    return qq, a
-
-
-def _psub(a: list[int], b: list[int], p: int):
-    out = [(x - y) % p for x, y in _zip_pad(a, b)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _bezout(g: list[int], h: list[int], p: int):
     """s, t with s*g + t*h == 1 mod p for coprime g, h."""
     r0, r1 = _pmod(g, p), _pmod(h, p)
@@ -514,7 +396,7 @@ def _bezout(g: list[int], h: list[int], p: int):
         r0, r1 = r1, r
         s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
         t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    inv = pow(r0[-1], p - 2, p)
+    inv = pow(r0[-1], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 
 
@@ -524,62 +406,21 @@ def hensel_lift_factor(f: list[int], g: list[int], p: int, prec: int) -> list[in
     Requires f squarefree mod p (good prime).  Classic quadratic Hensel
     with Bezout tracking; both g and the cofactor h stay monic.
     """
-    h = _pquo(_pmod(f, p), g, p)
+    h = _pdivmod(f, g, p)[0]
     s, t = _bezout(g, h, p)
     m = p
     target = p**prec
     G, H, S, T = g[:], h[:], s[:], t[:]
     while m < target:
         m2 = min(m * m, target)
-
-        def mul(a, b, q=m2):
-            out = [0] * max(1, len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % q
-            return _trim(out)
-
-        def sub(a, b, q=m2):
-            return _trim([(x - y) % q for x, y in _zip_pad(list(a), list(b))])
-
-        def add(a, b, q=m2):
-            return _trim([(x + y) % q for x, y in _zip_pad(list(a), list(b))])
-
-        e = sub([c % m2 for c in f], mul(G, H))
-        q_, r_ = _monic_divmod(mul(S, e), H, m2)
-        Gp = add(G, add(mul(T, e), mul(q_, G)))
-        Hp = add(H, r_)
-        b = sub(add(mul(S, Gp), mul(T, Hp)), [1])
-        c_, d_ = _monic_divmod(mul(S, b), Hp, m2)
-        Sp = sub(S, d_)
-        Tp = sub(T, add(mul(T, b), mul(c_, Gp)))
+        e = _psub(f, _pmul(G, H, m2), m2)
+        q_, r_ = _pdivmod(_pmul(S, e, m2), H, m2)
+        Gp = _padd(G, _padd(_pmul(T, e, m2), _pmul(q_, G, m2), m2), m2)
+        Hp = _padd(H, r_, m2)
+        b = _psub(_padd(_pmul(S, Gp, m2), _pmul(T, Hp, m2), m2), [1], m2)
+        c_, d_ = _pdivmod(_pmul(S, b, m2), Hp, m2)
+        Sp = _psub(S, d_, m2)
+        Tp = _psub(T, _padd(_pmul(T, b, m2), _pmul(c_, Gp, m2), m2), m2)
         G, H, S, T = Gp, Hp, Sp, Tp
         m = m2
     return G
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _monic_divmod(a: list[int], b: list[int], q: int):
-    """Quotient and remainder of a by monic b, coefficients mod q."""
-    a = [c % q for c in a]
-    db = len(b) - 1
-    assert b[-1] % q == 1, "divisor must be monic"
-    quo = [0] * max(1, max(0, len(a) - db))
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] % q == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1] % q
-        shift = len(a) - 1 - db
-        quo[shift] = c
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % q
-        a.pop()
-    return _trim(quo), _trim(a)

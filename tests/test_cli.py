@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, determinism of emitted artifacts."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,6 +16,9 @@ def write_cfg(tmp_path: Path, name: str, obj: dict) -> str:
 
 
 FIELD3 = {"f": [-2, 0, 0, 1], "k": 1}
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_REFS = json.loads(
+    (ROOT / "perfbench" / "references.json").read_text())["configs"]
 
 
 def run(argv) -> int:
@@ -144,3 +148,21 @@ class TestDeterminism:
             blobs = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             outs.append(blobs)
         assert outs[0] == outs[1]
+
+
+class TestShippedConfigBytes:
+    """Report bytes of the shipped configs match the pinned sha256 values."""
+
+    def test_every_config_is_pinned(self):
+        shipped = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
+        assert shipped == sorted(CONFIG_REFS)
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_REFS))
+    def test_report_sha256(self, tmp_path, name):
+        ref = CONFIG_REFS[name]
+        out = tmp_path / "out"
+        assert run([ref["command"], "--config", str(ROOT / "configs" / name),
+                    "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+        assert got == ref["sha256"]

@@ -179,7 +179,8 @@ class TestFpWedgeCensus:
 
     def test_census_matches_pointwise_oracle(self):
         # brute force via wedge_pair-free direct rank over a tiny field
-        from normform.census import _rank_mod_p, constraint_row_tensors
+        from normform.census import constraint_row_tensors
+        from normform.intlinalg import rank_mod_p
         import numpy as np
 
         ctx = make_context([-1, -1, 0, 0, 0], 2)
@@ -189,7 +190,7 @@ class TestFpWedgeCensus:
         for b in itertools.product(range(p), repeat=5):
             vec = np.array(b, dtype=np.int64)
             stack = np.stack([(R @ vec) % p for R in tensors])
-            if _rank_mod_p(stack, p) < 2:
+            if rank_mod_p(stack, p) < 2:
                 count += 1
         assert fp_wedge_census(p, ctx) == count
 

@@ -5,10 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normform.errors import DegeneratePair, ZeroWedge
+from normform.errors import DegeneratePair, DependentRows, ZeroWedge
 from normform.fields import diamond, make_context
-from normform.intlinalg import gram_det, kernel_oracle, rank_rational
+from normform.intlinalg import (
+    det_bareiss,
+    gram_det,
+    kernel_oracle,
+    kernel_sequential,
+    rank_mod_p,
+    rank_rational,
+    solve_rational,
+)
+from normform.primes import is_prime
 from normform.lattices import (
     IntLattice,
     WedgeVec,
@@ -341,3 +352,72 @@ class TestSubspaceBoundTightness:
         ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
         v = [2, -1, 3, 0, 1, 4, -2]
         assert rank_rational(degenerate_directions(v, ctx)) == ctx.k
+
+
+# --- property tests of the exact kernels ------------------------------------------
+
+
+def int_matrices(rows, cols, bound=6):
+    return st.lists(st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+square_systems = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(int_matrices(n, n), st.lists(st.integers(-20, 20),
+                                                     min_size=n, max_size=n)))
+matrices = st.tuples(st.integers(1, 5), st.integers(1, 6)).flatmap(
+    lambda rc: int_matrices(*rc))
+
+
+def hadamard_bound(A) -> int:
+    """An integer at least |M| for every minor M of A."""
+    return math.prod(max(1, math.isqrt(sum(a * a for a in row)) + 1) for row in A)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(square_systems)
+def test_solve_rational_recovers_x(system):
+    A, x = system
+    b = [sum(a * t for a, t in zip(row, x)) for row in A]
+    sol = solve_rational(A, b)
+    if det_bareiss(A) != 0:
+        assert sol == x
+    else:
+        assert sol is None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: int_matrices(n, n, bound=2)))
+def test_full_rank_iff_nonzero_det(A):
+    assert (rank_rational(A) == len(A)) == (det_bareiss(A) != 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(matrices, st.sampled_from([2, 3, 5, 7]))
+def test_rank_mod_p_bounded_by_rational_rank(A, p):
+    r = rank_rational(A)
+    assert rank_mod_p(A, p) <= r
+    big = hadamard_bound(A) + 1
+    while not is_prime(big):
+        big += 1
+    assert rank_mod_p(A, big) == r
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.tuples(st.integers(1, 3), st.integers(4, 6)).flatmap(
+    lambda rc: int_matrices(*rc)))
+def test_kernel_oracles_span_the_same_lattice(C):
+    n = len(C[0])
+    if rank_rational(C) < len(C):
+        with pytest.raises(DependentRows):
+            kernel_oracle(C)
+        with pytest.raises(DependentRows):
+            kernel_sequential(C, n)
+        return
+    K1 = kernel_oracle(C)
+    K2 = kernel_sequential(C, n)
+    assert gram_det(K1) == gram_det(K2)
+    L1 = IntLattice(n, tuple(map(tuple, K1)))
+    L2 = IntLattice(n, tuple(map(tuple, K2)))
+    assert all(L1.contains(v) for v in K2)
+    assert all(L2.contains(v) for v in K1)

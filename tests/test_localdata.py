@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,16 @@ class TestIdealCount:
         g1 = gamma_estimate(10**5, CTX3)
         g2 = gamma_estimate(2 * 10**5, CTX3)
         assert abs(g1 - g2) / g1 < 0.05
+
+    def test_recursion_limit_untouched(self):
+        # a sentinel limit shows whether ideal_count rewrites it
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 1)
+        try:
+            ideal_count(10**5, CTX4)
+            assert sys.getrecursionlimit() == limit + 1
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestSqufreeEnumeration:

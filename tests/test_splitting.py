@@ -3,6 +3,8 @@
 import random
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normform.primes import sieve_primes
 from normform.splitting import (
@@ -123,3 +125,85 @@ class TestHensel:
                 rem[shift + i] = (rem[shift + i] - c * gc) % q
             rem.pop()
         assert all(c % q == 0 for c in rem)
+
+
+# --- property tests ------------------------------------------------------------
+
+# 2 and 3 stress the small-field branches; p >= 4096 takes the
+# Cantor-Zassenhaus branch of roots_mod_p
+PROPERTY_PRIMES = [2, 3, 5, 7, 11, 13, 31, 101, 4099, 4111, 10007, 65537]
+
+monic_polys = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(-30, 30), min_size=n, max_size=n).map(
+        lambda low: low + [1]))
+
+
+def is_good(f, p):
+    return degree_pattern_mod_p(f, p)[1]
+
+
+def poly_mul_mod(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return out
+
+
+def monic_remainder(a, g, q):
+    """a mod monic g over Z/q, by schoolbook long division."""
+    rem = [c % q for c in a]
+    while len(rem) >= len(g):
+        c = rem[-1]
+        shift = len(rem) - len(g)
+        for i, gc in enumerate(g):
+            rem[shift + i] = (rem[shift + i] - c * gc) % q
+        rem.pop()
+    return rem
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(monic_polys)
+def test_batch_patterns_match_single_prime(f):
+    good = [p for p in PROPERTY_PRIMES if is_good(f, p)]
+    if not good:
+        return
+    n = len(f) - 1
+    pats = batch_degree_patterns(f, np.array(good, dtype=np.int64))
+    for i, p in enumerate(good):
+        degs, _ = degree_pattern_mod_p(f, p)
+        assert pats[i].tolist() == [degs.count(d) for d in range(1, n + 1)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(monic_polys)
+def test_batch_root_counts_match_roots(f):
+    good = [p for p in PROPERTY_PRIMES if is_good(f, p)]
+    if not good:
+        return
+    counts = batch_root_counts(f, np.array(good, dtype=np.int64))
+    assert counts.tolist() == [len(roots_mod_p(f, p)) for p in good]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(monic_polys, st.sampled_from(PROPERTY_PRIMES))
+def test_factors_with_multiplicity_multiply_back(f, p):
+    prod = [1]
+    for g, mult in monic_factors_mod_p(f, p):
+        assert g[-1] == 1
+        for _ in range(mult):
+            prod = poly_mul_mod(prod, g, p)
+    assert prod == [c % p for c in f]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(monic_polys, st.sampled_from(PROPERTY_PRIMES), st.integers(1, 4))
+def test_hensel_lift_divides_f(f, p, prec):
+    if not is_good(f, p):
+        return
+    q = p**prec
+    for g, _ in monic_factors_mod_p(f, p):
+        G = hensel_lift_factor(f, g, p, prec)
+        assert len(G) == len(g) and G[-1] == 1
+        assert [c % p for c in G] == g
+        assert not any(monic_remainder(f, G, q))
