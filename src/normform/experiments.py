@@ -125,17 +125,25 @@ class RunReport:
 # --- observed side -------------------------------------------------------------
 
 
+def _check_int64_range(poly: dict, box, n: int) -> None:
+    """BudgetExceeded unless the degree-n form poly stays inside int64 on box.
+
+    Every term, partial sum and value of the grid evaluator is at most
+    sum |c| * max(|lo|, |hi|)^n in absolute value on the box.
+    """
+    bound = max(max(abs(lo), abs(hi)) for lo, hi in box) ** n
+    if sum(abs(c) for c in poly.values()) * bound >= 2**62:
+        raise BudgetExceeded("norm values overflow the vectorized int64 path")
+
+
 def _box_grid_eval(cfg: ExperimentConfig, lo1: int, hi1: int) -> np.ndarray:
     """Norm values on box slab x1 in [lo1, hi1], int64, vectorized."""
     poly = _norm_poly_cached(cfg.ctx)
     axes = [np.arange(lo1, hi1 + 1, dtype=np.int64)]
     for lo, hi in cfg.box[1:]:
         axes.append(np.arange(lo, hi + 1, dtype=np.int64))
+    _check_int64_range(poly, cfg.box, cfg.ctx.n)
     grids = np.meshgrid(*axes, indexing="ij")
-    bound = max(max(abs(lo), abs(hi)) for lo, hi in cfg.box) ** cfg.ctx.n
-    worst = sum(abs(c) for c in poly.values()) * bound
-    if worst >= 2**62:
-        raise BudgetExceeded("norm values overflow the vectorized int64 path")
     from .fields import eval_norm_poly_grid
 
     return eval_norm_poly_grid(poly, grids)
@@ -541,7 +549,8 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     mark residue classes), cost about X^(n-k) log log X; leftovers after
     sieving to the cube root are prime, square, or semiprime, which is all
     tau needs.  The exact ideal-level tau runs when the box is inside
-    ideal_points_budget, skipping bad-support points (counted).  n-k = 2.
+    ideal_points_budget, skipping points it cannot resolve, counted by
+    reason.  n-k = 2.
     """
     t0 = time.time()
     if ctx.m != 2:
@@ -551,6 +560,7 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     if e not in (0, 1, 2):
         raise ValueError("e in {0, 1, 2}")
     poly = _norm_poly_cached(ctx)
+    _check_int64_range(poly, [(1, X)] * 2, ctx.n)
     ax = np.arange(1, X + 1, dtype=np.int64)
     g1, g2 = np.meshgrid(ax, ax, indexing="ij")
     from .fields import eval_norm_poly_grid
@@ -563,27 +573,39 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
                          config={"X": X, "e": e, "field": ctx.to_json_dict()},
                          details={}, runtime_s=time.time() - t0)
     with_factors = X * X <= ideal_points_budget
-    tau_int, fac_store = _tau_sieve(vals, poly, with_factors)
+    t1 = time.perf_counter()
+    tau_int, fac_store, nprimes = _tau_sieve(vals, poly, with_factors)
+    log.info("x-space sieve: %d values, %d primes sieved, %.3f s",
+             vals.size, nprimes, time.perf_counter() - t1)
     tau_e = tau_int if e == 1 else tau_int * tau_int
     surrogate = int(tau_e.sum())
     details: dict = {"surrogate_sum_tau_int_pow_e": surrogate,
                      "leftover_primality": "gmpy2" if "_gmp_is_prime" in globals()
                      else "builtin"}
     if with_factors:
+        t1 = time.perf_counter()
         badset = set(bad_primes(ctx))
         ideal_total = 0
         ideal_points = 0
-        skipped = 0
+        # first reason that applies, in this order
+        skipped = {"bad_prime": 0, "semiprime_leftover": 0,
+                   "unresolved_valuation": 0}
         for (i, j), fac in fac_store.items():
-            if any(p < 0 or p in badset for p in fac):
-                skipped += 1
+            if any(p in badset for p in fac):
+                skipped["bad_prime"] += 1
+                continue
+            if any(p < 0 for p in fac):
+                skipped["semiprime_leftover"] += 1
                 continue
             ti = ideal_tau((i + 1, j + 1), ctx, fac)
             if ti is None:
-                skipped += 1
+                skipped["unresolved_valuation"] += 1
                 continue
             ideal_total += ti**e
             ideal_points += 1
+        log.info("ideal tau: %d points resolved, skipped %d bad prime, "
+                 "%d semiprime leftover, %d unresolved valuation, %.3f s",
+                 ideal_points, *skipped.values(), time.perf_counter() - t1)
         # points with no stored factors have |N| = 1 (units): tau_K = 1
         units = X * X - len(fac_store)
         ideal_total += units
@@ -591,7 +613,8 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
         details.update({
             "ideal_sum": ideal_total,
             "ideal_points": ideal_points,
-            "points_skipped_bad_or_unsplit": skipped,
+            "points_skipped_bad_or_unsplit": sum(skipped.values()),
+            "points_skipped_by_reason": skipped,
             "bad_primes": sorted(badset),
         })
     return RunReport(
@@ -612,7 +635,8 @@ def _tau_sieve(vals: np.ndarray, poly: dict, with_factors: bool):
     Sieves p up to max(value)^(1/3); leftovers are then 1, prime, p^2 or a
     semiprime, enough to finish tau exactly.  When with_factors is set, a
     {(i, j): {p: e}} map is returned (semiprime leftovers marked with a
-    negative key since tau does not need them split).
+    negative key since tau does not need them split).  Also returns the
+    number of primes sieved.
     """
     X = vals.shape[0]
     remain = vals.copy()
@@ -620,7 +644,8 @@ def _tau_sieve(vals: np.ndarray, poly: dict, with_factors: bool):
     fac_store: dict[tuple[int, int], dict[int, int]] = {}
     vmax = int(vals.max())
     plimit = int(round(vmax ** (1 / 3))) + 2
-    for p in sieve_primes(plimit).tolist():
+    primes = sieve_primes(plimit).tolist()
+    for p in primes:
         for (r1, r2) in _norm_zero_classes(poly, p):
             i1 = np.arange((r1 - 1) % p, X, p)
             i2 = np.arange((r2 - 1) % p, X, p)
@@ -655,7 +680,7 @@ def _tau_sieve(vals: np.ndarray, poly: dict, with_factors: bool):
                 tau_int[i, j] *= 4  # semiprime with distinct factors
                 if with_factors:
                     fac_store.setdefault((int(i), int(j)), {})[-L] = 1
-    return tau_int, fac_store
+    return tau_int, fac_store, len(primes)
 
 
 def _norm_zero_classes(poly: dict, p: int) -> list[tuple[int, int]]:

@@ -32,6 +32,7 @@ from .splitting import (
     batch_root_counts,
     degree_pattern_mod_p,
     hensel_lift_factor,
+    lift_root,
     monic_factors_mod_p,
     roots_mod_p,
 )
@@ -39,12 +40,16 @@ from .splitting import (
 
 def discriminant(ctx: FieldSpec) -> int:
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f."""
-    f = list(ctx.f_coeffs)
-    n = ctx.n
+    return _discriminant_key(ctx.f_coeffs)
+
+
+@lru_cache(maxsize=None)
+def _discriminant_key(f_coeffs: tuple[int, ...]) -> int:
+    f = list(f_coeffs)
+    n = len(f) - 1
     fp = [i * c for i, c in enumerate(f)][1:]
-    res = resultant(f, fp)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
+    return sign * resultant(f, fp)
 
 
 def resultant(a: list[int], b: list[int]) -> int:
@@ -559,19 +564,29 @@ def ideal_valuations(x, ctx: FieldSpec, fac: dict[int, int]) -> dict | None:
 
     alpha is the order element for incomplete vector x.  Returns
     {PrimeIdeal: v} or None when some p | N(alpha) is bad.  Good-p
-    valuations come from Hensel-lifted factors: v_p(Res(g_lift, A)) = d*v_P.
+    valuations are read mod p^(v_p + 1) from v_p(Res(g_lift, A)) = d*v_P,
+    where g_lift is the Hensel lift of the factor g of P.  For degree 1,
+    g_lift = X - r_lift and the resultant is A(r_lift), so the root is
+    lifted by Newton and A evaluated there.
     """
     A = list(embed(x, ctx))
+    f = list(ctx.f_coeffs)
     out: dict[PrimeIdeal, int] = {}
     for p, vp in fac.items():
         if is_bad_prime(p, ctx):
             return None
+        prec = vp + 1
+        q = p**prec
         assigned = 0
         for pi in prime_ideals_above(p, ctx):
-            prec = vp + 1
-            g = [c % p for c in pi.factor_coeffs]
-            gl = hensel_lift_factor(list(ctx.f_coeffs), g, p, prec)
-            r = resultant([c % p**prec for c in gl] , A) % p**prec
+            if pi.degree == 1:
+                root = lift_root(f, pi.label, p, prec)
+                r = 0
+                for c in reversed(A):
+                    r = (r * root + c) % q
+            else:
+                gl = _lifted_factor(ctx.f_coeffs, pi.factor_coeffs, p, prec)
+                r = resultant(list(gl), A) % q
             v = 0
             while v < prec and r % p == 0 and r != 0:
                 r //= p
@@ -588,6 +603,15 @@ def ideal_valuations(x, ctx: FieldSpec, fac: dict[int, int]) -> dict | None:
         if assigned != vp:
             return None  # inconsistency guard
     return out
+
+
+@lru_cache(maxsize=2**16)
+def _lifted_factor(f_coeffs: tuple[int, ...], g: tuple[int, ...], p: int,
+                   prec: int) -> tuple[int, ...]:
+    """hensel_lift_factor reduced mod p^prec; the same lift recurs across points."""
+    q = p**prec
+    gl = hensel_lift_factor(list(f_coeffs), [c % p for c in g], p, prec)
+    return tuple(c % q for c in gl)
 
 
 def ideal_tau(x, ctx: FieldSpec, fac: dict[int, int]) -> int | None:

@@ -238,10 +238,12 @@ def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
     """nu_p = number of distinct roots of f mod p, for an array of primes.
 
     Computes X^p mod (f, p) by vectorized square-and-multiply, then a
-    vectorized polynomial gcd with f.  Primes must satisfy p^2 < 2^63.
-    Entries where f mod p is not squarefree are still correct (root count
-    of the gcd), but callers normally exclude bad primes anyway.
+    vectorized polynomial gcd with f.  Requires deg f >= 2 (ValueError
+    otherwise) and primes with p^2 < 2^63.  Entries where f mod p is not
+    squarefree are still correct (root count of the gcd), but callers
+    normally exclude bad primes anyway.
     """
+    _require_deg2(f)
     primes = np.asarray(primes, dtype=np.int64)
     x = np.zeros((len(primes), len(f) - 1), dtype=np.int64)
     x[:, 1] = 1  # X mod f, as deg f >= 2
@@ -249,6 +251,12 @@ def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
     g[:, 1] = (g[:, 1] - 1) % primes  # X^p - X
     fmat = np.tile(np.array(f, dtype=np.int64), (len(primes), 1)) % primes[:, None]
     return _batch_gcd_degree(fmat, g, primes)
+
+
+def _require_deg2(f: list[int]) -> None:
+    # the batch routines store X mod f as a row with a coefficient at X^1
+    if len(f) - 1 < 2:
+        raise ValueError("deg f must be >= 2")
 
 
 def _batch_polymulmod(a: np.ndarray, b: np.ndarray, f_low: np.ndarray,
@@ -338,8 +346,10 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
     Returns an (N, n) int64 array A with A[i, d-1] = number of degree-d
     irreducible factors of f mod primes[i].  Valid for primes where f is
     squarefree mod p (good primes); computed from the root counts of f in
-    F_{p^j} for j = 1..n via Moebius-style inversion.
+    F_{p^j} for j = 1..n via Moebius-style inversion.  Requires deg f >= 2
+    (ValueError otherwise).
     """
+    _require_deg2(f)
     primes = np.asarray(primes, dtype=np.int64)
     n = len(f) - 1
     N = len(primes)
@@ -398,6 +408,27 @@ def _bezout(g: list[int], h: list[int], p: int):
         t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
     inv = pow(r0[-1], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def lift_root(f: list[int], r: int, p: int, prec: int) -> int:
+    """Lift a simple root r of f mod p to the root of f mod p^prec above it.
+
+    Newton's iteration r <- r - f(r) f'(r)^-1 with the modulus squaring up
+    to p^prec.  The result is the constant term of -hensel_lift_factor(f,
+    [-r, 1], p, prec), found without polynomial division.
+    """
+    df = [i * c for i, c in enumerate(f)][1:]
+    if _poly_eval_mod(f, r, p) != 0:
+        raise ValueError(f"{r} is not a root of f mod {p}")
+    if _poly_eval_mod(df, r, p) == 0:
+        raise ValueError(f"{r} is a multiple root of f mod {p}")
+    r %= p
+    m = p
+    target = p**prec
+    while m < target:
+        m = min(m * m, target)
+        r = (r - _poly_eval_mod(f, r, m) * pow(_poly_eval_mod(df, r, m), -1, m)) % m
+    return r
 
 
 def hensel_lift_factor(f: list[int], g: list[int], p: int, prec: int) -> list[int]:

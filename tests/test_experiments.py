@@ -289,6 +289,38 @@ class TestDivisorSum:
                      for a in range(1, 13) for b in range(1, 13))
         assert rep.observed == oracle
 
+    def test_int64_guard_boundary(self):
+        # x^6 - 2, k = 4: |N| <= 3 X^6, which reaches 2^62 between 1074 and 1075
+        ctx = make_context([-2, 0, 0, 0, 0, 0], 4)
+        assert 3 * 1074**6 < 2**62 <= 3 * 1075**6
+        with pytest.raises(BudgetExceeded):
+            divisor_sum_check(1075, 0, ctx)
+        assert divisor_sum_check(1074, 0, ctx).observed == 1074**2
+
+    def test_skip_reasons_partition_the_skipped_points(self):
+        d = divisor_sum_check(48, 1, CTX3).details
+        by_reason = d["points_skipped_by_reason"]
+        assert list(by_reason) == ["bad_prime", "semiprime_leftover",
+                                   "unresolved_valuation"]
+        assert sum(by_reason.values()) == d["points_skipped_bad_or_unsplit"]
+        assert by_reason["bad_prime"] > 0
+        assert by_reason["unresolved_valuation"] == 0
+        assert d["ideal_points"] + d["points_skipped_bad_or_unsplit"] == 48 * 48
+
+    def test_info_log_sieve_and_ideal_tau_stages(self, caplog):
+        with caplog.at_level(logging.INFO, logger="normform"):
+            rep = divisor_sum_check(20, 1, CTX3)
+        lines = [r.getMessage() for r in caplog.records if r.name == "normform"]
+        assert [m.split(":")[0] for m in lines] == ["x-space sieve", "ideal tau"]
+        assert all(re.search(r", \d+\.\d{3} s$", m) for m in lines)
+        assert re.match(r"x-space sieve: 400 values, \d+ primes sieved", lines[0])
+        by_reason = rep.details["points_skipped_by_reason"]
+        resolved = int(re.search(r"ideal tau: (\d+) points resolved", lines[1]).group(1))
+        assert 0 < resolved <= rep.details["ideal_points"]
+        assert (f"skipped {by_reason['bad_prime']} bad prime, "
+                f"{by_reason['semiprime_leftover']} semiprime leftover, "
+                f"{by_reason['unresolved_valuation']} unresolved valuation") in lines[1]
+
     def test_growth_ratio(self):
         g = divisor_sum_growth(CTX3, 1, xs=(2**6, 2**8))
         r = g["rows"]

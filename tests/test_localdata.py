@@ -6,9 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normform.errors import BadPrime, CompositeP, NotSquarefree
-from normform.fields import make_context, norm_form
+from normform.fields import embed, make_context, norm_form
 from normform.localdata import (
     IdealSym,
     bad_primes,
@@ -17,17 +19,20 @@ from normform.localdata import (
     gamma_estimate,
     ideal_count,
     ideal_tau,
+    ideal_valuations,
     local_data,
     nu2_brute,
     nu_brute,
     nu_fast,
     prime_ideals_above,
+    resultant,
     rho,
     rho_brute,
     squarefree_ideal_symbols,
     materialize_symbol,
 )
 from normform.primes import factorize, primes_in
+from normform.splitting import hensel_lift_factor
 
 CTX3 = make_context([-2, 0, 0], 1)       # X^3 - 2, k=1, disc -108
 CTX4 = make_context([-2, 0, 0, 0], 1)    # X^4 - 2, k=1
@@ -289,3 +294,61 @@ class TestIdealTau:
                 t = ideal_tau((x1, x2), CTX3, fac)
                 assert t is not None
                 assert t >= math.prod(1 + 1 for _ in fac) // 1 or t >= 2
+
+
+# --- ideal valuations against the lift-and-resultant oracle --------------------
+
+# degree 3 to 5, n - k = 2: the fields the divisor sum runs on
+VALUATION_FIELDS = [
+    make_context([-2, 0, 0], 1),        # X^3 - 2
+    make_context([-1, -1, 0], 1),       # X^3 - X - 1
+    make_context([3, 1, 0], 1),         # X^3 + X + 3
+    make_context([-2, 0, 0, 0], 2),     # X^4 - 2
+    make_context([-2, 0, 0, 0, 0], 3),  # X^5 - 2
+]
+
+
+def oracle_valuations(x, ctx, fac):
+    """Oracle: every v_P(alpha) from v_p(Res(g_lift, A)) = deg(P) v_P, with
+    g_lift the Hensel lift of P's factor mod p^(v_p + 1), whatever the degree."""
+    A = list(embed(x, ctx))
+    out = {}
+    for p, vp in fac.items():
+        if discriminant(ctx) % p == 0:
+            return None
+        prec = vp + 1
+        q = p**prec
+        assigned = 0
+        for pi in prime_ideals_above(p, ctx):
+            gl = hensel_lift_factor(list(ctx.f_coeffs), list(pi.factor_coeffs), p, prec)
+            r = resultant([c % q for c in gl], A) % q
+            v = 0
+            while v < prec and r % p == 0 and r != 0:
+                r //= p
+                v += 1
+            if r == 0:
+                v = prec
+            if v % pi.degree:
+                return None
+            if v:
+                out[pi] = v // pi.degree
+                assigned += v
+        if assigned != vp:
+            return None
+    return out
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(VALUATION_FIELDS), st.integers(-60, 60), st.integers(-60, 60))
+def test_ideal_valuations_match_oracle(ctx, x1, x2):
+    N = norm_form((x1, x2), ctx)
+    if N == 0:
+        return
+    fac = factorize(N)
+    got = ideal_valuations((x1, x2), ctx, fac)
+    assert got == oracle_valuations((x1, x2), ctx, fac)
+    bad = set(bad_primes(ctx))
+    assert (got is None) == any(p in bad for p in fac)
+    if got is not None:
+        for p, vp in fac.items():
+            assert sum(pi.degree * v for pi, v in got.items() if pi.p == p) == vp

@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from normform.splitting import (
     batch_root_counts,
     degree_pattern_mod_p,
     hensel_lift_factor,
+    lift_root,
     monic_factors_mod_p,
     roots_mod_p,
 )
@@ -91,6 +93,12 @@ class TestBatch:
                 expect = [degs.count(d) for d in range(1, n + 1)]
                 assert pats[i].tolist() == expect
 
+    def test_linear_f_rejected(self):
+        ps = np.array([5, 7], dtype=np.int64)
+        for batch in (batch_root_counts, batch_degree_patterns):
+            with pytest.raises(ValueError, match="deg f must be >= 2"):
+                batch([-3, 1], ps)
+
     def test_large_prime_batch(self):
         ps = np.array([999983, 1000003, 1999993], dtype=np.int64)
         got = batch_root_counts(F_CUBE2, ps)
@@ -105,6 +113,12 @@ class TestHensel:
         G = hensel_lift_factor(F_CUBE2, g, 5, 6)
         r = (-G[0]) % 5**6
         assert (r**3 - 2) % 5**6 == 0
+
+    def test_lift_root_rejects_non_simple_roots(self):
+        with pytest.raises(ValueError, match="not a root"):
+            lift_root(F_CUBE2, 1, 5, 3)
+        with pytest.raises(ValueError, match="multiple root"):
+            lift_root(F_CUBE2, 0, 2, 3)  # X^3 - 2 = X^3 mod 2
 
     def test_lift_quadratic_factor(self):
         # the degree-2 cofactor of X^3 - 2 mod 5
@@ -207,3 +221,19 @@ def test_hensel_lift_divides_f(f, p, prec):
         assert len(G) == len(g) and G[-1] == 1
         assert [c % p for c in G] == g
         assert not any(monic_remainder(f, G, q))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(monic_polys, st.sampled_from(PROPERTY_PRIMES), st.integers(1, 6))
+def test_lift_root_is_the_root_above_r(f, p, prec):
+    q = p**prec
+    df = [i * c for i, c in enumerate(f)][1:]
+    for r in roots_mod_p(f, p):
+        if poly_eval(df, r, p) == 0:
+            continue  # not a simple root
+        lifted = lift_root(f, r, p, prec)
+        assert 0 <= lifted < q and lifted % p == r
+        assert poly_eval(f, lifted, q) == 0
+        if is_good(f, p):
+            # the Hensel lift of the linear factor X - r is X - lifted
+            assert hensel_lift_factor(f, [(-r) % p, 1], p, prec) == [(-lifted) % q, 1]
