@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import logging
 import os
@@ -19,15 +20,27 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .buchstab import buchstab_report
+from .census import fp_wedge_census_report, skew_census
 from .errors import BudgetExceeded, NormformError, ValidationError
-from .fields import FieldSpec, make_context
 from .experiments import (
     ExperimentConfig,
     theorem_check,
     typei_discrepancy,
     typeii_density_check,
 )
+from .fields import FieldSpec, make_context, norm_form
 from .integrals import PolytopeSpec, polytope_integral
+from .lattices import (
+    det_squared_formula,
+    lambda_pair,
+    lambda_v,
+    lattice_det_sq,
+    reduced_basis,
+    wedge,
+    wedge_pair,
+)
+from .series import per_prime_factor_table, singular_series, singular_series_tilde
 
 log = logging.getLogger("normform")
 
@@ -114,8 +127,6 @@ def _run_theorem(cfg: dict, args, outdir: Path) -> dict:
 
 
 def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
-    from .series import per_prime_factor_table, singular_series, singular_series_tilde
-
     _reject_unknown(cfg, {"field", "p_cut"})
     ctx = _field_from(cfg)
     p_cut = int(args.pcut or cfg.get("p_cut", 10_000))
@@ -139,9 +150,6 @@ def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
 
 
 def _run_lattice(cfg: dict, args, outdir: Path) -> dict:
-    from .lattices import (det_squared_formula, lambda_v, lattice_det_sq,
-                           reduced_basis, wedge)
-
     _reject_unknown(cfg, {"field", "v"})
     ctx = _field_from(cfg)
     if "v" not in cfg:
@@ -172,10 +180,6 @@ def _run_lattice(cfg: dict, args, outdir: Path) -> dict:
 
 def _lattice_selftest(args) -> int:
     """Formula-vs-oracle suite over random vectors, exact equality."""
-    from .fields import make_context
-    from .lattices import (det_squared_formula, lambda_pair, lambda_v,
-                           lattice_det_sq, wedge, wedge_pair)
-
     rng = random.Random(args.seed or 0)
     fields = [([-2, 0, 0, 0], 1), ([-1, -1, 0, 0, 0], 1),
               ([-3, 0, 0, 0, 0, 0], 2), ([-2, 0, 0, 0, 0, 0, 0], 2)]
@@ -204,8 +208,6 @@ def _lattice_selftest(args) -> int:
 
 
 def _run_census(cfg: dict, args, outdir: Path) -> dict:
-    from .census import fp_wedge_census_report, skew_census
-
     _reject_unknown(cfg, {"field", "census", "primes", "B", "samples",
                           "kappas", "seed"})
     ctx = _field_from(cfg)
@@ -277,9 +279,6 @@ def _run_integral(cfg: dict, args, outdir: Path) -> dict:
 
 
 def _run_buchstab(cfg: dict, args, outdir: Path) -> dict:
-    from .buchstab import buchstab_report
-    from .fields import norm_form
-
     _reject_unknown(cfg, {"values", "range", "field", "box", "z1", "z2"})
     if "z1" not in cfg or "z2" not in cfg:
         raise ValidationError("buchstab config needs z1 and z2")
@@ -290,8 +289,6 @@ def _run_buchstab(cfg: dict, args, outdir: Path) -> dict:
         values = list(range(int(lo), int(hi) + 1))
     elif "field" in cfg and "box" in cfg:
         ctx = _field_from(cfg)
-        import itertools
-
         ranges = [range(int(lo), int(hi) + 1) for lo, hi in cfg["box"]]
         values = [norm_form(x, ctx) for x in itertools.product(*ranges)]
         values = [v for v in values if v != 0]
@@ -304,9 +301,6 @@ def _run_buchstab(cfg: dict, args, outdir: Path) -> dict:
 
 
 def _run_norms(cfg: dict, args, outdir: Path) -> dict:
-    from .fields import norm_form
-    import itertools
-
     _reject_unknown(cfg, {"field", "box", "X", "max_rows"})
     ctx = _field_from(cfg)
     if "box" in cfg:

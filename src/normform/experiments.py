@@ -9,6 +9,7 @@ counts with an order-independent integer sum.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .errors import BudgetExceeded
-from .fields import FieldSpec
+from .fields import FieldSpec, eval_norm_poly_grid, norm_form_polynomial
 from .integrals import PolytopeSpec, polytope_integral
 from .localdata import (
-    _norm_poly_cached,
+    _prime_ideal_norm_table,
     bad_primes,
     degree1_prime_ideals,
     ideal_tau,
@@ -36,6 +37,7 @@ from .primes import (
     window_factorizations,
 )
 from .series import SeriesEstimate, singular_series
+from .splitting import roots_mod_p
 
 log = logging.getLogger("normform")
 
@@ -125,28 +127,11 @@ class RunReport:
 # --- observed side -------------------------------------------------------------
 
 
-def _check_int64_range(poly: dict, box, n: int) -> None:
-    """BudgetExceeded unless the degree-n form poly stays inside int64 on box.
-
-    Every term, partial sum and value of the grid evaluator is at most
-    sum |c| * max(|lo|, |hi|)^n in absolute value on the box.
-    """
-    bound = max(max(abs(lo), abs(hi)) for lo, hi in box) ** n
-    if sum(abs(c) for c in poly.values()) * bound >= 2**62:
-        raise BudgetExceeded("norm values overflow the vectorized int64 path")
-
-
 def _box_grid_eval(cfg: ExperimentConfig, lo1: int, hi1: int) -> np.ndarray:
     """Norm values on box slab x1 in [lo1, hi1], int64, vectorized."""
-    poly = _norm_poly_cached(cfg.ctx)
-    axes = [np.arange(lo1, hi1 + 1, dtype=np.int64)]
-    for lo, hi in cfg.box[1:]:
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64))
-    _check_int64_range(poly, cfg.box, cfg.ctx.n)
-    grids = np.meshgrid(*axes, indexing="ij")
-    from .fields import eval_norm_poly_grid
-
-    return eval_norm_poly_grid(poly, grids)
+    ranges = [(lo1, hi1), *cfg.box[1:]]
+    axes = np.ix_(*[np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges])
+    return eval_norm_poly_grid(norm_form_polynomial(cfg.ctx), axes)
 
 
 _SMALL_SIEVE = [int(p) for p in sieve_primes(100)]
@@ -250,7 +235,7 @@ def log_norm_integral(cfg: ExperimentConfig) -> tuple[float, float]:
     Product Gauss-Legendre when n-k <= 2 (error from grid refinement),
     stratified seeded Monte Carlo otherwise (reported standard error).
     """
-    poly = _norm_poly_cached(cfg.ctx)
+    poly = norm_form_polynomial(cfg.ctx)
     m = cfg.ctx.m
 
     def f(pts: np.ndarray) -> np.ndarray:
@@ -461,14 +446,12 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     intervals = spec.intervals
     ell = spec.ell
     observed = 0
-    import itertools as it
-
     for fac in facs:
         primes_list = [p for p, e in fac.items() for _ in range(e)]
         if len(primes_list) != ell:
             continue
         evec = sorted(math.log(p) / logX for p in primes_list)
-        for perm in set(it.permutations(evec)):
+        for perm in set(itertools.permutations(evec)):
             if all(a <= e <= b for e, (a, b) in zip(perm, intervals)):
                 observed += 1
     predicted = eta * X * polytope_integral(spec, 1.0) / logX
@@ -495,8 +478,6 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
 
 def _ideal_window_count(spec: PolytopeSpec, X: int, eta: float, ctx: FieldSpec) -> dict:
     """l = 2 ideal-level window count over good-support prime ideal pairs."""
-    from .localdata import _prime_ideal_norm_table
-
     logX = math.log(X)
     lo, hi = X, int(X * (1 + eta))
     (a1, b1), (a2, b2) = spec.intervals
@@ -530,16 +511,6 @@ def _ideal_window_count(spec: PolytopeSpec, X: int, eta: float, ctx: FieldSpec) 
 # --- divisor sums ------------------------------------------------------------------
 
 
-try:  # much faster leftover primality on the big divisor-sum grids
-    from gmpy2 import is_prime as _gmp_is_prime
-
-    def _leftover_is_prime(v: int) -> bool:
-        return bool(_gmp_is_prime(v))
-except ImportError:  # pragma: no cover
-    def _leftover_is_prime(v: int) -> bool:
-        return is_prime_certified(v)[0]
-
-
 def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
                       budget: int = 2 * 10**7,
                       ideal_points_budget: int = 70_000) -> RunReport:
@@ -559,13 +530,9 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
         raise BudgetExceeded(f"X^2 = {X * X} exceeds budget {budget}")
     if e not in (0, 1, 2):
         raise ValueError("e in {0, 1, 2}")
-    poly = _norm_poly_cached(ctx)
-    _check_int64_range(poly, [(1, X)] * 2, ctx.n)
+    poly = norm_form_polynomial(ctx)
     ax = np.arange(1, X + 1, dtype=np.int64)
-    g1, g2 = np.meshgrid(ax, ax, indexing="ij")
-    from .fields import eval_norm_poly_grid
-
-    vals = np.abs(eval_norm_poly_grid(poly, [g1, g2]))
+    vals = np.abs(eval_norm_poly_grid(poly, np.ix_(ax, ax)))
     if e == 0:
         total = int(vals.size)
         return RunReport(kind="divisor_sum", observed=total, predicted=float(total),
@@ -579,9 +546,7 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
              vals.size, nprimes, time.perf_counter() - t1)
     tau_e = tau_int if e == 1 else tau_int * tau_int
     surrogate = int(tau_e.sum())
-    details: dict = {"surrogate_sum_tau_int_pow_e": surrogate,
-                     "leftover_primality": "gmpy2" if "_gmp_is_prime" in globals()
-                     else "builtin"}
+    details: dict = {"surrogate_sum_tau_int_pow_e": surrogate}
     if with_factors:
         t1 = time.perf_counter()
         badset = set(bad_primes(ctx))
@@ -666,7 +631,7 @@ def _tau_sieve(vals: np.ndarray, poly: dict, with_factors: bool):
                         int(ecount[a, b])
     for i, j in zip(*np.nonzero(remain > 1)):
         L = int(remain[i, j])
-        if _leftover_is_prime(L):
+        if is_prime_certified(L)[0]:
             tau_int[i, j] *= 2
             if with_factors:
                 fac_store.setdefault((int(i), int(j)), {})[L] = 1
@@ -694,8 +659,6 @@ def _norm_zero_classes(poly: dict, p: int) -> list[tuple[int, int]]:
     g = [0] * (deg + 1)
     for (e1, _e2), c in poly.items():
         g[e1] += c  # substitute x2 = 1
-    from .splitting import roots_mod_p
-
     zeros = []
     for r in roots_mod_p(g, p):
         for s in range(1, p):

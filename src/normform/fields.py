@@ -9,12 +9,24 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
-from .errors import DegenerateDegree, NonMonic, ReducibleDetected, ZeroVector
+import numpy as np
+
+from .errors import (
+    BudgetExceeded,
+    DegenerateDegree,
+    NonMonic,
+    ReducibleDetected,
+    ZeroVector,
+)
 from .intlinalg import det_bareiss, solve_rational
 from .primes import primes_in
+from .splitting import degree_pattern_mod_p
 
 Vec = tuple[int, ...]
 
@@ -78,14 +90,6 @@ def _poly_content_free_gcd_degree(f: list[int]) -> int:
     return len(a) - 1
 
 
-def _poly_mod_p_factor_degrees(f: list[int], p: int):
-    """Degrees of irreducible factors of f mod p, or None if not squarefree."""
-    from .splitting import degree_pattern_mod_p
-
-    degs, squarefree = degree_pattern_mod_p(f, p)
-    return degs if squarefree else None
-
-
 def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
     """Validate (f, k) and build the shared context.
 
@@ -118,9 +122,9 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
         p = rng.choice(small_primes)
         if any(p == q for q, _ in pats):
             continue
-        degs = _poly_mod_p_factor_degrees(f, p)
-        if degs is None:
-            continue  # f not squarefree mod p; skip bad primes
+        degs, squarefree = degree_pattern_mod_p(f, p)
+        if not squarefree:
+            continue  # skip bad primes
         pats.append((p, tuple(sorted(degs))))
     pure = None
     if all(c == 0 for c in f[1:n]):
@@ -242,11 +246,13 @@ def _homogeneous_exponents(n: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def norm_form_polynomial(ctx: FieldSpec) -> dict[tuple[int, ...], int]:
-    """The incomplete norm form as {exponent tuple: integer coefficient}.
+@lru_cache(maxsize=None)
+def norm_form_polynomial(ctx: FieldSpec) -> Mapping[tuple[int, ...], int]:
+    """The incomplete norm form as a read-only {exponent tuple: coefficient}.
 
     Recovered by exact interpolation from point evaluations of the
-    determinant definition; feasible for m = n - k <= 4.
+    determinant definition; feasible for m = n - k <= 4.  Cached per
+    (f, k): the spec's hash leaves out the recorded degree patterns.
     """
     m = ctx.m
     n = ctx.n
@@ -284,19 +290,57 @@ def norm_form_polynomial(ctx: FieldSpec) -> dict[tuple[int, ...], int]:
                 ok = False
                 break
         if ok:
-            return coeffs
+            return MappingProxyType(coeffs)
     raise RuntimeError("norm form interpolation failed")  # pragma: no cover
 
 
-def eval_norm_poly_grid(coeffs, grids):
-    """Evaluate a norm-form polynomial on broadcastable numpy coordinate grids."""
-    import numpy as np
+def eval_norm_poly_grid(coeffs: Mapping[tuple[int, ...], int], grids,
+                        p: int | None = None) -> np.ndarray:
+    """Values of the polynomial coeffs on broadcastable int64 grids.
 
-    acc = None
+    grids[i] holds x_(i+1): open np.ix_ grids, full meshgrids or
+    equal-length columns; the result has their broadcast shape.  Horner's
+    scheme in x_1, whose coefficients (polynomials in x_2..x_m) are built
+    on the broadcast of the remaining grids only.
+
+    Without p the values are exact: BudgetExceeded unless
+    sum |c| * max|x|^deg < 2^62, which bounds every term, partial sum and
+    Horner step.  With p every step is reduced mod p, exact for
+    1 < p < 2^31 (ValueError otherwise), and the values lie in [0, p).
+    """
+    grids = [np.asarray(g, dtype=np.int64) for g in grids]
+    shape = np.broadcast_shapes(*(g.shape for g in grids))
+    if p is None:
+        deg = max(sum(ex) for ex in coeffs)
+        big = max((max(-int(g.min()), int(g.max())) for g in grids if g.size),
+                  default=0)
+        if sum(abs(c) for c in coeffs.values()) * big**deg >= 2**62:
+            raise BudgetExceeded("norm values overflow the vectorized int64 path")
+    elif not 1 < p < 2**31:
+        raise ValueError(f"modulus {p} is outside (1, 2^31)")
+    else:
+        grids = [g % p for g in grids]
+
+    def red(a):
+        return a if p is None else a % p
+
+    x1, tail = grids[0], grids[1:]
+    top = max((e for ex in coeffs for e in ex[1:]), default=0)
+    pows = []  # pows[i][e] = x_(i+2)^e
+    for g in tail:
+        row = [np.int64(1)]
+        for _ in range(top):
+            row.append(red(row[-1] * g))
+        pows.append(row)
+    inner: dict[int, np.ndarray] = {}
     for ex, c in coeffs.items():
-        term = np.full_like(grids[0], int(c), dtype=np.int64)
-        for g, e in zip(grids, ex):
-            for _ in range(e):
-                term = term * g
-        acc = term if acc is None else acc + term
-    return acc
+        term = np.int64(red(int(c)))
+        for row, e in zip(pows, ex[1:]):
+            if e:
+                term = red(term * row[e])
+        inner[ex[0]] = red(inner.get(ex[0], 0) + term)
+    out = np.int64(0)
+    for e1 in range(max(inner), -1, -1):
+        out = red(out * x1 + inner.get(e1, 0))
+    out = np.asarray(out)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceeded, RankTooLarge, Unbounded
 from .intlinalg import (
     enumerate_short_vectors,
@@ -179,8 +181,6 @@ def region_volume(region: LinearRegion, rank: int | None = None,
 
 
 def _volume_monte_carlo(region: LinearRegion, samples: int, seed: int):
-    import numpy as np
-
     box = region.box
     d = box.dim
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -1,4 +1,4 @@
-"""Slice integrals over exponent polytopes and the density c_R(t).
+"""Slice integrals over exponent polytopes.
 
 The basic object is the (l-1)-dimensional integral of 1/(e_1...e_l) over
 the slice sum(e) = s of a product of intervals; l = 1 degenerates to the
@@ -100,22 +100,6 @@ def _slice_integral(intervals, s: float, rel_tol: float) -> float:
                          limit=200)
         total += val
     return total
-
-
-def c_density(spec: PolytopeSpec, t: float, X: float) -> float:
-    """c_R(t): slice integral at sum(e) = log t / log X, over log X."""
-    s = math.log(t) / math.log(X)
-    return polytope_integral(spec, s) / math.log(X)
-
-
-def expected_window_count(spec: PolytopeSpec, X: float, eta: float) -> float:
-    """Heuristic count of integers in [X, X(1+eta)] factoring inside the polytope.
-
-    The prime-ideal-theorem heuristic integrates X^s I(R, s) over the
-    window, which to first order is eta X c_R(X) log X ... concretely
-    eta * X * I(R, 1) / log X for the window anchored at X.
-    """
-    return eta * X * polytope_integral(spec, 1.0) / math.log(X)
 
 
 def closed_form_l2(a: float, b: float, s: float = 1.0) -> float:

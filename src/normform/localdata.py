@@ -21,12 +21,13 @@ from .errors import BadPrime, BudgetExceeded, CompositeP, NotSquarefree
 from .fields import (
     FieldSpec,
     embed,
+    eval_norm_poly_grid,
     norm,
     norm_form,
     norm_form_polynomial,
 )
 from .intlinalg import det_bareiss, rank_mod_p
-from .primes import is_prime, sieve_primes
+from .primes import factorize, is_prime, sieve_primes
 from .splitting import (
     batch_degree_patterns,
     batch_root_counts,
@@ -75,8 +76,6 @@ def is_bad_prime(p: int, ctx: FieldSpec) -> bool:
 
 
 def bad_primes(ctx: FieldSpec) -> list[int]:
-    from .primes import factorize
-
     return sorted(factorize(discriminant(ctx)))
 
 
@@ -181,9 +180,10 @@ def nu_brute(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     if p**m > budget:
         raise BudgetExceeded(f"p^(n-k) = {p**m} exceeds budget")
     if m <= 4 and p**m > 4096:
-        poly = _norm_poly_cached(ctx)
-        axes = [np.arange(p, dtype=np.int64)] * m
-        vals = _eval_poly_mod_axes(poly, axes, p)
+        # the polynomial is only interpolated for m <= 4; per-point
+        # determinants cover m > 4 and small grids
+        axes = np.ix_(*[np.arange(p, dtype=np.int64)] * m)
+        vals = eval_norm_poly_grid(norm_form_polynomial(ctx), axes, p)
         return int((vals == 0).sum())
     count = 0
     for a in itertools.product(range(p), repeat=m):
@@ -202,70 +202,6 @@ def nu2_brute(p: int, ctx: FieldSpec, budget: int = 10**7) -> int:
         if norm(a, ctx) % p == 0:
             count += 1
     return count
-
-
-@lru_cache(maxsize=None)
-def _norm_poly_cached_key(f_coeffs: tuple[int, ...], k: int):
-    from .fields import make_context
-
-    return norm_form_polynomial(make_context(list(f_coeffs[:-1]), k))
-
-
-def _norm_poly_cached(ctx: FieldSpec):
-    return _norm_poly_cached_key(ctx.f_coeffs, ctx.k)
-
-
-def _eval_poly_mod_axes(poly: dict, axes, p: int) -> np.ndarray:
-    """Polynomial values mod p on the product grid of 1-d axes.
-
-    Horner along the first variable: the coefficients (polynomials in the
-    remaining variables) are materialized on the tail grid first, so the
-    full-grid work is only deg+1 fused multiply-adds.
-    """
-    m = len(axes)
-
-    def view(i, a):
-        return (a % p).reshape((1,) * i + (-1,) + (1,) * (m - 1 - i))
-
-    by_e1: dict[int, dict[tuple, int]] = {}
-    for ex, c in poly.items():
-        by_e1.setdefault(ex[0], {})[ex[1:]] = c
-    d = max(by_e1)
-    if m == 1:
-        g = axes[0] % p
-        out = np.zeros_like(g)
-        for e1 in range(d, -1, -1):
-            out = (out * g + by_e1.get(e1, {}).get((), 0)) % p
-        return out
-    tail_views = [view(i, axes[i]) for i in range(1, m)]
-
-    def eval_tail(sub: dict[tuple, int]) -> np.ndarray:
-        acc = np.zeros((1,) * m, dtype=np.int64)
-        if not sub:
-            return acc
-        maxpow = max((max(ex, default=0) for ex in sub), default=0)
-        pows = []
-        for g in tail_views:
-            cur = [np.ones((1,) * m, dtype=np.int64)]
-            for _ in range(maxpow):
-                cur.append(cur[-1] * g % p)
-            pows.append(cur)
-        for ex, c in sub.items():
-            term = np.full((1,) * m, c % p, dtype=np.int64)
-            for var, e in enumerate(ex):
-                if e:
-                    term = term * pows[var][e] % p
-            acc = acc + term  # broadcasts up to the tail grid
-        return acc % p
-
-    inner = {e1: eval_tail(sub) for e1, sub in by_e1.items()}
-    zero = np.zeros((1,) * m, dtype=np.int64)
-    x1 = view(0, axes[0])
-    full = (len(axes[0]),) + tuple(len(a) for a in axes[1:])
-    out = np.broadcast_to(inner.get(d, zero), full).copy()
-    for e1 in range(d - 1, -1, -1):
-        out = (out * x1 + inner.get(e1, zero)) % p
-    return out
 
 
 def nu_fast(p: int, ctx: FieldSpec) -> int:
@@ -309,20 +245,19 @@ def local_data(p: int, ctx: FieldSpec, budget: int = 10**7) -> PrimeLocalData:
     """
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    bad = is_bad_prime(p, ctx)
-    degs, _sqfree = degree_pattern_mod_p(list(ctx.f_coeffs), p)
-    nu_p = len(roots_mod_p(list(ctx.f_coeffs), p))
-    if not bad:
-        pattern = [pi.degree for pi in prime_ideals_above(p, ctx)]
+    if not is_bad_prime(p, ctx):
+        pattern = sorted(pi.degree for pi in prime_ideals_above(p, ctx))
         return PrimeLocalData(
             p=p,
-            degree_pattern=tuple(sorted(pattern)),
-            nu_p=nu_p,
+            degree_pattern=tuple(pattern),
+            nu_p=pattern.count(1),
             nu=_nu_from_degrees(pattern, p, ctx.m),
             nu2=nu2_from_degrees(pattern, p, ctx.n),
             is_bad=False,
             exact=True,
         )
+    degs, _sqfree = degree_pattern_mod_p(list(ctx.f_coeffs), p)
+    nu_p = len(roots_mod_p(list(ctx.f_coeffs), p))
     nu = nu2 = None
     exact = True
     try:

@@ -22,11 +22,12 @@ from .fields import FieldSpec
 from .localdata import (
     bad_primes,
     local_data,
+    materialize_symbol,
     nu2_from_degrees,
     _nu_from_degrees,
     squarefree_ideal_symbols,
 )
-from .primes import sieve_primes
+from .primes import primes_in, sieve_primes
 from .splitting import batch_degree_patterns
 
 _PREC_BITS = 100
@@ -90,8 +91,6 @@ def _local_factor_data(ctx: FieldSpec, p_cut: int):
 
 def fixed_divisor_check(ctx: FieldSpec) -> int | None:
     """A prime p <= n+1 with nu(p) = p^(n-k) (fixed divisor), if one exists."""
-    from .primes import primes_in
-
     for p in primes_in(2, ctx.n + 1):
         ld = local_data(p, ctx)
         if ld.nu is not None and ld.nu == p**ctx.m:
@@ -215,8 +214,6 @@ def sieve_weights(R: int, ctx: FieldSpec, budget: int = 10**6):
     """Squarefree good-support ideals of norm < R with lambda = mu log(R/N)."""
     if R > budget:
         raise BudgetExceeded(f"R = {R} exceeds budget {budget}")
-    from .localdata import materialize_symbol
-
     out = []
     for factors, nrm, mu, _rho in squarefree_ideal_symbols(ctx, R):
         lam = mu * math.log(R / nrm)

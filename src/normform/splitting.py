@@ -135,31 +135,15 @@ def _pth_root(g: list[int], p: int) -> list[int]:
 def roots_mod_p(f: list[int], p: int) -> list[int]:
     """Distinct roots of f mod p, ascending.
 
-    Direct scan below a crossover, Cantor-Zassenhaus style splitting of the
-    linear part above it.
+    Direct scan below a crossover; above it, Cantor-Zassenhaus splitting
+    of gcd(f, X^p - X), the product of the linear factors.
     """
     if p < 4096:
         return [x for x in range(p) if _poly_eval_mod(f, x, p) == 0]
     h = _ppowmod([0, 1], p, _pmod(f, p), p)
     g = _pgcd(_pmod(f, p), _psub(h, [0, 1], p), p)
-    return sorted(_split_linear(g, p, seed=1))
-
-
-def _split_linear(g: list[int], p: int, seed: int) -> list[int]:
-    """All roots of a monic product of distinct linear factors mod p."""
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-g[0]) % p]
-    rng = random.Random(seed * 7919 + deg)
-    while True:
-        c = rng.randrange(p)
-        t = _psub(_ppowmod([c, 1], (p - 1) // 2, g, p), [1], p)
-        h = _pgcd(g, t, p)
-        if 0 < len(h) - 1 < deg:
-            return (_split_linear(h, p, seed + 1)
-                    + _split_linear(_pdivmod(g, h, p)[0], p, seed + 1))
+    linear = _edf(g, 1, p, random.Random(0x5EED ^ p))
+    return sorted((-lin[0]) % p for lin in linear)
 
 
 def _poly_eval_mod(f: list[int], x: int, p: int) -> int:
@@ -167,6 +151,31 @@ def _poly_eval_mod(f: list[int], x: int, p: int) -> int:
     for c in reversed(f):
         acc = (acc * x + c) % p
     return acc
+
+
+def _edf(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Equal-degree splitting: the degree-d monic irreducible factors of g.
+
+    g is monic, squarefree mod p, and all its factors have degree d.
+    Random splitting polynomials drawn from rng (the trace map when p = 2).
+    """
+    deg = len(g) - 1
+    if deg == 0:
+        return []
+    if deg == d:
+        return [g]
+    while True:
+        a = [rng.randrange(p) for _ in range(deg)] + [1]
+        if p == 2:
+            acc = t = a
+            for _ in range(d - 1):
+                acc = _pdivmod(_pmul(acc, acc, p), g, p)[1]
+                t = _padd(t, acc, p)
+        else:
+            t = _psub(_ppowmod(a, (p**d - 1) // 2, g, p), [1], p)
+        h = _pgcd(g, t, p)
+        if 0 < len(h) - 1 < deg:
+            return _edf(h, d, p, rng) + _edf(_pdivmod(g, h, p)[0], d, p, rng)
 
 
 def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -177,29 +186,6 @@ def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     division.  Desk scale only: small p or small degree.
     """
     rng = random.Random(0x5EED ^ p)
-
-    def edf(g: list[int], d: int, out: list[list[int]]):
-        deg = len(g) - 1
-        if deg == 0:
-            return
-        if deg == d:
-            out.append(g)
-            return
-        while True:
-            a = [rng.randrange(p) for _ in range(deg)] + [1]
-            if p == 2:
-                acc = t = a
-                for _ in range(d - 1):
-                    acc = _pdivmod(_pmul(acc, acc, p), g, p)[1]
-                    t = _padd(t, acc, p)
-            else:
-                t = _psub(_ppowmod(a, (p**d - 1) // 2, g, p), [1], p)
-            h = _pgcd(g, t, p)
-            if 0 < len(h) - 1 < deg:
-                edf(h, d, out)
-                edf(_pdivmod(g, h, p)[0], d, out)
-                return
-
     # collect distinct irreducible factors of f by peeling squarefree parts
     work = _pmod(f, p)
     irreducibles: list[list[int]] = []
@@ -208,7 +194,7 @@ def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
         sqfree = _pdivmod(work, gc, p)[0]
         if len(sqfree) - 1 > 0:
             for d, g_d in _ddf(sqfree, p):
-                edf(g_d, d, irreducibles)
+                irreducibles += _edf(g_d, d, p, rng)
             work = gc
         else:
             work = _pth_root(work, p)  # work is a p-th power

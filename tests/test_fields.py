@@ -1,14 +1,24 @@
 """Order arithmetic: multiplication, norms, constraint rows."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normform.errors import DegenerateDegree, ReducibleDetected, ZeroVector
+from normform.errors import (
+    BudgetExceeded,
+    DegenerateDegree,
+    ReducibleDetected,
+    ZeroVector,
+)
 from normform.fields import (
     FieldSpec,
     constraint_rows,
     diamond,
+    eval_norm_poly_grid,
     make_context,
     mul_matrix,
     norm,
@@ -191,6 +201,89 @@ class TestNormForm:
     def test_polynomial_interpolation(self):
         ctx = ctx_of([-2, 0, 0], 1)
         assert norm_form_polynomial(ctx) == {(3, 0): 1, (0, 3): 2}
+
+
+# m = n - k <= 4, where the polynomial is interpolated; pure and general f
+EVAL_CTXS = [make_context(fc, k) for fc, k in [
+    ([-2, 0, 0], 1),          # X^3 - 2, m = 2
+    ([-1, -1, 0], 0),         # X^3 - X - 1, m = 3
+    ([-2, 0, 0, 0], 1),       # X^4 - 2, m = 3
+    ([1, 1, 0, 0], 1),        # X^4 + X + 1, m = 3
+    ([-2, 0, 0, 0], 0),       # X^4 - 2, m = 4
+    ([-1, -1, 0, 0, 0], 1),   # X^5 - X - 1, m = 4
+]]
+EVAL_MODULI = [2, 3, 7, 101, 65537, 2**31 - 1]
+coords = st.integers(-60, 60)
+
+
+@st.composite
+def open_grids(draw):
+    ctx = draw(st.sampled_from(EVAL_CTXS))
+    axes = [draw(st.lists(coords, min_size=1, max_size=5)) for _ in range(ctx.m)]
+    return ctx, axes
+
+
+@st.composite
+def point_clouds(draw):
+    ctx = draw(st.sampled_from(EVAL_CTXS))
+    pts = draw(st.lists(st.tuples(*[coords] * ctx.m), min_size=1, max_size=30))
+    return ctx, pts
+
+
+class TestEvalNormPolyGrid:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(open_grids(), st.sampled_from(EVAL_MODULI))
+    def test_open_grid_matches_norm_form(self, case, p):
+        ctx, axes = case
+        grids = np.ix_(*[np.array(a, dtype=np.int64) for a in axes])
+        poly = norm_form_polynomial(ctx)
+        exact = np.array([norm_form(x, ctx) for x in itertools.product(*axes)],
+                         dtype=object).reshape([len(a) for a in axes])
+        assert (eval_norm_poly_grid(poly, grids) == exact).all()
+        assert (eval_norm_poly_grid(poly, grids, p) == exact % p).all()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(point_clouds(), st.sampled_from(EVAL_MODULI))
+    def test_point_cloud_matches_norm_form(self, case, p):
+        ctx, pts = case
+        cols = [np.array(c, dtype=np.int64) for c in zip(*pts)]
+        poly = norm_form_polynomial(ctx)
+        exact = [norm_form(x, ctx) for x in pts]
+        assert eval_norm_poly_grid(poly, cols).tolist() == exact
+        assert eval_norm_poly_grid(poly, cols, p).tolist() == [v % p for v in exact]
+
+    def test_int64_guard_boundary(self):
+        # x^6 - 2, k = 4: sum |c| = 3, and 3 X^6 reaches 2^62 between 1074 and 1075
+        ctx = make_context([-2, 0, 0, 0, 0, 0], 4)
+        poly = norm_form_polynomial(ctx)
+        assert sum(abs(c) for c in poly.values()) == 3
+        assert 3 * 1074**6 < 2**62 <= 3 * 1075**6
+        x1, x2 = np.array([1074, -1074, 3]), np.array([-1074, 1, 1074])
+        vals = eval_norm_poly_grid(poly, np.ix_(x1, x2))
+        assert vals.tolist() == [[norm_form((a, b), ctx) for b in x2] for a in x1]
+        with pytest.raises(BudgetExceeded):
+            eval_norm_poly_grid(poly, np.ix_(np.array([1, 1075]), np.array([1, 2])))
+        with pytest.raises(BudgetExceeded):  # only the lower end is large
+            eval_norm_poly_grid(poly, np.ix_(np.array([1, 2]), np.array([-1075, 9])))
+
+    def test_modulus_range(self):
+        ctx = make_context([-2, 0, 0], 1)
+        poly = norm_form_polynomial(ctx)
+        big = np.array([2**40, -(2**40)], dtype=np.int64)
+        p = 2**31 - 1
+        assert eval_norm_poly_grid(poly, [big, big[::-1]], p).tolist() == [
+            norm_form((2**40, -(2**40)), ctx) % p,
+            norm_form((-(2**40), 2**40), ctx) % p]
+        for bad in (2**31 + 11, 1, 0, -7):
+            with pytest.raises(ValueError):
+                eval_norm_poly_grid(poly, [big, big], bad)
+
+    def test_polynomial_is_cached_and_read_only(self):
+        ctx = make_context([-2, 0, 0, 0], 1)
+        again = make_context([-2, 0, 0, 0], 1)
+        assert norm_form_polynomial(ctx) is norm_form_polynomial(again)
+        with pytest.raises(TypeError):
+            norm_form_polynomial(ctx)[(4, 0, 0)] = 0
 
 
 class TestConstraintRows:
