@@ -30,6 +30,7 @@ from .localdata import (
 )
 from .primes import (
     BATCH_HI,
+    _divide_out,
     is_prime_batch,
     is_prime_certified,
     primes_in,
@@ -305,15 +306,26 @@ def predicted_main_term(cfg: ExperimentConfig) -> tuple[float, float, SeriesEsti
     return value, err, S
 
 
+def _claim_regime(n: int, k: int, pure: bool) -> str:
+    """Which of the paper's claims covers (n, k).
+
+    The asymptotic holds when k = 0 or n >= 4k; the lower bound when
+    7n >= 22k, proved for pure fields Q(theta^(1/n)) only.
+    """
+    if k == 0 or n >= 4 * k:
+        return "asymptotic"
+    if 7 * n >= 22 * k and pure:
+        return "lower_bound"
+    return "outside_theory"
+
+
 def theorem_check(cfg: ExperimentConfig, c0: float = 0.5) -> RunReport:
     """Observed vs predicted prime counts; flags the applicable claim regime."""
     t0 = time.time()
     pos, neg, slabs, certified = observed_prime_count(cfg)
     pred, err, S = predicted_main_term(cfg)
     ratio = pos / pred if pred > 0 else math.inf
-    n, k = cfg.ctx.n, cfg.ctx.k
-    regime = ("asymptotic" if k == 0 or n >= 4 * k
-              else "lower_bound" if 7 * n >= 22 * k else "outside_theory")
+    regime = _claim_regime(cfg.ctx.n, cfg.ctx.k, cfg.ctx.pure_theta is not None)
     details = {
         "observed_negative_norm_primes": neg,
         "primality_certified": certified,
@@ -516,12 +528,12 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
                       ideal_points_budget: int = 70_000) -> RunReport:
     """sum over the box [1, X]^(n-k) of tau(N_K(x))^e with growth diagnostics.
 
-    Full factorizations come from an x-space sieve (zero classes of N mod p
-    mark residue classes), cost about X^(n-k) log log X; leftovers after
-    sieving to the cube root are prime, square, or semiprime, which is all
-    tau needs.  The exact ideal-level tau runs when the box is inside
-    ideal_points_budget, skipping points it cannot resolve, counted by
-    reason.  n-k = 2.
+    n-k = 2.  tau of every |N| value comes from _tau_sieve, which marks
+    the points each prime p divides from the roots of f mod p, one gather
+    over the box per prime.  e = 0 returns X^2 after the int64 guard,
+    checked at the corner (X, X) alone.  The exact ideal-level tau runs
+    when the box is inside ideal_points_budget, skipping the points it
+    cannot resolve, counted by reason.
     """
     t0 = time.time()
     if ctx.m != 2:
@@ -531,17 +543,17 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     if e not in (0, 1, 2):
         raise ValueError("e in {0, 1, 2}")
     poly = norm_form_polynomial(ctx)
-    ax = np.arange(1, X + 1, dtype=np.int64)
-    vals = np.abs(eval_norm_poly_grid(poly, np.ix_(ax, ax)))
     if e == 0:
-        total = int(vals.size)
-        return RunReport(kind="divisor_sum", observed=total, predicted=float(total),
-                         pred_err=0.0, ratio=1.0,
+        eval_norm_poly_grid(poly, ([X], [X]))  # the guard reads max|x| only
+        return RunReport(kind="divisor_sum", observed=X * X,
+                         predicted=float(X * X), pred_err=0.0, ratio=1.0,
                          config={"X": X, "e": e, "field": ctx.to_json_dict()},
                          details={}, runtime_s=time.time() - t0)
+    ax = np.arange(1, X + 1, dtype=np.int64)
+    vals = np.abs(eval_norm_poly_grid(poly, np.ix_(ax, ax)))
     with_factors = X * X <= ideal_points_budget
     t1 = time.perf_counter()
-    tau_int, fac_store, nprimes = _tau_sieve(vals, poly, with_factors)
+    tau_int, fac_store, nprimes = _tau_sieve(vals, list(ctx.f_coeffs), with_factors)
     log.info("x-space sieve: %d values, %d primes sieved, %.3f s",
              vals.size, nprimes, time.perf_counter() - t1)
     tau_e = tau_int if e == 1 else tau_int * tau_int
@@ -594,81 +606,59 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     )
 
 
-def _tau_sieve(vals: np.ndarray, poly: dict, with_factors: bool):
-    """tau of every |N| value by sieving zero classes of N mod p in x-space.
+def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
+    """tau of every |N(x1, x2)| on the box [1, X]^2, sieved in x-space.
 
-    Sieves p up to max(value)^(1/3); leftovers are then 1, prime, p^2 or a
-    semiprime, enough to finish tau exactly.  When with_factors is set, a
-    {(i, j): {p: e}} map is returned (semiprime leftovers marked with a
-    negative key since tau does not need them split).  Also returns the
-    number of primes sieved.
+    vals[i, j] = |N((i + 1) + (j + 1) w)| with w a root of the monic f.  Since
+    N(t + w) = (-1)^n f(-t), p divides N(x1 + x2 w) exactly when
+    x1 + r x2 = 0 mod p for a root r of f mod p, or p divides x1 and x2,
+    at bad p too.  Per prime, a table of these residue classes is read
+    once over the box, and p is divided out of the points it marks.
+    Primes up to max(vals)^(1/3) are sieved, so each leftover is 1, a
+    prime, a prime square or a semiprime: enough for tau exactly.
+
+    Returns (tau array, factor map, number of primes sieved).  The factor
+    map {(i, j): {p: e}} is filled only when with_factors is set; a
+    semiprime leftover L is stored as {-L: 1}, since tau does not need it
+    split.
     """
     X = vals.shape[0]
-    remain = vals.copy()
-    tau_int = np.ones_like(vals)
+    remain = vals.flatten()
+    tau_int = np.ones(vals.size, dtype=np.int64)
     fac_store: dict[tuple[int, int], dict[int, int]] = {}
     vmax = int(vals.max())
     plimit = int(round(vmax ** (1 / 3))) + 2
     primes = sieve_primes(plimit).tolist()
+    ax = np.arange(1, X + 1, dtype=np.int64)
     for p in primes:
-        for (r1, r2) in _norm_zero_classes(poly, p):
-            i1 = np.arange((r1 - 1) % p, X, p)
-            i2 = np.arange((r2 - 1) % p, X, p)
-            if len(i1) == 0 or len(i2) == 0:
-                continue
-            sub = remain[np.ix_(i1, i2)]
-            ecount = np.zeros_like(sub)
-            div = (sub % p == 0) & (sub > 0)
-            while div.any():
-                sub[div] //= p
-                ecount[div] += 1
-                div = (sub % p == 0) & (sub > 0)
-            remain[np.ix_(i1, i2)] = sub
-            tau_int[np.ix_(i1, i2)] *= ecount + 1
-            if with_factors and ecount.any():
-                for a, b in zip(*np.nonzero(ecount)):
-                    fac_store.setdefault((int(i1[a]), int(i2[b])), {})[p] = \
-                        int(ecount[a, b])
-    for i, j in zip(*np.nonzero(remain > 1)):
-        L = int(remain[i, j])
+        # residues of [1, X] lie below q: for p > X no row past X is read
+        q = min(p, X + 1)
+        t = np.arange(q, dtype=np.int64)
+        zero = np.zeros((q, q), dtype=bool)
+        zero[0, 0] = True
+        for r in roots_mod_p(f, p):
+            a = (-r * t) % p
+            zero[a[a < q], t[a < q]] = True
+        res = ax % p
+        idx = np.flatnonzero(zero[np.ix_(res, res)])
+        ecount = _divide_out(remain, idx, p)
+        tau_int[idx] *= ecount + 1
+        if with_factors:  # f has no rational root, so every marked N is nonzero
+            for k, ee in zip(idx.tolist(), ecount.tolist()):
+                fac_store.setdefault(divmod(k, X), {})[p] = ee
+    for k in np.flatnonzero(remain > 1).tolist():
+        L = int(remain[k])
+        s = math.isqrt(L)
         if is_prime_certified(L)[0]:
-            tau_int[i, j] *= 2
-            if with_factors:
-                fac_store.setdefault((int(i), int(j)), {})[L] = 1
+            d, key, ee = 2, L, 1
+        elif s * s == L:
+            d, key, ee = 3, s, 2
         else:
-            s = math.isqrt(L)
-            if s * s == L:
-                tau_int[i, j] *= 3
-                if with_factors:
-                    fac_store.setdefault((int(i), int(j)), {})[s] = 2
-            else:
-                tau_int[i, j] *= 4  # semiprime with distinct factors
-                if with_factors:
-                    fac_store.setdefault((int(i), int(j)), {})[-L] = 1
-    return tau_int, fac_store, len(primes)
-
-
-def _norm_zero_classes(poly: dict, p: int) -> list[tuple[int, int]]:
-    """All residue classes (x1, x2) mod p with N(x1, x2) = 0 mod p.
-
-    By homogeneity the zeros with x2 != 0 are (r s, s) over roots r of
-    N(t, 1) mod p; the axis classes (s, 0) appear when the x1^n
-    coefficient vanishes mod p; (0, 0) always qualifies.
-    """
-    deg = max(ex[0] for ex in poly)
-    g = [0] * (deg + 1)
-    for (e1, _e2), c in poly.items():
-        g[e1] += c  # substitute x2 = 1
-    zeros = []
-    for r in roots_mod_p(g, p):
-        for s in range(1, p):
-            zeros.append((r * s % p, s))
-    lead = sum(c for (e1, e2), c in poly.items() if e2 == 0)
-    if lead % p == 0:
-        for s in range(1, p):
-            zeros.append((s, 0))
-    zeros.append((0, 0))
-    return zeros
+            d, key, ee = 4, -L, 1  # semiprime with distinct factors
+        tau_int[k] *= d
+        if with_factors:
+            fac_store.setdefault(divmod(k, X), {})[key] = ee
+    return tau_int.reshape(vals.shape), fac_store, len(primes)
 
 
 def divisor_sum_growth(ctx: FieldSpec, e: int, xs=(2**8, 2**10, 2**12),

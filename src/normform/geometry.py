@@ -126,8 +126,8 @@ class LinearRegion:
 
 
 def points_in_region(lat: IntLattice, region: LinearRegion,
-                     budget: int = 10**8, return_points: bool = False):
-    """Exact number of lattice points in the region (optionally the points).
+                     budget: int = 10**8) -> int:
+    """Exact number of lattice points in the region.
 
     Enumerates the lattice inside the bounding ball of the region via
     Fincke-Pohst on the LLL-reduced basis, then filters by exact
@@ -143,21 +143,9 @@ def points_in_region(lat: IntLattice, region: LinearRegion,
     est = (float(r2) ** (lat.rank / 2) * _ball_volume(lat.rank)) / math.sqrt(det_sq)
     if est > budget:
         raise BudgetExceeded(f"estimated enumeration {est:.3g} > budget {budget}")
-    pts = []
-    count = 0
-    zero = tuple([0] * lat.ambient_dim)
-    if region.contains(zero):
-        count += 1
-        if return_points:
-            pts.append(list(zero))
+    count = int(region.contains(tuple([0] * lat.ambient_dim)))
     for _, v in enumerate_short_vectors(red, r2, limit=budget):
-        for w in (v, [-x for x in v]):
-            if region.contains(w):
-                count += 1
-                if return_points:
-                    pts.append(w)
-    if return_points:
-        return count, pts
+        count += region.contains(v) + region.contains([-x for x in v])
     return count
 
 

@@ -21,12 +21,10 @@ class PolytopeSpec:
     """Product-of-intervals polytope for l prime-factor exponents.
 
     intervals[i] is the closed (lo, hi) range of e_(i+1), in units of
-    log X; optional split index marks the factors forming the
-    conveniently-sized part (bookkeeping only).
+    log X.
     """
 
     intervals: tuple[tuple[float, float], ...]
-    split_index: int | None = None
 
     def __post_init__(self):
         for lo, hi in self.intervals:
@@ -38,8 +36,8 @@ class PolytopeSpec:
         return len(self.intervals)
 
     @classmethod
-    def make(cls, intervals, split_index=None) -> "PolytopeSpec":
-        return cls(tuple((float(a), float(b)) for a, b in intervals), split_index)
+    def make(cls, intervals) -> "PolytopeSpec":
+        return cls(tuple((float(a), float(b)) for a, b in intervals))
 
 
 def polytope_integral(spec: PolytopeSpec, target_sum: float,

@@ -287,7 +287,7 @@ def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7
     coeffs = [0] * r
     count = 0
 
-    def rec(level: int, remaining: Fraction, center_terms):
+    def rec(level: int, remaining: Fraction):
         nonlocal count
         if level < 0:
             if any(coeffs):
@@ -309,10 +309,10 @@ def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7
             count += 1
             if count > limit:
                 raise BudgetExceeded("short-vector enumeration budget")
-            yield from rec(level - 1, remaining - used, None)
+            yield from rec(level - 1, remaining - used)
         coeffs[level] = 0
 
-    for c in rec(r - 1, Fraction(radius2), None):
+    for c in rec(r - 1, Fraction(radius2)):
         # canonical sign: first nonzero coefficient positive
         lead = next(x for x in reversed(c) if x)
         if lead < 0:

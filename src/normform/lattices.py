@@ -45,9 +45,6 @@ class IntLattice:
         coeffs = solve_rational(cols, x)
         return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
-    def to_json(self):
-        return [list(row) for row in self.basis]
-
 
 @dataclass(frozen=True)
 class WedgeVec:
@@ -150,11 +147,6 @@ class ReducedBasis:
     minima_sq: tuple[int, ...]
     minima_vectors: tuple[tuple[int, ...], ...]
     near_orthogonality: float
-
-    def length_ratios(self) -> list[float]:
-        """||z_i||^2 / Z_i^2 per index: the achieved length-vs-minima constants."""
-        return [sum(x * x for x in b) / m
-                for b, m in zip(self.basis, self.minima_sq)]
 
 
 def reduced_basis(lat: IntLattice, enum_limit: int = 10**7) -> ReducedBasis:

@@ -230,29 +230,38 @@ def least_prime_factor(n: int, **kw) -> int:
     return min(factorize(n, **kw))
 
 
+def _divide_out(remain: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
+    """Divide every power of p out of remain[idx] in place; return the exponents.
+
+    Entries <= 0 are left alone: p divides 0 forever.  Each pass tests only
+    the entries the previous pass divided.
+    """
+    sub = remain[idx]
+    e = np.zeros(len(idx), dtype=np.int64)
+    live = np.flatnonzero((sub % p == 0) & (sub > 0))
+    while live.size:
+        sub[live] //= p
+        e[live] += 1
+        live = live[sub[live] % p == 0]
+    remain[idx] = sub
+    return e
+
+
 def window_factorizations(lo: int, hi: int) -> list[dict[int, int]]:
     """Factorize every integer in [lo, hi) by sieving with primes <= sqrt(hi).
 
-    Returns a list of {prime: exponent} dicts indexed by m - lo.
+    Returns a list of {prime: exponent} dicts indexed by m - lo.  lo must
+    be at least 1: zero has no factorization.
     """
+    if lo < 1:
+        raise ValueError(f"window_factorizations needs lo >= 1, got {lo}")
     size = hi - lo
     remain = np.arange(lo, hi, dtype=np.int64)
     facs: list[dict[int, int]] = [{} for _ in range(size)]
-    for p in sieve_primes(math.isqrt(hi - 1)):
-        p = int(p)
-        start = (-lo) % p
-        idx = np.arange(start, size, p)
-        sub = remain[idx]
-        e = np.zeros(len(idx), dtype=np.int64)
-        div = sub % p == 0
-        while div.any():
-            sub[div] //= p
-            e[div] += 1
-            div = sub % p == 0
-        remain[idx] = sub
-        for j, ee in zip(idx.tolist(), e.tolist()):
-            if ee:
-                facs[j][p] = ee
+    for p in sieve_primes(math.isqrt(hi - 1)).tolist():
+        idx = np.arange((-lo) % p, size, p)
+        for j, ee in zip(idx.tolist(), _divide_out(remain, idx, p).tolist()):
+            facs[j][p] = ee  # every m = 0 mod p here, so ee >= 1
     leftover = np.nonzero(remain > 1)[0]
     for j in leftover.tolist():
         facs[j][int(remain[j])] = 1  # cofactor < sqrt(hi)^2 and unfactored => prime

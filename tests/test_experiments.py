@@ -1,9 +1,12 @@
 """End-to-end experiment pipelines at small scale."""
 
+import functools
 import itertools
+import json
 import logging
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import strategies as st
 from normform.errors import BudgetExceeded
 from normform.experiments import (
     ExperimentConfig,
+    _claim_regime,
     _count_primes_in_values,
+    _tau_sieve,
     divisor_sum_check,
     divisor_sum_growth,
     log_norm_integral,
@@ -23,14 +28,21 @@ from normform.experiments import (
     typei_discrepancy,
     typeii_density_check,
 )
-from normform.fields import make_context
+from normform.fields import eval_norm_poly_grid, make_context, norm_form_polynomial
 from normform.integrals import PolytopeSpec
-from normform.localdata import resultant
-from normform.primes import is_prime_certified
+from normform.localdata import bad_primes, resultant
+from normform.primes import factorize, is_prime_certified, sieve_primes
+from normform.primes import tau as tau_oracle
 
 CTX3 = make_context([-2, 0, 0], 1)
 CTX4 = make_context([-2, 0, 0, 0], 1)
 CTXG = make_context([1, 0], 0)
+# n - k = 2 fields: pure and general cubics, a quartic and a quintic
+SIEVE_FIELDS = [make_context(c, k) for c, k in (
+    ([-2, 0, 0], 1), ([-1, -1, 0], 1), ([3, 1, 0], 1),
+    ([-2, 0, 0, 0], 2), ([-2, 0, 0, 0, 0], 3))]
+REFERENCES = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "references.json").read_text())
 
 
 def oracle_norm(x, ctx):
@@ -207,6 +219,13 @@ class TestTheoremCheck:
             ExperimentConfig(ctx=CTXG, X=25, p_cut=500, seed=1)
         ).details["regime"] == "asymptotic"  # k=0 control
 
+    def test_lower_bound_needs_a_pure_field(self):
+        # 4k > n = 7 and 7n >= 22k: the lower bound is proved for pure fields only
+        assert _claim_regime(7, 2, pure=True) == "lower_bound"
+        assert _claim_regime(7, 2, pure=False) == "outside_theory"
+        assert _claim_regime(8, 2, pure=False) == "asymptotic"
+        assert _claim_regime(3, 1, pure=True) == "outside_theory"
+
     def test_deterministic_given_seed(self):
         cfg = lambda: ExperimentConfig(ctx=CTX3, X=30, p_cut=500, seed=5)
         r1, r2 = theorem_check(cfg()), theorem_check(cfg())
@@ -282,8 +301,6 @@ class TestDivisorSum:
         assert rep.observed == 169
 
     def test_tau_matches_factorize_oracle(self):
-        from normform.primes import tau as tau_oracle
-
         rep = divisor_sum_check(12, 1, CTX3)
         oracle = sum(tau_oracle(oracle_norm((a, b), CTX3))
                      for a in range(1, 13) for b in range(1, 13))
@@ -321,6 +338,14 @@ class TestDivisorSum:
                 f"{by_reason['semiprime_leftover']} semiprime leftover, "
                 f"{by_reason['unresolved_valuation']} unresolved valuation") in lines[1]
 
+    def test_reproduces_benchmark_reference(self):
+        ref = REFERENCES["divisor_sum"]
+        rep = divisor_sum_check(96, 1, CTX3)
+        assert rep.observed == ref["surrogate_sum"]
+        assert rep.details["ideal_sum"] == ref["ideal_sum"]
+        assert rep.details["ideal_points"] == ref["ideal_points"]
+        assert rep.details["points_skipped_bad_or_unsplit"] == ref["points_skipped"]
+
     def test_growth_ratio(self):
         g = divisor_sum_growth(CTX3, 1, xs=(2**6, 2**8))
         r = g["rows"]
@@ -328,3 +353,39 @@ class TestDivisorSum:
         base = (r[1]["X"] / r[0]["X"]) ** 2
         assert base <= ratio <= base * math.log(r[1]["X"]) ** 2
         assert 0 <= g["fitted_log_exponents"][0] < 3
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_factorization(x1: int, x2: int, ctx) -> dict:
+    """primes.factorize of the resultant norm, shared across examples."""
+    return factorize(oracle_norm((x1, x2), ctx))
+
+
+class TestTauSieve:
+    @pytest.mark.parametrize("ctx", SIEVE_FIELDS, ids=lambda c: str(c.f_coeffs))
+    @settings(max_examples=4, deadline=None)
+    # X >= 21: there x^3 - x - 1's bad prime 23 is among the sieved primes
+    @given(X=st.integers(min_value=21, max_value=40))
+    def test_tau_and_factors_match_factorize(self, ctx, X):
+        ax = np.arange(1, X + 1, dtype=np.int64)
+        vals = np.abs(eval_norm_poly_grid(norm_form_polynomial(ctx), np.ix_(ax, ax)))
+        tau_arr, facs, nprimes = _tau_sieve(vals, list(ctx.f_coeffs), True)
+        top = int(sieve_primes(10**4)[nprimes - 1])
+        bad = set(bad_primes(ctx))
+        seen_gcd = seen_bad = False
+        for i, j in itertools.product(range(X), repeat=2):
+            want = oracle_factorization(i + 1, j + 1, ctx)
+            got = facs.get((i, j), {})
+            assert tau_arr[i, j] == math.prod(e + 1 for e in want.values())
+            assert {q: e for q, e in want.items() if q in got} == \
+                {q: e for q, e in got.items() if q > 0}
+            semi = [q for q in got if q < 0]
+            rest = {q: e for q, e in want.items() if q not in got}
+            if semi:  # a leftover of two distinct primes, kept unsplit
+                assert list(rest.values()) == [1, 1] and semi == [-math.prod(rest)]
+            else:
+                assert not rest
+            sieved = [q for q in got if 0 < q <= top]
+            seen_gcd |= any((i + 1) % q == 0 and (j + 1) % q == 0 for q in sieved)
+            seen_bad |= any(q in bad for q in sieved)
+        assert seen_gcd and seen_bad

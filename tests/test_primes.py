@@ -154,3 +154,17 @@ def test_window_factorizations():
     for i, fac in enumerate(facs):
         assert math.prod(p**e for p, e in fac.items()) == lo + i
         assert all(is_prime(p) for p in fac)
+
+
+def test_window_factorizations_small_window():
+    # the window starts at 1: 1 has the empty factorization
+    assert window_factorizations(1, 11) == [
+        {}, {2: 1}, {3: 1}, {2: 2}, {5: 1}, {2: 1, 3: 1}, {7: 1}, {2: 3},
+        {3: 2}, {2: 1, 5: 1}]
+
+
+@pytest.mark.parametrize("lo", [0, -10])
+def test_window_factorizations_rejects_zero_and_negatives(lo):
+    # 0 = 0 mod p for every p: the window must not contain it
+    with pytest.raises(ValueError):
+        window_factorizations(lo, 10)
