@@ -267,7 +267,7 @@ def _run_integral(cfg: dict, args, outdir: Path) -> dict:
     if t2cfg:
         ctx = _field_from(cfg) if "field" in cfg else None
         rep = typeii_density_check(spec, int(t2cfg["X"]), float(t2cfg["eta"]),
-                                   ctx=ctx, seed=args.seed or 0)
+                                   ctx=ctx)
         payload["typeii"] = {
             "observed": rep.observed,
             "predicted": rep.predicted,

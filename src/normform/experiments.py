@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__ as _pkg_version
 from .errors import BudgetExceeded
 from .fields import FieldSpec, eval_norm_poly_grid, norm_form_polynomial
 from .integrals import PolytopeSpec, polytope_integral
@@ -29,10 +28,8 @@ from .localdata import (
     ideal_tau,
 )
 from .primes import (
-    BATCH_HI,
     _divide_out,
-    is_prime_batch,
-    is_prime_certified,
+    prime_mask,
     primes_in,
     sieve_primes,
     window_factorizations,
@@ -109,21 +106,6 @@ class RunReport:
     slabs: list = field(default_factory=list)
     runtime_s: float = 0.0
 
-    def to_json_dict(self, include_runtime: bool = False) -> dict:
-        out = {
-            "kind": self.kind,
-            "observed": self.observed,
-            "predicted": self.predicted,
-            "pred_err": self.pred_err,
-            "ratio": self.ratio,
-            "config": self.config,
-            "details": self.details,
-            "version": _pkg_version,
-        }
-        if include_runtime:
-            out["runtime_s"] = self.runtime_s
-        return out
-
 
 # --- observed side -------------------------------------------------------------
 
@@ -135,50 +117,18 @@ def _box_grid_eval(cfg: ExperimentConfig, lo1: int, hi1: int) -> np.ndarray:
     return eval_norm_poly_grid(norm_form_polynomial(cfg.ctx), axes)
 
 
-_SMALL_SIEVE = [int(p) for p in sieve_primes(100)]
-
-
-def _count_primes_in_values(vals: np.ndarray, seed: int
+def _count_primes_in_values(vals: np.ndarray
                             ) -> tuple[int, int, bool, tuple[int, int, int]]:
     """Prime counts among the values and the work done to find them.
 
     Returns (# N >= 2 prime, # N <= -2 with |N| prime, all_certified,
-    (# removed by the small-prime sieve, # batch-tested, # scalar-tested)).
-    Sieve survivors below BATCH_HI go to the batch test, larger ones to
-    is_prime_certified one at a time.
+    (# removed by the small-prime sieve, # batch-tested, # scalar-tested)),
+    the tally from primes.prime_mask, which certifies every int64.
     """
     flat = vals.ravel()
-    pos = flat[flat >= 2]
-    neg = -flat[flat <= -2]
-    certified = True
-    tally = [0, 0, 0]
-
-    def count(arr: np.ndarray) -> int:
-        nonlocal certified
-        if arr.size == 0:
-            return 0
-        keep = np.ones(arr.size, dtype=bool)
-        small_hits = 0
-        for p in _SMALL_SIEVE:
-            dy = arr % p == 0
-            small_hits += int((dy & (arr == p)).sum())
-            keep &= ~dy | (arr == p)
-        # every composite <= 100 has a factor <= 97, so survivors <= 100
-        # are exactly the small primes already counted
-        survivors = arr[keep & (arr > _SMALL_SIEVE[-1])]
-        small = survivors < BATCH_HI
-        big = survivors[~small].tolist()
-        tally[0] += arr.size - int(keep.sum())
-        tally[1] += int(small.sum())
-        tally[2] += len(big)
-        c = small_hits + int(is_prime_batch(survivors[small]).sum())
-        for v in big:
-            ok, cert = is_prime_certified(int(v), seed=seed)
-            certified &= cert
-            c += ok
-        return c
-
-    return count(pos), count(neg), certified, tuple(tally)
+    mask, tally = prime_mask(np.abs(flat))
+    return (int(np.count_nonzero(mask & (flat > 0))),
+            int(np.count_nonzero(mask & (flat < 0))), True, tally)
 
 
 def observed_prime_count(cfg: ExperimentConfig):
@@ -202,7 +152,7 @@ def observed_prime_count(cfg: ExperimentConfig):
         t0 = time.perf_counter()
         vals = _box_grid_eval(cfg, a, b)
         t1 = time.perf_counter()
-        pos, neg, cert, counts = _count_primes_in_values(vals, cfg.seed)
+        pos, neg, cert, counts = _count_primes_in_values(vals)
         t2 = time.perf_counter()
         return (i, a, b, vals.size, pos, neg, cert), t1 - t0, t2 - t1, counts
 
@@ -319,7 +269,11 @@ def _claim_regime(n: int, k: int, pure: bool) -> str:
     return "outside_theory"
 
 
-def theorem_check(cfg: ExperimentConfig, c0: float = 0.5) -> RunReport:
+# the constant reported with the paper's lower bound (regime "lower_bound")
+LOWER_BOUND_C0 = 0.5
+
+
+def theorem_check(cfg: ExperimentConfig) -> RunReport:
     """Observed vs predicted prime counts; flags the applicable claim regime."""
     t0 = time.time()
     pos, neg, slabs, certified = observed_prime_count(cfg)
@@ -332,7 +286,7 @@ def theorem_check(cfg: ExperimentConfig, c0: float = 0.5) -> RunReport:
         "sseries": S.to_json_dict(),
         "integral_error_included": True,
         "regime": regime,
-        "lower_bound_c0": c0,
+        "lower_bound_c0": LOWER_BOUND_C0,
         "negative_norms_kept_visible": True,
     }
     return RunReport(
@@ -436,17 +390,23 @@ def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
 # --- Type II density --------------------------------------------------------------
 
 
+# largest X at which the l = 2 ideal-level window count runs
+IDEAL_WINDOW_BUDGET = 2 * 10**6
+
+
 def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
-                         ctx: FieldSpec | None = None,
-                         ideal_budget: int = 2 * 10**6,
-                         seed: int = 0) -> RunReport:
+                         ctx: FieldSpec | None = None) -> RunReport:
     """Window count of integers factoring inside the polytope vs prediction.
 
     Observed: ordered tuples (p_1, ..., p_l) with product in
     [X, X(1+eta)] and (log p_i / log X) in the polytope; rational-integer
     surrogate for the ideal count, labelled as such.  When ctx is given
-    and the budget allows, the l = 2 ideal-level analogue runs too.
+    and X <= IDEAL_WINDOW_BUDGET, the l = 2 ideal-level analogue runs too.
+    The window needs X >= 2 (log X > 0) and eta > 0 (ValueError otherwise).
     """
+    if not (X >= 2 and eta > 0):
+        raise ValueError(f"Type II window needs X >= 2 and eta > 0, "
+                         f"got X={X}, eta={eta}")
     t0 = time.time()
     if X > 10**8:
         raise BudgetExceeded("X exceeds 1e8")
@@ -472,7 +432,7 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
         "window": [lo, hi],
         "intervals": [list(iv) for iv in intervals],
     }
-    if ctx is not None and ell == 2 and X <= ideal_budget:
+    if ctx is not None and ell == 2 and X <= IDEAL_WINDOW_BUDGET:
         details["ideal_level"] = _ideal_window_count(spec, X, eta, ctx)
     ratio = observed / predicted if predicted > 0 else (0.0 if observed == 0 else math.inf)
     return RunReport(
@@ -481,8 +441,7 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
         predicted=predicted,
         pred_err=0.0,
         ratio=ratio,
-        config={"X": X, "eta": eta, "intervals": [list(iv) for iv in intervals],
-                "seed": seed},
+        config={"X": X, "eta": eta, "intervals": [list(iv) for iv in intervals]},
         details=details,
         runtime_s=time.time() - t0,
     )
@@ -615,7 +574,9 @@ def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
     at bad p too.  Per prime, a table of these residue classes is read
     once over the box, and p is divided out of the points it marks.
     Primes up to max(vals)^(1/3) are sieved, so each leftover is 1, a
-    prime, a prime square or a semiprime: enough for tau exactly.
+    prime, a prime square or a semiprime: enough for tau exactly.  All
+    leftovers are classified at once, by one primes.prime_mask call and
+    a vectorized square test.
 
     Returns (tau array, factor map, number of primes sieved).  The factor
     map {(i, j): {p: e}} is filled only when with_factors is set; a
@@ -646,18 +607,17 @@ def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
         if with_factors:  # f has no rational root, so every marked N is nonzero
             for k, ee in zip(idx.tolist(), ecount.tolist()):
                 fac_store.setdefault(divmod(k, X), {})[p] = ee
-    for k in np.flatnonzero(remain > 1).tolist():
-        L = int(remain[k])
-        s = math.isqrt(L)
-        if is_prime_certified(L)[0]:
-            d, key, ee = 2, L, 1
-        elif s * s == L:
-            d, key, ee = 3, s, 2
-        else:
-            d, key, ee = 4, -L, 1  # semiprime with distinct factors
-        tau_int[k] *= d
-        if with_factors:
-            fac_store.setdefault(divmod(k, X), {})[key] = ee
+    left = np.flatnonzero(remain > 1)
+    L = remain[left]
+    prime = prime_mask(L)[0]
+    s = np.rint(np.sqrt(L)).astype(np.int64)  # exact below the 2^62 guard
+    square = s * s == L
+    tau_int[left] *= np.where(prime, 2, np.where(square, 3, 4))
+    if with_factors:
+        # a semiprime leftover with distinct factors is stored as -L
+        key = np.where(square, s, np.where(prime, L, -L))
+        for k, kk, ee in zip(left.tolist(), key.tolist(), (square + 1).tolist()):
+            fac_store.setdefault(divmod(k, X), {})[kk] = ee
     return tau_int.reshape(vals.shape), fac_store, len(primes)
 
 

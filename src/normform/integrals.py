@@ -40,14 +40,17 @@ class PolytopeSpec:
         return cls(tuple((float(a), float(b)) for a, b in intervals))
 
 
-def polytope_integral(spec: PolytopeSpec, target_sum: float,
-                      rel_tol: float = 1e-10) -> float:
+# relative tolerance of the outermost quad; each inner level gets 4x looser
+REL_TOL = 1e-10
+
+
+def polytope_integral(spec: PolytopeSpec, target_sum: float) -> float:
     """Integral of 1/(e_1...e_l) over the slice sum(e_i) = target_sum.
 
     Exactly 1/target_sum for l = 1 when the target lies in the interval;
     0 on an empty slice (callers may catch EmptySlice via strict=True).
     """
-    return _slice_integral(list(spec.intervals), float(target_sum), rel_tol)
+    return _slice_integral(list(spec.intervals), float(target_sum), REL_TOL)
 
 
 def polytope_integral_strict(spec: PolytopeSpec, target_sum: float) -> float:

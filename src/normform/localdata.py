@@ -118,15 +118,6 @@ class IdealSym:
             return 0
         return -1 if len(self.factors) % 2 else 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "factors": [
-                {"p": pi.p, "degree": pi.degree, "label": pi.label, "e": e}
-                for pi, e in self.factors
-            ],
-            "norm": self.norm,
-        }
-
 
 UNIT_IDEAL = IdealSym(factors=())
 

@@ -22,12 +22,16 @@ _MR_REGIMES = (
      (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 # Domain of is_prime_batch: above its largest base, and small enough that
 # a product of two residues is exact in uint64.
 BATCH_LO = max(_MR_REGIMES[0][1])
 BATCH_HI = 2**32
+
+# The primes <= BATCH_LO: trial division by them leaves odd n > BATCH_LO.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                 59, 61)
+_SMALL_IS_PRIME = np.zeros(BATCH_LO + 1, dtype=bool)
+_SMALL_IS_PRIME[list(_SMALL_PRIMES)] = True
 
 
 def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -123,6 +127,33 @@ def is_prime_batch(n: np.ndarray) -> np.ndarray:
             ok |= (x == m1) & (ss > r)
         prime[idx[~ok]] = False
     return prime
+
+
+def prime_mask(n: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """Primality of every entry of a 1-D int64 array of values >= 0.
+
+    Values <= BATCH_LO are looked up; larger ones are trial-divided by the
+    primes <= BATCH_LO, and the survivors go to is_prime_batch below
+    BATCH_HI and to is_prime_certified (deterministic for every int64)
+    above.  Returns (bool mask, (# removed by trial division,
+    # batch-tested, # scalar-tested)); the three counts sum to the number
+    of entries > BATCH_LO.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    mask = np.zeros(n.shape, dtype=bool)
+    small = n <= BATCH_LO
+    mask[small] = _SMALL_IS_PRIME[n[small]]
+    idx = np.flatnonzero(~small)
+    v = n[idx]
+    above = v.size
+    for p in _SMALL_PRIMES:  # compress as we go: about a quarter survive 2, 3, 5
+        keep = v % p != 0
+        idx, v = idx[keep], v[keep]
+    low = v < BATCH_HI
+    mask[idx[low]] = is_prime_batch(v[low])
+    high = v[~low].tolist()
+    mask[idx[~low]] = [is_prime_certified(h)[0] for h in high]
+    return mask, (above - v.size, int(np.count_nonzero(low)), len(high))
 
 
 def sieve_primes(limit: int) -> np.ndarray:

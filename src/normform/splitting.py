@@ -1,9 +1,11 @@
 """Factorization data of f mod p: degree patterns, roots, batch splitting.
 
-Single-prime routines use plain polynomial arithmetic over F_p; the batch
-routine computes X^p mod (f, p) for large vectors of primes at once with
-numpy (square-and-multiply with per-prime bit masks) followed by a
-vectorized gcd, which is what makes ideal counting to 2e6 feasible.
+Single-prime routines use plain polynomial arithmetic over F_p, and the
+single-prime queries (roots, degree patterns) are both read off one full
+factorization, monic_factors_mod_p.  The batch routines compute X^p mod
+(f, p) for large vectors of primes at once with numpy (square-and-multiply
+with per-prime bit masks) followed by a vectorized gcd, which is what
+makes ideal counting to 2e6 feasible.
 """
 
 from __future__ import annotations
@@ -110,21 +112,14 @@ def _ddf(g: list[int], p: int):
 def degree_pattern_mod_p(f: list[int], p: int) -> tuple[list[int], bool]:
     """Degrees (with multiplicity) of the irreducible factors of f mod p.
 
-    Returns (sorted degree list, squarefree flag).  Fast distinct-degree
-    factorization when f is squarefree mod p; the rare non-squarefree case
-    falls back to the full factorization so degrees still sum to deg f.
+    Returns (sorted degree list, squarefree flag), both read off
+    monic_factors_mod_p.
     """
-    fp = _pmod(f, p)
-    if len(fp) - 1 != len(f) - 1:
+    if len(_pmod(f, p)) != len(f):
         raise ValueError("leading coefficient vanishes mod p; f must be monic")
-    d1 = [(i * c) % p for i, c in enumerate(fp)][1:]
-    g = _pgcd(fp, d1, p)
-    if len(g) - 1 == 0:
-        degs = [d for d, g_d in _ddf(fp, p) for _ in range((len(g_d) - 1) // d)]
-        return sorted(degs), True
     facs = monic_factors_mod_p(f, p)
     degs = sorted(len(fac) - 1 for fac, mult in facs for _ in range(mult))
-    return degs, False
+    return degs, all(mult == 1 for _, mult in facs)
 
 
 def _pth_root(g: list[int], p: int) -> list[int]:
@@ -133,17 +128,11 @@ def _pth_root(g: list[int], p: int) -> list[int]:
 
 
 def roots_mod_p(f: list[int], p: int) -> list[int]:
-    """Distinct roots of f mod p, ascending.
+    """Distinct roots of monic f mod p, ascending.
 
-    Direct scan below a crossover; above it, Cantor-Zassenhaus splitting
-    of gcd(f, X^p - X), the product of the linear factors.
+    They are read off the linear factors of monic_factors_mod_p.
     """
-    if p < 4096:
-        return [x for x in range(p) if _poly_eval_mod(f, x, p) == 0]
-    h = _ppowmod([0, 1], p, _pmod(f, p), p)
-    g = _pgcd(_pmod(f, p), _psub(h, [0, 1], p), p)
-    linear = _edf(g, 1, p, random.Random(0x5EED ^ p))
-    return sorted((-lin[0]) % p for lin in linear)
+    return sorted((-g[0]) % p for g, _ in monic_factors_mod_p(f, p) if len(g) == 2)
 
 
 def _poly_eval_mod(f: list[int], x: int, p: int) -> int:

@@ -51,6 +51,13 @@ class TestExitCodes:
                          "box": [[-70000, 1], [1, 1], [1, 1]]})
         assert run(["theorem", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("X, eta", [(10**5, -0.5), (1, 0.5)])
+    def test_meaningless_typeii_window(self, tmp_path, X, eta):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"intervals": [[0.4, 0.5], [0.3, 0.7]],
+                         "typeii": {"X": X, "eta": eta}})
+        assert run(["integral", "--config", cfg, "--out", str(tmp_path)]) == 2
+
     def test_selftest(self):
         assert run(["lattice", "--selftest"]) == 0
 

@@ -130,7 +130,7 @@ class TestCountRouting:
                          -LARGEST_PRIME_BELOW_2_32, -SMALLEST_PRIME_ABOVE_2_32,
                          2**32 - 1, 2**32 + 1])
         # (sieved, batch-tested, scalar-tested): 2^32 -+ 1 have factors 3 and 641
-        assert _count_primes_in_values(vals, 0) == (2, 2, True, (1, 2, 3))
+        assert _count_primes_in_values(vals) == (2, 2, True, (1, 2, 3))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.one_of(st.integers(-2**36, 2**36),
@@ -140,7 +140,7 @@ class TestCountRouting:
                     max_size=80))
     def test_matches_all_scalar_count(self, vals):
         vals = vals + [LARGEST_PRIME_BELOW_2_32, SMALLEST_PRIME_ABOVE_2_32]
-        pos, neg, cert, _work = _count_primes_in_values(np.array(vals), 0)
+        pos, neg, cert, _work = _count_primes_in_values(np.array(vals))
         assert (pos, neg) == scalar_counts(vals) and cert
 
 
@@ -283,6 +283,12 @@ class TestTypeII:
         r2 = typeii_density_check(spec, 10**5, 0.25)
         assert r1.predicted == pytest.approx(2 * r2.predicted, rel=1e-9)
         assert abs(r2.observed / max(r2.predicted, 1) - 1) < 0.3
+
+    @pytest.mark.parametrize("X, eta", [(10**5, -0.5), (10**5, 0.0), (1, 0.5), (0, 0.5)])
+    def test_meaningless_window_rejected(self, X, eta):
+        spec = PolytopeSpec.make([(0.4, 0.5), (0.3, 0.7)])
+        with pytest.raises(ValueError, match="X >= 2 and eta > 0"):
+            typeii_density_check(spec, X, eta)
 
     def test_within_tolerance_at_1e6(self):
         spec = PolytopeSpec.make([(0.4, 0.5), (0.3, 0.7)])

@@ -16,6 +16,7 @@ from normform.primes import (
     is_prime_batch,
     is_prime_certified,
     least_prime_factor,
+    prime_mask,
     primes_in,
     sieve_primes,
     tau,
@@ -107,6 +108,22 @@ def test_batch_agrees_with_scalar(halves):
     n = np.array([2 * h + 1 for h in halves], dtype=np.uint64)  # odd, in (61, 2^32)
     got = is_prime_batch(n).tolist()
     assert got == [is_prime_certified(int(v))[0] for v in n]
+
+
+# primes above the trial-division bound 61 whose squares straddle 2^32
+SQUARE_ROOTS = [67, 71, 65519, 65521, 65537, 65539, 3037000493]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(0, 130),
+                          st.integers(2**32 - 3000, 2**32 + 3000),
+                          st.sampled_from(SQUARE_ROOTS).map(lambda q: q * q),
+                          st.sampled_from([2047, 3215031751])),
+                max_size=80))
+def test_prime_mask_agrees_with_scalar(vals):
+    mask, (trial, batch, scalar) = prime_mask(np.array(vals, dtype=np.int64))
+    assert mask.tolist() == [is_prime_certified(v)[0] for v in vals]
+    assert trial + batch + scalar == sum(v > 61 for v in vals)
 
 
 def test_mersenne_and_carmichael():

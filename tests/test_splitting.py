@@ -56,6 +56,11 @@ class TestSinglePrime:
                     if x not in rs:
                         assert poly_eval(f, x, p) != 0
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 4093, 4099])
+    def test_roots_match_brute_force_scan(self, p):
+        for f in (F_CUBE2, F_QUINT, [1, 0, 1], [0, 0, 1], [-2, 0, 0, 0, 1]):
+            assert roots_mod_p(f, p) == [x for x in range(p) if poly_eval(f, x, p) == 0]
+
     def test_factors_multiply_back(self):
         for f in (F_CUBE2, F_QUINT):
             for p in (2, 3, 5, 13, 101):
@@ -143,8 +148,7 @@ class TestHensel:
 
 # --- property tests ------------------------------------------------------------
 
-# 2 and 3 stress the small-field branches; p >= 4096 takes the
-# Cantor-Zassenhaus branch of roots_mod_p
+# 2 and 3 stress the small-field branches of the factorization
 PROPERTY_PRIMES = [2, 3, 5, 7, 11, 13, 31, 101, 4099, 4111, 10007, 65537]
 
 monic_polys = st.integers(2, 6).flatmap(
