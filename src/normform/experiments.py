@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import BudgetExceeded
 from .fields import FieldSpec, eval_norm_poly_grid, norm_form_polynomial
@@ -117,26 +118,25 @@ def _box_grid_eval(cfg: ExperimentConfig, lo1: int, hi1: int) -> np.ndarray:
     return eval_norm_poly_grid(norm_form_polynomial(cfg.ctx), axes)
 
 
-def _count_primes_in_values(vals: np.ndarray
-                            ) -> tuple[int, int, bool, tuple[int, int, int]]:
+def _count_primes_in_values(vals: np.ndarray) -> tuple[int, int, tuple[int, int, int]]:
     """Prime counts among the values and the work done to find them.
 
-    Returns (# N >= 2 prime, # N <= -2 with |N| prime, all_certified,
-    (# removed by the small-prime sieve, # batch-tested, # scalar-tested)),
-    the tally from primes.prime_mask, which certifies every int64.
+    Returns (# N >= 2 prime, # N <= -2 with |N| prime, (# removed by the
+    small-prime sieve, # batch-tested, # scalar-tested)), the tally from
+    primes.prime_mask, which certifies every int64.
     """
     flat = vals.ravel()
     mask, tally = prime_mask(np.abs(flat))
     return (int(np.count_nonzero(mask & (flat > 0))),
-            int(np.count_nonzero(mask & (flat < 0))), True, tally)
+            int(np.count_nonzero(mask & (flat < 0))), tally)
 
 
 def observed_prime_count(cfg: ExperimentConfig):
     """Exact prime counts of N_K over the box.
 
-    Returns (positive-prime count, negative-|prime| count, slab rows,
-    certified flag).  Slabs partition the first coordinate; threads only
-    change scheduling, never results.
+    Returns (positive-prime count, negative-|prime| count, slab rows).
+    Every count is certified (primes.prime_mask).  Slabs partition the
+    first coordinate; threads only change scheduling, never results.
     """
     npoints = math.prod(hi - lo + 1 for lo, hi in cfg.box)
     if npoints > cfg.point_budget:
@@ -148,13 +148,13 @@ def observed_prime_count(cfg: ExperimentConfig):
     def work(i: int):
         a, b = int(edges[i]), int(edges[i + 1]) - 1
         if a > b:
-            return (i, a, b, 0, 0, 0, True), 0.0, 0.0, (0, 0, 0)
+            return (i, a, b, 0, 0, 0), 0.0, 0.0, (0, 0, 0)
         t0 = time.perf_counter()
         vals = _box_grid_eval(cfg, a, b)
         t1 = time.perf_counter()
-        pos, neg, cert, counts = _count_primes_in_values(vals)
+        pos, neg, counts = _count_primes_in_values(vals)
         t2 = time.perf_counter()
-        return (i, a, b, vals.size, pos, neg, cert), t1 - t0, t2 - t1, counts
+        return (i, a, b, vals.size, pos, neg), t1 - t0, t2 - t1, counts
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
@@ -164,7 +164,6 @@ def observed_prime_count(cfg: ExperimentConfig):
     rows = sorted(r[0] for r in results)
     pos = sum(r[4] for r in rows)
     neg = sum(r[5] for r in rows)
-    certified = all(r[6] for r in rows)
     sieved, batch, scalar = (sum(r[3][j] for r in results) for j in range(3))
     log.info("box evaluation: %.3f s summed over %d slabs, %d values",
              sum(r[1] for r in results), nslabs, npoints)
@@ -174,7 +173,7 @@ def observed_prime_count(cfg: ExperimentConfig):
     slab_rows = [{"slab": r[0], "x1_lo": r[1], "x1_hi": r[2],
                   "points": r[3], "primes_pos": r[4], "primes_neg": r[5]}
                  for r in rows]
-    return pos, neg, slab_rows, certified
+    return pos, neg, slab_rows
 
 
 # --- predicted side -------------------------------------------------------------
@@ -229,7 +228,7 @@ def log_norm_integral(cfg: ExperimentConfig) -> tuple[float, float]:
     total = 0.0
     var_acc = 0.0
     for s in range(nslabs):
-        rng = np.random.Generator(np.random.Philox(key=cfg.seed, counter=[0, 0, 0, s]))
+        rng = Generator(Philox(key=cfg.seed, counter=[0, 0, 0, s]))
         pts = rng.random((per, m))
         pts[:, 0] = edges[s] + pts[:, 0] * (edges[s + 1] - edges[s])
         for j, (lo, hi) in enumerate(cfg.box[1:], start=1):
@@ -276,13 +275,13 @@ LOWER_BOUND_C0 = 0.5
 def theorem_check(cfg: ExperimentConfig) -> RunReport:
     """Observed vs predicted prime counts; flags the applicable claim regime."""
     t0 = time.time()
-    pos, neg, slabs, certified = observed_prime_count(cfg)
+    pos, neg, slabs = observed_prime_count(cfg)
     pred, err, S = predicted_main_term(cfg)
     ratio = pos / pred if pred > 0 else math.inf
     regime = _claim_regime(cfg.ctx.n, cfg.ctx.k, cfg.ctx.pure_theta is not None)
     details = {
         "observed_negative_norm_primes": neg,
-        "primality_certified": certified,
+        "primality_certified": True,  # prime_mask is exact on int64
         "sseries": S.to_json_dict(),
         "integral_error_included": True,
         "regime": regime,
@@ -392,6 +391,8 @@ def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
 
 # largest X at which the l = 2 ideal-level window count runs
 IDEAL_WINDOW_BUDGET = 2 * 10**6
+# integers factored at a time in the Type II window
+TYPEII_BLOCK = 2**16
 
 
 def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
@@ -402,6 +403,7 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     [X, X(1+eta)] and (log p_i / log X) in the polytope; rational-integer
     surrogate for the ideal count, labelled as such.  When ctx is given
     and X <= IDEAL_WINDOW_BUDGET, the l = 2 ideal-level analogue runs too.
+    The window is factored TYPEII_BLOCK integers at a time.
     The window needs X >= 2 (log X > 0) and eta > 0 (ValueError otherwise).
     """
     if not (X >= 2 and eta > 0):
@@ -413,19 +415,19 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     if spec.ell > 3:
         raise BudgetExceeded("l > 3 not supported at desk scale")
     lo, hi = X, int(X * (1 + eta))
-    facs = window_factorizations(lo, hi + 1)
     logX = math.log(X)
     intervals = spec.intervals
     ell = spec.ell
     observed = 0
-    for fac in facs:
-        primes_list = [p for p, e in fac.items() for _ in range(e)]
-        if len(primes_list) != ell:
-            continue
-        evec = sorted(math.log(p) / logX for p in primes_list)
-        for perm in set(itertools.permutations(evec)):
-            if all(a <= e <= b for e, (a, b) in zip(perm, intervals)):
-                observed += 1
+    for start in range(lo, hi + 1, TYPEII_BLOCK):
+        for fac in window_factorizations(start, min(start + TYPEII_BLOCK, hi + 1)):
+            if sum(fac.values()) != ell:
+                continue
+            primes_list = [p for p, e in fac.items() for _ in range(e)]
+            evec = sorted(math.log(p) / logX for p in primes_list)
+            for perm in set(itertools.permutations(evec)):
+                if all(a <= e <= b for e, (a, b) in zip(perm, intervals)):
+                    observed += 1
     predicted = eta * X * polytope_integral(spec, 1.0) / logX
     details = {
         "surrogate": "rational integers (not ideals)",

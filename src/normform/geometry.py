@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import BudgetExceeded, RankTooLarge, Unbounded
 from .intlinalg import (
@@ -171,7 +172,7 @@ def region_volume(region: LinearRegion, rank: int | None = None,
 def _volume_monte_carlo(region: LinearRegion, samples: int, seed: int):
     box = region.box
     d = box.dim
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = Generator(Philox(key=seed))
     lo = np.array([float(x) for x in box.lo])
     hi = np.array([float(x) for x in box.hi])
     pts = rng.random((samples, d)) * (hi - lo) + lo

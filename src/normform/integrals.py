@@ -3,15 +3,14 @@
 The basic object is the (l-1)-dimensional integral of 1/(e_1...e_l) over
 the slice sum(e) = s of a product of intervals; l = 1 degenerates to the
 point evaluation 1/s.  Quadrature is recursive adaptive with interval
-splitting at the points where the inner domain changes shape.
+splitting at the points where the inner domain changes shape.  scipy is
+imported by the first slice integral with l >= 2, not with the package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .errors import EmptySlice
 
@@ -79,6 +78,7 @@ def _slice_integral(intervals, s: float, rel_tol: float) -> float:
         return 0.0
     if abs(a - b) < 1e-15:
         return 0.0
+    from scipy.integrate import quad  # slow to import: load it where it runs
 
     def integrand(e1: float) -> float:
         return _slice_integral(rest, s - e1, rel_tol * 4) / e1

@@ -213,10 +213,10 @@ def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
     """nu_p = number of distinct roots of f mod p, for an array of primes.
 
     Computes X^p mod (f, p) by vectorized square-and-multiply, then a
-    vectorized polynomial gcd with f.  Requires deg f >= 2 (ValueError
-    otherwise) and primes with p^2 < 2^63.  Entries where f mod p is not
-    squarefree are still correct (root count of the gcd), but callers
-    normally exclude bad primes anyway.
+    vectorized polynomial gcd with f.  Requires deg f >= 2 and primes
+    with deg f * p^2 < 2^63 (ValueError otherwise).  Entries where f mod p
+    is not squarefree are still correct (root count of the gcd), but
+    callers normally exclude bad primes anyway.
     """
     _require_deg2(f)
     primes = np.asarray(primes, dtype=np.int64)
@@ -236,18 +236,23 @@ def _require_deg2(f: list[int]) -> None:
 
 def _batch_polymulmod(a: np.ndarray, b: np.ndarray, f_low: np.ndarray,
                       p: np.ndarray) -> np.ndarray:
-    """(a*b) mod (f, p) rowwise; f monic with low coefficients f_low."""
-    N, n = a.shape
-    prod = np.zeros((N, 2 * n - 1), dtype=np.int64)
+    """(a*b) mod (f, p) per column; f monic with low coefficients f_low.
+
+    One polynomial per column (coefficient i in row i), so every step
+    works on whole contiguous rows.  a, b and f_low (one column per prime)
+    hold residues in [0, p).  Only the leading row of each reduction step
+    and the result are reduced mod p: each entry is a sum of at most n
+    products below p^2 and at most n - 1 subtracted ones, so it stays
+    within (-n*p^2, n*p^2), exact in int64 while n*p^2 < 2^63 (checked by
+    _batch_poly_pow_p).
+    """
+    n = a.shape[0]
+    prod = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
     for i in range(n):
-        ai = a[:, i]
-        prod[:, i : i + n] = (prod[:, i : i + n] + ai[:, None] * b) % p[:, None]
+        prod[i : i + n] += a[i] * b
     for d in range(2 * n - 2, n - 1, -1):
-        c = prod[:, d]
-        lo = d - n
-        prod[:, lo : lo + n] = (prod[:, lo : lo + n] - c[:, None] * f_low) % p[:, None]
-        prod[:, d] = 0
-    return prod[:, :n]
+        prod[d - n : d] -= prod[d] % p * f_low
+    return prod[:n] % p
 
 
 def _batch_gcd_degree(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -322,7 +327,7 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
     irreducible factors of f mod primes[i].  Valid for primes where f is
     squarefree mod p (good primes); computed from the root counts of f in
     F_{p^j} for j = 1..n via Moebius-style inversion.  Requires deg f >= 2
-    (ValueError otherwise).
+    and primes with deg f * p^2 < 2^63 (ValueError otherwise).
     """
     _require_deg2(f)
     primes = np.asarray(primes, dtype=np.int64)
@@ -350,22 +355,28 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
 
 
 def _batch_poly_pow_p(base: np.ndarray, f: list[int], primes: np.ndarray) -> np.ndarray:
-    """base^p mod (f, p) per row, exponent = the row's own prime."""
+    """base^p mod (f, p) per row, exponent = the row's own prime.
+
+    Raises ValueError unless deg f * p^2 < 2^63 for every prime, the int64
+    range of _batch_polymulmod.
+    """
     n = len(f) - 1
-    N = len(primes)
     p = primes
-    fall = np.array(f[:-1], dtype=np.int64)
-    result = np.zeros((N, n), dtype=np.int64)
-    result[:, 0] = 1
-    b = base.copy()
-    maxbits = int(primes.max()).bit_length()
+    pmax = int(p.max())
+    if n * pmax**2 >= 2**63:
+        raise ValueError(f"batch arithmetic mod {pmax} needs deg f * p^2 < 2^63")
+    # one polynomial per column, see _batch_polymulmod
+    f_low = np.array(f[:-1], dtype=np.int64)[:, None] % p
+    result = np.zeros((n, len(p)), dtype=np.int64)
+    result[0] = 1
+    b = np.ascontiguousarray(base.T)
+    maxbits = pmax.bit_length()
     for bit in range(maxbits):
-        mask = ((p >> bit) & 1).astype(bool)
-        if mask.any():
-            result[mask] = _batch_polymulmod(result[mask], b[mask], fall, p[mask])
+        bit_set = ((p >> bit) & 1).astype(bool)
+        result = np.where(bit_set, _batch_polymulmod(result, b, f_low, p), result)
         if bit + 1 < maxbits:
-            b = _batch_polymulmod(b, b, fall, p)
-    return result
+            b = _batch_polymulmod(b, b, f_low, p)
+    return np.ascontiguousarray(result.T)
 
 
 # --- Hensel lifting for prime-ideal valuations --------------------------------

@@ -1,9 +1,14 @@
 """Polytope slice integrals against closed forms."""
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import normform
 from normform.errors import EmptySlice
 from normform.integrals import (
     PolytopeSpec,
@@ -73,3 +78,22 @@ def test_interval_validation():
         PolytopeSpec.make([(0.0, 0.5)])
     with pytest.raises(ValueError):
         PolytopeSpec.make([(0.5, 0.4)])
+
+
+def test_scipy_loads_only_with_the_first_slice_integral():
+    src = Path(normform.__file__).resolve().parent.parent
+    config = Path(__file__).resolve().parent.parent / "configs" / "typeii_integral.json"
+    code = f"""if True:
+        import json, sys
+        sys.path.insert(0, {str(src)!r})
+        import normform.cli
+        assert "scipy" not in sys.modules, "import normform.cli loaded scipy"
+        from normform.integrals import PolytopeSpec, polytope_integral
+        cfg = json.loads(open({str(config)!r}).read())
+        value = polytope_integral(PolytopeSpec.make(cfg["intervals"]), cfg["target_sum"])
+        print(repr(value), "scipy.integrate" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    # the pinned value of configs/typeii_integral.json, bit for bit
+    assert out.stdout.split() == ["0.40546510810816433", "True"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normform.primes import sieve_primes
+from normform.primes import is_prime_certified, sieve_primes
 from normform.splitting import (
     batch_degree_patterns,
     batch_root_counts,
@@ -109,6 +109,45 @@ class TestBatch:
         got = batch_root_counts(F_CUBE2, ps)
         for p, c in zip(ps.tolist(), got.tolist()):
             assert c == len(roots_mod_p(F_CUBE2, p))
+
+
+# the largest primes with n p^2 < 2^63, and the first prime above them
+GUARD_PRIMES = {
+    2: ([2147483647, 2147483629, 2147483587], 2147483659),
+    4: ([1518500213, 1518500183, 1518500173], 1518500279),
+}
+GUARD_POLYS = {2: ([1, 0, 1], [-1, -1, 1]), 4: ([-2, 0, 0, 0, 1], [1, 1, 0, 0, 1])}
+
+
+class TestBatchInt64Guard:
+    @pytest.mark.parametrize("n", sorted(GUARD_PRIMES))
+    def test_primes_bracket_the_bound(self, n):
+        below, above = GUARD_PRIMES[n]
+        assert all(n * p * p < 2**63 for p in below) and n * above**2 >= 2**63
+        assert all(is_prime_certified(p)[0] for p in [*below, above])
+        assert not any(is_prime_certified(q)[0] for q in range(below[0] + 1, above))
+
+    @pytest.mark.parametrize("n", sorted(GUARD_PRIMES))
+    def test_exact_below_the_bound(self, n):
+        below, _ = GUARD_PRIMES[n]
+        ps = np.array(below, dtype=np.int64)
+        for f in GUARD_POLYS[n]:
+            counts = batch_root_counts(f, ps)
+            pats = batch_degree_patterns(f, ps)
+            for i, p in enumerate(below):
+                degs, sqfree = degree_pattern_mod_p(f, p)
+                assert sqfree
+                assert counts[i] == len(roots_mod_p(f, p))
+                assert pats[i].tolist() == [degs.count(d) for d in range(1, n + 1)]
+
+    @pytest.mark.parametrize("n", sorted(GUARD_PRIMES))
+    def test_rejected_above_the_bound(self, n):
+        below, above = GUARD_PRIMES[n]
+        ps = np.array([*below, above], dtype=np.int64)
+        for f in GUARD_POLYS[n]:
+            for batch in (batch_root_counts, batch_degree_patterns):
+                with pytest.raises(ValueError, match=r"p\^2 < 2\^63"):
+                    batch(f, ps)
 
 
 class TestHensel:
