@@ -67,36 +67,31 @@ def fp_wedge_census(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     n, k = ctx.n, ctx.k
     if p**n > budget:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
-    tensors = constraint_row_tensors(ctx)
-    # enumerate F_p^n as an (p^n, n) array
-    total = p**n
-    idx = np.arange(total, dtype=np.int64)
-    B = np.empty((total, n), dtype=np.int64)
-    for j in range(n):
-        B[:, j] = idx % p
-        idx //= p
-    rows = [(B @ R.T) % p for R in tensors]
     if k == 0:
-        return total
+        return p**n
+    # cols[i * n + a][t]: entry a of constraint row i at the t-th point of
+    # F_p^n, built by outer sums over the coordinates (order is immaterial)
+    digits = np.arange(p, dtype=np.int64)
+    cols = []
+    for R in constraint_row_tensors(ctx):
+        for w in R:
+            c = np.zeros(1, dtype=np.int64)
+            for wj in w:
+                c = np.add.outer(c, digits * wj % p).ravel()
+            cols.append(c % p)
     if k == 1:
-        mask = (rows[0] % p == 0).all(axis=1)
-        return int(mask.sum())
+        return int(np.logical_and.reduce([c == 0 for c in cols]).sum())
     if k == 2:
-        r0, r1 = rows
-        mask = np.ones(total, dtype=bool)
+        # keep only the points whose minors have all vanished so far
         for a, b in colex_subsets(n, 2):
-            det = (r0[:, a] * r1[:, b] - r0[:, b] * r1[:, a]) % p
-            mask &= det == 0
-            if not mask.any():
+            keep = (cols[a] * cols[n + b] - cols[b] * cols[n + a]) % p == 0
+            cols = [c[keep] for c in cols]
+            if not len(cols[0]):
                 break
-        return int(mask.sum())
+        return len(cols[0])
     # general k: per-point rank computation (slow path, tiny p only)
-    count = 0
-    for t in range(total):
-        stack = np.stack([rows[i][t] for i in range(k)]) % p
-        if rank_mod_p(stack, p) < k:
-            count += 1
-    return count
+    mats = np.stack(cols, axis=1).reshape(-1, k, n)
+    return sum(rank_mod_p(m, p) < k for m in mats)
 
 
 def fp_wedge_census_report(ctx: FieldSpec, primes: list[int],

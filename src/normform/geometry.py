@@ -144,9 +144,25 @@ def points_in_region(lat: IntLattice, region: LinearRegion,
     est = (float(r2) ** (lat.rank / 2) * _ball_volume(lat.rank)) / math.sqrt(det_sq)
     if est > budget:
         raise BudgetExceeded(f"estimated enumeration {est:.3g} > budget {budget}")
+    # integer points only: lo <= t <= hi  <=>  ceil(lo) <= t <= floor(hi)
+    box = [(math.ceil(a), math.floor(b)) for a, b in zip(region.box.lo, region.box.hi)]
+    cons = [(a, math.ceil(lo), math.floor(hi)) for a, lo, hi in region.constraints]
     count = int(region.contains(tuple([0] * lat.ambient_dim)))
     for _, v in enumerate_short_vectors(red, r2, limit=budget):
-        count += region.contains(v) + region.contains([-x for x in v])
+        # v and -v together; stop once both are outside
+        pos = neg = True
+        for t, (lo, hi) in zip(v, box):
+            pos = pos and lo <= t <= hi
+            neg = neg and lo <= -t <= hi
+            if not (pos or neg):
+                break
+        for a, lo, hi in cons:
+            if not (pos or neg):
+                break
+            s = sum(c * t for c, t in zip(a, v))
+            pos = pos and lo <= s <= hi
+            neg = neg and lo <= -s <= hi
+        count += pos + neg
     return count
 
 

@@ -220,23 +220,49 @@ def _gram_schmidt(basis) -> tuple[list[list[Fraction]], list[Fraction]]:
     return mu, norms
 
 
-def lll_reduce(basis: Matrix, delta: Fraction = Fraction(99, 100)) -> Matrix:
-    """LLL reduction over exact rationals; rows span the same lattice."""
+LLL_DELTA = Fraction(99, 100)
+
+
+def lll_reduce(basis: Matrix) -> Matrix:
+    """LLL reduction over exact rationals; rows span the same lattice.
+
+    Size-reduces b_k against b_{k-1}, ..., b_0, then runs the Lovasz test
+    with LLL_DELTA; mu and the Gram-Schmidt norms are updated in place after
+    each step (Cohen, Alg. 2.6.3).  Raises DependentRows when the rows are
+    linearly dependent.
+    """
     b = [list(map(int, row)) for row in basis]
     mu, norms = _gram_schmidt(b)
+    if not all(norms):
+        raise DependentRows("LLL basis rows not independent")
+    half = Fraction(1, 2)
     k = 1
     while k < len(b):
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                q = _round_frac(mu[k][j])
+            if abs(mk[j]) > half:
+                q = _round_frac(mk[j])
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, norms = _gram_schmidt(b)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                mj = mu[j]
+                mk[j] -= q
+                for i in range(j):
+                    mk[i] -= q * mj[i]
+        m = mk[k - 1]
+        if norms[k] >= (LLL_DELTA - m * m) * norms[k - 1]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = _gram_schmidt(b)
-            k = max(k - 1, 1)
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+        B = norms[k] + m * m * norms[k - 1]
+        mu[k][k - 1] = m * norms[k - 1] / B
+        norms[k] = norms[k - 1] * norms[k] / B
+        norms[k - 1] = B
+        for i in range(k + 1, len(b)):
+            mi = mu[i]
+            t = mi[k]
+            mi[k] = mi[k - 1] - m * t
+            mi[k - 1] = t + mu[k][k - 1] * mi[k]
+        k = max(k - 1, 1)
     return b
 
 
@@ -256,16 +282,18 @@ def _dot(u, v):
 
 
 def _round_frac(x: Fraction) -> int:
-    # round half away from zero is fine for LLL size reduction
-    return int(math.floor(x + Fraction(1, 2)))
+    # nearest integer, halves rounded up; fine for LLL size reduction
+    return math.floor(x + Fraction(1, 2))
 
 
 def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7):
     """Yield all nonzero lattice vectors v with ||v||^2 <= radius2.
 
-    Fincke-Pohst on the Gram matrix of an (ideally reduced) basis; exact
-    rational arithmetic.  Each +-v pair is yielded once (canonical sign).
-    Raises RankTooLarge beyond rank 10 and BudgetExceeded via limit.
+    Fincke-Pohst on the Gram matrix of an (ideally reduced) basis: an exact
+    rational LDL^T decomposition, then integer arithmetic only.  Yields
+    (coefficients, vector) pairs, each +-v pair once: the one whose last
+    nonzero coefficient is positive.  Raises RankTooLarge beyond rank 10 and
+    BudgetExceeded once more than limit coefficient choices have been made.
     """
     r = len(basis)
     if r == 0:
@@ -284,60 +312,58 @@ def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7
             raise DependentRows("basis rows not independent")
         for j in range(i + 1, r):
             R[i][j] = (G[i][j] - sum(d[t] * R[t][i] * R[t][j] for t in range(i))) / s
+    if radius2 < 0:
+        return
+    # row i of R over one integer denominator: R[i][j] == num[i][j] / den[i]
+    den = [math.lcm(*(x.denominator for x in row)) for row in R]
+    num = [[int(x * dn) for x in row] for row, dn in zip(R, den)]
+    # squared lengths as integers over one denominator M: coefficient x at
+    # level i with center c/den[i] uses w[i] * (x*den[i] - c)**2 of the budget
+    radius2 = Fraction(radius2)
+    scale = [di.denominator * dn * dn for di, dn in zip(d, den)]
+    M = math.lcm(radius2.denominator, *scale)
+    w = [di.numerator * (M // sc) for di, sc in zip(d, scale)]
     coeffs = [0] * r
     count = 0
 
-    def rec(level: int, remaining: Fraction):
+    def rec(level: int, remaining: int, sign: int, partial: list[int]):
+        # sign: that of the last nonzero coefficient above level (0 if none);
+        # partial: sum of coeffs[j] * basis[j] over j > level
         nonlocal count
-        if level < 0:
-            if any(coeffs):
-                yield tuple(coeffs)
+        dn, row, wl = den[level], num[level], w[level]
+        # the admissible x are exactly those with |x*dn - c| <= s
+        c = -sum(row[j] * coeffs[j] for j in range(level + 1, r))
+        s = math.isqrt(remaining // wl)
+        lo, hi = -((s - c) // dn), (c + s) // dn
+        if level == 0:
+            # the leaves: count the whole interval at once; past the budget,
+            # yield the leaves it still allows, then raise
+            stop = hi + 1
+            over = count + stop - lo > limit
+            if over:
+                stop = lo + limit - count
+            count += stop - lo
+            if sign >= 0:
+                tail = coeffs[1:]
+                b0 = basis[0]
+                for x in range(lo if sign else max(lo, 1), stop):
+                    yield [x] + tail, [t + x * y for t, y in zip(partial, b0)]
+            if over:
+                raise BudgetExceeded("short-vector enumeration budget")
             return
-        center = -sum(R[level][j] * coeffs[j] for j in range(level + 1, r))
-        if d[level] == 0:
-            return
-        span2 = remaining / d[level]
-        # |x - center|^2 <= span2
-        lo = _ceil_frac(center - _sqrt_upper(span2))
-        hi = _floor_frac(center + _sqrt_upper(span2))
+        bl = basis[level]
         for x in range(lo, hi + 1):
-            diff = Fraction(x) - center
-            used = d[level] * diff * diff
-            if used > remaining:
-                continue
-            coeffs[level] = x
             count += 1
             if count > limit:
                 raise BudgetExceeded("short-vector enumeration budget")
-            yield from rec(level - 1, remaining - used)
+            coeffs[level] = x
+            t = x * dn - c
+            yield from rec(level - 1, remaining - wl * t * t, sign or (x > 0) - (x < 0),
+                           [u + x * y for u, y in zip(partial, bl)])
         coeffs[level] = 0
 
-    for c in rec(r - 1, Fraction(radius2)):
-        # canonical sign: first nonzero coefficient positive
-        lead = next(x for x in reversed(c) if x)
-        if lead < 0:
-            continue
-        v = [sum(c[i] * basis[i][j] for i in range(r)) for j in range(len(basis[0]))]
-        yield list(c), v
-
-
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), tight enough for branch pruning."""
-    if x <= 0:
-        return Fraction(0)
-    f = math.sqrt(float(x))
-    guess = Fraction(int(math.ceil((f + 1e-9) * 2**20)), 2**20)
-    while guess * guess < x:
-        guess *= Fraction(1048577, 1048576)
-    return guess
-
-
-def _ceil_frac(x: Fraction) -> int:
-    return -int((-x.numerator) // x.denominator) if x.denominator else int(x)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return int(x.numerator // x.denominator)
+    yield from rec(r - 1, radius2.numerator * (M // radius2.denominator), 0,
+                   [0] * len(basis[0]))
 
 
 def successive_minima(basis: Matrix, limit: int = 10**7) -> tuple[list[int], Matrix]:
@@ -346,19 +372,24 @@ def successive_minima(basis: Matrix, limit: int = 10**7) -> tuple[list[int], Mat
     LLL-reduces first, enumerates inside the ball of radius = longest
     reduced vector, then greedily picks successively shortest vectors that
     are linearly independent.  Returns (squared minima, achieving vectors).
+    A candidate is independent of the vectors chosen so far exactly when it
+    is not orthogonal to their integer kernel.
     """
     red = lll_reduce(basis)
     r = len(red)
     radius2 = max(sum(x * x for x in row) for row in red)
+    n = len(red[0])
     cands = [(sum(x * x for x in v), v) for _, v in
              enumerate_short_vectors(red, Fraction(radius2), limit=limit)]
     cands.sort(key=lambda t: (t[0], t[1]))
     minima: list[int] = []
     chosen: Matrix = []
+    kernel = kernel_sequential([], n)
     for norm2, v in cands:
-        if rank_rational(chosen + [v]) > len(chosen):
+        if any(_dot(kv, v) for kv in kernel):
             minima.append(norm2)
             chosen.append(v)
             if len(chosen) == r:
                 break
+            kernel = kernel_sequential(chosen, n)
     return minima, chosen

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normform.census import fp_wedge_census, fp_wedge_census_report, skew_census
-from normform.errors import BudgetExceeded, Unbounded
+from normform.errors import BudgetExceeded, DependentRows, Unbounded
 from normform.fields import make_context
 from normform.geometry import (
     AxisBox,
@@ -70,6 +72,46 @@ class TestPointsInRegion:
         got = points_in_region(lat, reg)
         oracle = sum(1 for x in range(11) for y in range(11) if x + y <= 10)
         assert got == oracle
+
+    def test_dependent_rows_rejected(self):
+        lat = IntLattice(2, ((1, 2), (2, 4)))
+        with pytest.raises(DependentRows):
+            points_in_region(lat, LinearRegion.from_box(AxisBox.cube(2, -3, 3)))
+
+
+# integers, halves, thirds and quarters, negative ones included
+ends = st.builds(lambda t, f: t + f, st.integers(-5, 4),
+                 st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3),
+                                  Fraction(2, 3), Fraction(1, 4)]))
+widths = st.fractions(0, 7, max_denominator=3)
+
+
+@st.composite
+def lattices_in_regions(draw):
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    rows = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    basis = draw(st.lists(rows, min_size=r, max_size=r)
+                 .filter(lambda B: rank_rational(B) == r))
+    lo = [draw(ends) for _ in range(n)]
+    hi = [a + draw(widths) for a in lo]
+    cons = []
+    for _ in range(draw(st.integers(0, 2))):
+        c_lo = draw(ends)
+        cons.append((draw(rows), c_lo, c_lo + draw(widths)))
+    return (IntLattice(n, tuple(map(tuple, basis))),
+            LinearRegion.make(AxisBox.make(lo, hi), cons))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lattices_in_regions())
+def test_points_in_region_matches_brute_force(case):
+    lat, region = case
+    box = region.box
+    axes = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(box.lo, box.hi)]
+    oracle = sum(1 for x in itertools.product(*axes)
+                 if region.contains(x) and lat.contains(x))
+    assert points_in_region(lat, region) == oracle
 
 
 class TestDavenport:
@@ -183,16 +225,17 @@ class TestFpWedgeCensus:
         from normform.intlinalg import rank_mod_p
         import numpy as np
 
-        ctx = make_context([-1, -1, 0, 0, 0], 2)
-        p = 3
-        tensors = constraint_row_tensors(ctx)
-        count = 0
-        for b in itertools.product(range(p), repeat=5):
-            vec = np.array(b, dtype=np.int64)
-            stack = np.stack([(R @ vec) % p for R in tensors])
-            if rank_mod_p(stack, p) < 2:
-                count += 1
-        assert fp_wedge_census(p, ctx) == count
+        for f, k, p in [([-1, -1, 0, 0, 0], 2, 3), ([-2, 0, 0, 0, 0, 0, 0], 2, 3),
+                        ([-1, -1, 0, 0], 1, 5), ([-2, 0, 0, 0, 0, 0], 3, 3)]:
+            ctx = make_context(f, k)
+            tensors = constraint_row_tensors(ctx)
+            count = 0
+            for b in itertools.product(range(p), repeat=ctx.n):
+                vec = np.array(b, dtype=np.int64)
+                stack = np.stack([(R @ vec) % p for R in tensors])
+                if rank_mod_p(stack, p) < k:
+                    count += 1
+            assert fp_wedge_census(p, ctx) == count
 
     def test_budget(self):
         ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)

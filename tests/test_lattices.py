@@ -1,23 +1,29 @@
 """Constraint lattices, wedge vectors and the determinant formula."""
 
+import itertools
 import math
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normform.errors import DegeneratePair, DependentRows, ZeroWedge
+from normform.errors import BudgetExceeded, DegeneratePair, DependentRows, ZeroWedge
 from normform.fields import diamond, make_context
 from normform.intlinalg import (
     det_bareiss,
+    enumerate_short_vectors,
     gram_det,
+    gram_matrix,
     kernel_oracle,
     kernel_sequential,
+    lll_reduce,
     rank_mod_p,
     rank_rational,
     solve_rational,
+    successive_minima,
 )
 from normform.primes import is_prime
 from normform.lattices import (
@@ -421,3 +427,199 @@ def test_kernel_oracles_span_the_same_lattice(C):
     L2 = IntLattice(n, tuple(map(tuple, K2)))
     assert all(L1.contains(v) for v in K2)
     assert all(L2.contains(v) for v in K1)
+
+
+# --- exact lattice kernels against independent references --------------------------
+
+
+full_rank_bases = st.integers(1, 5).flatmap(
+    lambda r: st.integers(r, 6).flatmap(lambda n: int_matrices(r, n, bound=3))
+).filter(lambda B: rank_rational(B) == len(B))
+
+
+def coefficient_bounds(B, radius2) -> list[int] | None:
+    """|c_i| <= sqrt(radius2 * (G^-1)_ii) for every lattice vector c.B of
+    squared length <= radius2; None when the box holds too many points."""
+    G = gram_matrix(B)
+    det = det_bareiss(G)
+    bounds = []
+    for i in range(len(B)):
+        minor = [[g for j, g in enumerate(row) if j != i]
+                 for t, row in enumerate(G) if t != i]
+        inv_ii = Fraction(det_bareiss(minor), det)
+        bounds.append(math.isqrt(math.floor(Fraction(radius2) * inv_ii)))
+    return bounds if math.prod(2 * b + 1 for b in bounds) <= 20_000 else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(full_rank_bases, st.integers(0, 40), st.integers(1, 4), st.booleans(),
+       st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+def test_enumeration_matches_coefficient_box_scan(B, num, den, attained, c):
+    r = len(B)
+    if attained and any(c[:r]):
+        # radius exactly the squared length of a lattice vector
+        radius2 = Fraction(sum(sum(ci * b[j] for ci, b in zip(c, B)) ** 2
+                               for j in range(len(B[0]))))
+    else:
+        radius2 = Fraction(num, den)
+    bounds = coefficient_bounds(B, radius2)
+    assume(bounds is not None)
+    expected = []
+    for cs in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        nonzero = [x for x in cs if x]
+        if not nonzero or nonzero[-1] < 0:
+            continue
+        v = [sum(ci * b[j] for ci, b in zip(cs, B)) for j in range(len(B[0]))]
+        if sum(x * x for x in v) <= radius2:
+            expected.append((list(cs), v))
+    got = list(enumerate_short_vectors(B, radius2))
+    assert sorted(got) == sorted(expected)
+    assert len({tuple(cs) for cs, _ in got}) == len(got)
+
+
+def projection_forms(B):
+    """(Q, q) per level l: y.Q.y / q is the squared length of the projection
+    of y orthogonal to rows 0..l-1 of B."""
+    n = len(B[0])
+    forms = []
+    for l in range(len(B)):
+        head = B[:l]
+        G = [[sum(a * b for a, b in zip(u, v)) for v in head] for u in head]
+        Q = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for i in range(l and n):
+            z = solve_rational(G, [row[i] for row in head])
+            for j in range(n):
+                Q[j][i] -= sum(zt * row[j] for zt, row in zip(z, head))
+        q = math.lcm(*(x.denominator for row in Q for x in row))
+        forms.append(([[int(x * q) for x in row] for row in Q], q))
+    return forms
+
+
+def depth_first_reference(B, radius2, bounds):
+    """Every coefficient choice (level, coefficients) in Fincke-Pohst order:
+    levels from the last row down, candidates in ascending order, a prefix
+    kept when its projection orthogonal to the earlier rows is short enough."""
+    r, n = len(B), len(B[0])
+    forms = projection_forms(B)
+    nodes = []
+
+    def visit(level, cs):
+        Q, q = forms[level]
+        for x in range(-bounds[level], bounds[level] + 1):
+            c = [0] * level + [x] + cs
+            y = [sum(ci * b[j] for ci, b in zip(c, B)) for j in range(n)]
+            if sum(yi * Q[i][j] * yj for i, yi in enumerate(y)
+                   for j, yj in enumerate(y)) <= radius2 * q:
+                nodes.append((level, c))
+                if level:
+                    visit(level - 1, [x] + cs)
+
+    visit(r - 1, [])
+    return nodes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(full_rank_bases, st.integers(0, 30), st.integers(1, 3), st.data())
+def test_enumeration_order_and_budget_match_depth_first_reference(B, num, den, data):
+    radius2 = Fraction(num, den)
+    bounds = coefficient_bounds(B, radius2)
+    assume(bounds is not None)
+    nodes = depth_first_reference(B, radius2, bounds)
+
+    def leaves(prefix):
+        return [(c, [sum(ci * b[j] for ci, b in zip(c, B)) for j in range(len(B[0]))])
+                for level, c in prefix
+                if level == 0 and [x for x in c if x][-1:] > [0]]
+
+    assert list(enumerate_short_vectors(B, radius2)) == leaves(nodes)
+    # limit coefficient choices: the leaves among the first limit nodes, then
+    # BudgetExceeded exactly when the search tree has more nodes than that
+    for limit in {0, len(nodes) - 1, len(nodes), data.draw(st.integers(0, len(nodes)))}:
+        got = []
+        with pytest.raises(BudgetExceeded) if len(nodes) > limit else nullcontext():
+            for item in enumerate_short_vectors(B, radius2, limit=limit):
+                got.append(item)
+        assert got == leaves(nodes[:limit])
+
+
+def test_enumeration_of_a_negative_radius_is_empty():
+    assert list(enumerate_short_vectors([[1, 0], [0, 1]], Fraction(-1))) == []
+
+
+def lll_reference(basis, delta=Fraction(99, 100)):
+    """LLL that recomputes Gram-Schmidt from scratch after every step."""
+
+    def gram_schmidt(b):
+        r = len(b)
+        mu = [[Fraction(0)] * r for _ in range(r)]
+        norms = []
+        for i in range(r):
+            for j in range(i):
+                s = (sum(x * y for x, y in zip(b[i], b[j]))
+                     - sum(mu[j][t] * mu[i][t] * norms[t] for t in range(j)))
+                mu[i][j] = s / norms[j]
+            norms.append(sum(x * x for x in b[i])
+                         - sum(mu[i][t] ** 2 * norms[t] for t in range(i)))
+        return mu, norms
+
+    b = [list(row) for row in basis]
+    mu, norms = gram_schmidt(b)
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                q = math.floor(mu[k][j] + Fraction(1, 2))
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, norms = gram_schmidt(b)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, norms = gram_schmidt(b)
+            k = max(k - 1, 1)
+    return b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(
+    lambda r: st.integers(r, 7).flatmap(lambda n: int_matrices(r, n, bound=40))))
+def test_lll_matches_full_recompute_reference(B):
+    if rank_rational(B) < len(B):
+        with pytest.raises(DependentRows):
+            lll_reduce(B)
+        return
+    assert lll_reduce(B) == lll_reference(B)
+
+
+def test_dependent_rows_rejected_by_lll():
+    with pytest.raises(DependentRows):
+        lll_reduce([[1, 2], [2, 4]])
+
+
+def minima_reference(basis):
+    """Greedy selection among the sorted candidates by rational rank."""
+    red = lll_reference(basis)
+    radius2 = max(sum(x * x for x in row) for row in red)
+    cands = sorted((sum(x * x for x in v), v)
+                   for _, v in enumerate_short_vectors(red, Fraction(radius2)))
+    minima, chosen = [], []
+    for norm2, v in cands:
+        if rank_rational(chosen + [v]) > len(chosen):
+            minima.append(norm2)
+            chosen.append(v)
+    return minima, chosen
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(full_rank_bases)
+def test_successive_minima_match_rank_greedy(B):
+    assert successive_minima(B) == minima_reference(B)
+
+
+def test_successive_minima_of_a_skewed_rank7_lattice():
+    lat = lambda_v([-3, -3, 3, 3, 0, 3, 5, 3], make_context([-2] + [0] * 7, 1))
+    basis = [list(b) for b in lat.basis]
+    minima, vecs = successive_minima(basis)
+    assert minima == [1, 2, 2, 2, 2, 2, 14]
+    assert (minima, vecs) == minima_reference(basis)
+    assert reduced_basis(lat).minima_sq == (1, 2, 2, 2, 2, 2, 14)
