@@ -25,6 +25,7 @@ from .census import fp_wedge_census_report, skew_census
 from .errors import BudgetExceeded, NormformError, ValidationError
 from .experiments import (
     ExperimentConfig,
+    divisor_sum_check,
     theorem_check,
     typei_discrepancy,
     typeii_density_check,
@@ -45,7 +46,7 @@ from .series import per_prime_factor_table, singular_series, singular_series_til
 log = logging.getLogger("normform")
 
 SUBCOMMANDS = ("norms", "sseries", "lattice", "census", "typei", "theorem",
-               "integral", "buchstab")
+               "integral", "buchstab", "divisor")
 
 
 def _canonical_json(obj) -> str:
@@ -300,6 +301,32 @@ def _run_buchstab(cfg: dict, args, outdir: Path) -> dict:
     return payload
 
 
+def _run_divisor(cfg: dict, args, outdir: Path) -> dict:
+    _reject_unknown(cfg, {"field", "X", "e"})
+    ctx = _field_from(cfg)
+    if ctx.m != 2:
+        raise ValidationError(f"divisor runs on n - k = 2 boxes, not {ctx.m}")
+    X = cfg.get("X")
+    e = cfg.get("e", 1)
+    if type(X) is not int or X < 1:
+        raise ValidationError(f"divisor config needs 'X': an integer >= 1, not {X!r}")
+    if type(e) is not int or e not in (0, 1, 2):
+        raise ValidationError(f"'e' must be 0, 1 or 2, not {e!r}")
+    kwargs = {"budget": args.budget} if args.budget is not None else {}
+    rep = divisor_sum_check(X, e, ctx, **kwargs)
+    payload = {
+        "kind": rep.kind,
+        "observed": rep.observed,
+        "predicted": rep.predicted,
+        "ratio": rep.ratio,
+        "config": rep.config,
+        "details": rep.details,
+        "version": __version__,
+    }
+    _write_report(outdir, "divisor", payload)
+    return {**payload, "runtime_s": rep.runtime_s}
+
+
 def _run_norms(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "box", "X", "max_rows"})
     ctx = _field_from(cfg)
@@ -351,6 +378,7 @@ _RUNNERS = {
     "integral": _run_integral,
     "buchstab": _run_buchstab,
     "norms": _run_norms,
+    "divisor": _run_divisor,
 }
 
 

@@ -488,23 +488,34 @@ def materialize_symbol(factors, ctx: FieldSpec) -> IdealSym:
 def ideal_valuations(x, ctx: FieldSpec, fac: dict[int, int]) -> dict | None:
     """Valuations v_P(alpha) for alpha with norm factorization fac.
 
-    alpha is the order element for incomplete vector x.  Returns
-    {PrimeIdeal: v} or None when some p | N(alpha) is bad.  Good-p
-    valuations are read mod p^(v_p + 1) from v_p(Res(g_lift, A)) = d*v_P,
+    alpha = sum x_i omega^(i-1) is the order element for incomplete vector
+    x, and A(X) = sum x_i X^(i-1).  Returns {PrimeIdeal: v}, or None when
+    some p | N(alpha) is bad or fac does not match N(alpha).
+
+    A good prime P = (p, g(omega)) contains alpha exactly when g divides A
+    mod p.  So when A is linear mod p (a_1 != 0 mod p and the higher
+    coefficients vanish), the only candidate is (p, omega - r) with
+    r = -a_0/a_1 mod p, and none at all if f(r) != 0 mod p; f is not
+    factored mod p.  For any other A mod p, in particular when p divides
+    the content of x, every prime above p is a candidate.
+
+    Valuations are read mod p^(v_p + 1) from v_p(Res(g_lift, A)) = d*v_P,
     where g_lift is the Hensel lift of the factor g of P.  For degree 1,
     g_lift = X - r_lift and the resultant is A(r_lift), so the root is
-    lifted by Newton and A evaluated there.
+    lifted by Newton and A evaluated there.  The valuations above p must
+    add up to v_p, or the result is None.
     """
     A = list(embed(x, ctx))
     f = list(ctx.f_coeffs)
+    disc = discriminant(ctx)
     out: dict[PrimeIdeal, int] = {}
     for p, vp in fac.items():
-        if is_bad_prime(p, ctx):
+        if disc % p == 0:
             return None
         prec = vp + 1
         q = p**prec
         assigned = 0
-        for pi in prime_ideals_above(p, ctx):
+        for pi in _candidate_ideals(A, p, ctx.f_coeffs):
             if pi.degree == 1:
                 root = lift_root(f, pi.label, p, prec)
                 r = 0
@@ -529,6 +540,22 @@ def ideal_valuations(x, ctx: FieldSpec, fac: dict[int, int]) -> dict | None:
         if assigned != vp:
             return None  # inconsistency guard
     return out
+
+
+def _candidate_ideals(A: list[int], p: int,
+                      f_coeffs: tuple[int, ...]) -> tuple[PrimeIdeal, ...]:
+    """The primes above the good prime p that can contain alpha (see
+    ideal_valuations): one or none when A is linear mod p, else all."""
+    a = [c % p for c in A]
+    if a[1] == 0 or any(a[2:]):
+        return _prime_ideals_above_cached(p, f_coeffs)
+    r = -a[0] * pow(a[1], -1, p) % p
+    fr = 0
+    for c in reversed(f_coeffs):
+        fr = (fr * r + c) % p
+    if fr:
+        return ()
+    return (PrimeIdeal(p, 1, r, ((-r) % p, 1)),)
 
 
 @lru_cache(maxsize=2**16)

@@ -61,6 +61,24 @@ class TestExitCodes:
     def test_selftest(self):
         assert run(["lattice", "--selftest"]) == 0
 
+    def test_divisor_budget_exceeded(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 40, "e": 1})
+        assert run(["divisor", "--config", cfg, "--out", str(tmp_path),
+                    "--budget", "1000"]) == 3
+
+    @pytest.mark.parametrize("cfg", [
+        {"field": FIELD3, "X": 10, "e": 3},
+        {"field": FIELD3, "X": 10, "e": "1"},
+        {"field": FIELD3, "X": 10, "e": 1.5},
+        {"field": FIELD3, "X": 0, "e": 1},
+        {"field": FIELD3, "e": 1},
+        {"field": FIELD3, "X": 10, "e": 1, "seed": 3},
+        {"field": {"f": [-2, 0, 0, 0, 1], "k": 1}, "X": 10, "e": 1},
+    ])
+    def test_divisor_bad_input(self, tmp_path, cfg):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert run(["divisor", "--config", path, "--out", str(tmp_path)]) == 2
+
 
 class TestSubcommands:
     def test_theorem_artifacts(self, tmp_path, capsys):
@@ -122,6 +140,19 @@ class TestSubcommands:
         data = json.loads((out / "buchstab.json").read_text())
         assert data["residual"] == 0
 
+    def test_divisor(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 40, "e": 1})
+        out = tmp_path / "out"
+        assert run(["divisor", "--config", cfg, "--out", str(out)]) == 0
+        data = json.loads((out / "divisor.json").read_text())
+        assert "runtime_s" not in data
+        assert "runtime_s" in json.loads(capsys.readouterr().out)
+        details = data["details"]
+        assert data["observed"] == details["surrogate_sum_tau_int_pow_e"] > 0
+        skipped = details["points_skipped_by_reason"]
+        assert details["ideal_points"] + sum(skipped.values()) == 40 * 40
+        assert details["ideal_sum"] >= details["ideal_points"]
+
     def test_norms(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 4})
         out = tmp_path / "out"
@@ -144,6 +175,7 @@ class TestDeterminism:
         ("norms", {"field": FIELD3, "X": 4}),
         ("lattice", {"field": {"f": [-2, 0, 0, 0, 1], "k": 1},
                      "v": [1, 2, 3, 4]}),
+        ("divisor", {"field": FIELD3, "X": 30, "e": 2}),
     ])
     def test_byte_identical_reruns(self, tmp_path, command, cfg):
         cpath = write_cfg(tmp_path, "c.json", cfg)

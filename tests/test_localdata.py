@@ -338,17 +338,82 @@ def oracle_valuations(x, ctx, fac):
     return out
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.sampled_from(VALUATION_FIELDS), st.integers(-60, 60), st.integers(-60, 60))
-def test_ideal_valuations_match_oracle(ctx, x1, x2):
-    N = norm_form((x1, x2), ctx)
+def assert_matches_oracle(x, ctx):
+    N = norm_form(x, ctx)
     if N == 0:
         return
     fac = factorize(N)
-    got = ideal_valuations((x1, x2), ctx, fac)
-    assert got == oracle_valuations((x1, x2), ctx, fac)
+    got = ideal_valuations(x, ctx, fac)
+    assert got == oracle_valuations(x, ctx, fac)
     bad = set(bad_primes(ctx))
     assert (got is None) == any(p in bad for p in fac)
     if got is not None:
         for p, vp in fac.items():
             assert sum(pi.degree * v for pi, v in got.items() if pi.p == p) == vp
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(VALUATION_FIELDS), st.integers(-60, 60), st.integers(-60, 60))
+def test_ideal_valuations_match_oracle(ctx, x1, x2):
+    assert_matches_oracle((x1, x2), ctx)
+
+
+# n - k = 3: A has degree 2, so it is linear mod p only when p | x3
+CTX4_K1 = make_context([-2, 0, 0, 0], 1)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 200), st.sampled_from(VALUATION_FIELDS),
+       st.integers(-30, 30), st.integers(-30, 30))
+def test_ideal_valuations_match_oracle_scaled(g, ctx, x1, x2):
+    # p | g divides the content of x, where every prime above p is tested
+    assert_matches_oracle((g * x1, g * x2), ctx)
+
+
+@pytest.mark.parametrize("ctx", VALUATION_FIELDS + [CTX4_K1])
+def test_ideal_valuations_content_primes_of_every_splitting_type(ctx):
+    # every prime g <= 200 once, so each splitting type of f mod p turns up
+    # as a prime dividing the content
+    base = (1, 2) if ctx.m == 2 else (1, 0, 3)
+    for g in primes_in(2, 200):
+        assert_matches_oracle(tuple(g * c for c in base), ctx)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(VALUATION_FIELDS),
+       st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+def test_ideal_valuations_match_oracle_large(ctx, x1, x2):
+    # norm primes far beyond the coordinates
+    assert_matches_oracle((x1, x2), ctx)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 12), st.integers(-40, 40), st.integers(-40, 40),
+       st.integers(-40, 40))
+def test_ideal_valuations_match_oracle_cubic_box(g, x1, x2, x3):
+    assert_matches_oracle((x1, x2, g * x3), CTX4_K1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(VALUATION_FIELDS + [CTX4_K1]), st.data())
+def test_ideal_valuations_wrong_factorization(ctx, data):
+    x = tuple(data.draw(st.integers(-50, 50)) for _ in range(ctx.m))
+    N = norm_form(x, ctx)
+    if N == 0:
+        return
+    fac = factorize(N)
+    good = [p for p in fac if discriminant(ctx) % p]
+    if good:
+        # a wrong exponent at a good prime (a prime left out of fac is not
+        # checked, so the exponent stays positive)
+        p = data.draw(st.sampled_from(good))
+        delta = data.draw(st.sampled_from([-1, 1] if fac[p] > 1 else [1]))
+        wrong = {**fac, p: fac[p] + delta}
+        assert ideal_valuations(x, ctx, wrong) is None
+        assert oracle_valuations(x, ctx, wrong) is None
+    # a good prime that does not divide N
+    ell = data.draw(st.sampled_from(
+        [q for q in primes_in(2, 400) if N % q and discriminant(ctx) % q]))
+    wrong = {**fac, ell: 1}
+    assert ideal_valuations(x, ctx, wrong) is None
+    assert oracle_valuations(x, ctx, wrong) is None
