@@ -1,8 +1,10 @@
-"""Brute-force censuses behind the rarity estimates: F_p wedge vanishing
-and Archimedean skew statistics."""
+"""Censuses behind the rarity estimates: the exact F_p wedge-vanishing count
+by Moebius inversion over the subspaces of F_p^k (the tests hold a pointwise
+rank oracle) and the empirical Archimedean skew statistics."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -11,7 +13,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .fields import FieldSpec, mul_matrix
 from .intlinalg import rank_mod_p
-from .lattices import wedge_pair, colex_subsets
+from .lattices import wedge_pair
 
 
 @dataclass
@@ -42,56 +44,46 @@ class CensusReport:
 
 def constraint_row_tensors(ctx: FieldSpec) -> list[np.ndarray]:
     """Matrices R_0..R_{k-1} with constraint_rows(v)[i] == R_i @ v."""
-    n, k = ctx.n, ctx.k
-    mats = []
-    unit_muls = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        unit_muls.append(mul_matrix(e, ctx))
-    for i in range(k):
-        R = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            for a in range(n):
-                R[a, j] = unit_muls[j][n - 1 - i][a]
-        mats.append(R)
-    return mats
+    n = ctx.n
+    unit_muls = [mul_matrix([int(a == j) for a in range(n)], ctx) for j in range(n)]
+    return [np.array([[unit_muls[j][n - 1 - i][a] for j in range(n)] for a in range(n)],
+                     dtype=np.int64) for i in range(ctx.k)]
+
+
+def _subspace_bases(k: int, p: int):
+    """RREF bases of the nonzero subspaces of F_p^k."""
+    for d in range(1, k + 1):
+        for piv in itertools.combinations(range(k), d):
+            free = [(r, j) for r, c in enumerate(piv) for j in range(c + 1, k) if j not in piv]
+            for vals in itertools.product(range(p), repeat=len(free)):
+                basis = [[int(j == c) for j in range(k)] for c in piv]
+                for (r, j), v in zip(free, vals):
+                    basis[r][j] = v
+                yield basis
 
 
 def fp_wedge_census(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     """#{b in F_p^n : all k x k minors of the constraint matrix vanish mod p}.
 
-    Exhaustive over F_p^n (budget-gated), vectorized for k <= 2; the rank
-    test is equivalent to the vanishing of the wedge vector mod p.
+    They vanish at b iff D(b) = {c in F_p^k : sum c_i R_i b = 0} is nonzero,
+    and #{b : D(b) contains W} = p^(n - rank_p R_W), R_W stacking
+    sum c_i R_i over a basis c of W.  Moebius inversion over the subspaces
+    of F_p^k, mu(0, W) = (-1)^d p^(d(d-1)/2) for dim W = d, sums these.
+    The budget gates p^n, which bounds the subspace count for k < 2 sqrt(n).
     """
     n, k = ctx.n, ctx.k
     if p**n > budget:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
     if k == 0:
         return p**n
-    # cols[i * n + a][t]: entry a of constraint row i at the t-th point of
-    # F_p^n, built by outer sums over the coordinates (order is immaterial)
-    digits = np.arange(p, dtype=np.int64)
-    cols = []
-    for R in constraint_row_tensors(ctx):
-        for w in R:
-            c = np.zeros(1, dtype=np.int64)
-            for wj in w:
-                c = np.add.outer(c, digits * wj % p).ravel()
-            cols.append(c % p)
-    if k == 1:
-        return int(np.logical_and.reduce([c == 0 for c in cols]).sum())
-    if k == 2:
-        # keep only the points whose minors have all vanished so far
-        for a, b in colex_subsets(n, 2):
-            keep = (cols[a] * cols[n + b] - cols[b] * cols[n + a]) % p == 0
-            cols = [c[keep] for c in cols]
-            if not len(cols[0]):
-                break
-        return len(cols[0])
-    # general k: per-point rank computation (slow path, tiny p only)
-    mats = np.stack(cols, axis=1).reshape(-1, k, n)
-    return sum(rank_mod_p(m, p) < k for m in mats)
+    tensors = [(R % p).tolist() for R in constraint_row_tensors(ctx)]
+    count = 0
+    for basis in _subspace_bases(k, p):
+        d = len(basis)
+        stacked = [[sum(ci * R[a][j] for ci, R in zip(c, tensors)) for j in range(n)]
+                   for c in basis for a in range(n)]
+        count += (-1) ** (d + 1) * p ** (d * (d - 1) // 2 + n - rank_mod_p(stacked, p))
+    return count
 
 
 def fp_wedge_census_report(ctx: FieldSpec, primes: list[int],

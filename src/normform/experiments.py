@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ValidationError
 from .fields import FieldSpec, eval_norm_poly_grid, norm_form_polynomial
 from .integrals import PolytopeSpec, polytope_integral
 from .localdata import (
@@ -498,11 +498,11 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     """
     t0 = time.time()
     if ctx.m != 2:
-        raise BudgetExceeded("divisor_sum_check supports n - k = 2 boxes")
+        raise ValidationError(f"divisor_sum_check supports n - k = 2 boxes, not {ctx.m}")
+    if e not in (0, 1, 2):
+        raise ValidationError(f"e must be 0, 1 or 2, not {e!r}")
     if X * X > budget:
         raise BudgetExceeded(f"X^2 = {X * X} exceeds budget {budget}")
-    if e not in (0, 1, 2):
-        raise ValueError("e in {0, 1, 2}")
     poly = norm_form_polynomial(ctx)
     if e == 0:
         eval_norm_poly_grid(poly, ([X], [X]))  # the guard reads max|x| only

@@ -219,13 +219,10 @@ def _nu_from_degrees(degs: list[int], p: int, m: int) -> int:
 
 
 def nu2_from_degrees(degs: list[int], p: int, n: int) -> int:
-    """nu_2(p) = p^n (1 - prod (1 - p^-d)) for good p (CRT on F_p[X]/(f))."""
-    frac = Fraction(1)
-    for d in degs:
-        frac *= 1 - Fraction(1, p**d)
-    val = (1 - frac) * p**n
-    assert val.denominator == 1
-    return int(val)
+    """nu_2(p) = p^n (1 - prod (1 - p^-d)) for good p (CRT on F_p[X]/(f)),
+    in integers: p^n - p^(n - sum d) prod (p^d - 1), with sum d <= n."""
+    assert sum(degs) <= n
+    return p**n - p ** (n - sum(degs)) * math.prod(p**d - 1 for d in degs)
 
 
 def local_data(p: int, ctx: FieldSpec, budget: int = 10**7) -> PrimeLocalData:

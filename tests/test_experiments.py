@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normform import experiments
-from normform.errors import BudgetExceeded
+from normform.errors import BudgetExceeded, ValidationError
 from normform.experiments import (
     ExperimentConfig,
     _claim_regime,
@@ -326,6 +326,15 @@ class TestDivisorSum:
         oracle = sum(tau_oracle(oracle_norm((a, b), CTX3))
                      for a in range(1, 13) for b in range(1, 13))
         assert rep.observed == oracle
+
+    def test_box_dimension_other_than_two_is_bad_input(self):
+        with pytest.raises(ValidationError, match="n - k = 2"):
+            divisor_sum_check(4, 1, make_context([-2, 0, 0, 0], 1))
+
+    @pytest.mark.parametrize("e", [-1, 3])
+    def test_exponent_outside_0_1_2_is_bad_input(self, e):
+        with pytest.raises(ValidationError, match="e must be"):
+            divisor_sum_check(4, e, CTX3)
 
     def test_int64_guard_boundary(self):
         # x^6 - 2, k = 4: |N| <= 3 X^6, which reaches 2^62 between 1074 and 1075

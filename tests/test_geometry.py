@@ -5,11 +5,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normform.census import fp_wedge_census, fp_wedge_census_report, skew_census
+from normform.census import (
+    constraint_row_tensors,
+    fp_wedge_census,
+    fp_wedge_census_report,
+    skew_census,
+)
 from normform.errors import BudgetExceeded, DependentRows, Unbounded
 from normform.fields import make_context
 from normform.geometry import (
@@ -20,8 +26,10 @@ from normform.geometry import (
     polytope_volume_exact,
     region_volume,
 )
-from normform.intlinalg import rank_rational
+from normform.intlinalg import rank_mod_p, rank_rational
 from normform.lattices import IntLattice
+from normform.primes import primes_in
+from normform.splitting import degree_pattern_mod_p
 
 
 class TestPointsInRegion:
@@ -220,27 +228,57 @@ class TestFpWedgeCensus:
         assert all(r["count"] >= 1 for r in rep.rows)
 
     def test_census_matches_pointwise_oracle(self):
-        # brute force via wedge_pair-free direct rank over a tiny field
-        from normform.census import constraint_row_tensors
-        from normform.intlinalg import rank_mod_p
-        import numpy as np
-
         for f, k, p in [([-1, -1, 0, 0, 0], 2, 3), ([-2, 0, 0, 0, 0, 0, 0], 2, 3),
                         ([-1, -1, 0, 0], 1, 5), ([-2, 0, 0, 0, 0, 0], 3, 3)]:
             ctx = make_context(f, k)
-            tensors = constraint_row_tensors(ctx)
-            count = 0
-            for b in itertools.product(range(p), repeat=ctx.n):
-                vec = np.array(b, dtype=np.int64)
-                stack = np.stack([(R @ vec) % p for R in tensors])
-                if rank_mod_p(stack, p) < k:
-                    count += 1
-            assert fp_wedge_census(p, ctx) == count
+            assert fp_wedge_census(p, ctx) == pointwise_census(p, ctx)
 
     def test_budget(self):
         ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
         with pytest.raises(BudgetExceeded):
             fp_wedge_census(101, ctx)
+
+    def test_budget_boundary(self):
+        ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
+        assert fp_wedge_census(7, ctx, budget=7**7) == 7
+        with pytest.raises(BudgetExceeded):
+            fp_wedge_census(7, ctx, budget=7**7 - 1)
+
+
+def pointwise_census(p, ctx):
+    """The census by one rank mod p at every point of F_p^n (the oracle)."""
+    tensors = constraint_row_tensors(ctx)
+    count = 0
+    for b in itertools.product(range(p), repeat=ctx.n):
+        vec = np.array(b, dtype=np.int64)
+        if rank_mod_p(np.stack([(R @ vec) % p for R in tensors]), p) < ctx.k:
+            count += 1
+    return count
+
+
+def irreducible_mod_some_prime(f):
+    """f monic is irreducible over Q when it is irreducible mod some prime."""
+    return any(degree_pattern_mod_p(f, q) == ([len(f) - 1], True) for q in primes_in(2, 47))
+
+
+@st.composite
+def census_cases(draw):
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(max(2, k + 1), 6))
+    p = draw(st.sampled_from((2, 3, 5)))
+    # coefficients often divisible by p, so that f mod p degenerates and
+    # counts above the lone point b = 0 occur
+    coeff = st.builds(lambda t, r: p * t + r, st.integers(-2, 2), st.sampled_from((0, 0, 1, -1, 2)))
+    low = draw(st.lists(coeff, min_size=n, max_size=n)
+               .filter(lambda c: irreducible_mod_some_prime(c + [1])))
+    return make_context(low, k), p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(census_cases())
+def test_census_matches_pointwise_oracle_random(case):
+    ctx, p = case
+    assert fp_wedge_census(p, ctx) == pointwise_census(p, ctx)
 
 
 class TestSkewCensus:

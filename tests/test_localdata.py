@@ -22,6 +22,7 @@ from normform.localdata import (
     ideal_valuations,
     local_data,
     nu2_brute,
+    nu2_from_degrees,
     nu_brute,
     nu_fast,
     prime_ideals_above,
@@ -71,6 +72,16 @@ class TestLocalData:
             for p in ps:
                 ld = local_data(p, ctx)
                 assert ld.nu2 == nu2_brute(p, ctx)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 6), max_size=5), st.sampled_from((2, 3, 5, 7, 101)),
+           st.integers(0, 3))
+    def test_nu2_from_degrees_matches_fraction_formula(self, degs, p, extra):
+        n = sum(degs) + extra
+        frac = Fraction(1)
+        for d in degs:
+            frac *= 1 - Fraction(1, p**d)
+        assert nu2_from_degrees(degs, p, n) == (1 - frac) * p**n
 
     def test_bad_prime_brute_forced(self):
         ld = local_data(2, CTX3)
