@@ -257,7 +257,9 @@ def _run_integral(cfg: dict, args, outdir: Path) -> dict:
         raise ValidationError("integral config needs 'intervals': [[lo, hi], ...]")
     spec = PolytopeSpec.make([tuple(iv) for iv in cfg["intervals"]])
     target = float(cfg.get("target_sum", sum(iv[0] for iv in cfg["intervals"])))
+    t0 = time.perf_counter()
     value = polytope_integral(spec, target)
+    log.info("slice integral: %.3f s", time.perf_counter() - t0)
     payload = {
         "intervals": [list(iv) for iv in cfg["intervals"]],
         "target_sum": target,

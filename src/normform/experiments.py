@@ -418,16 +418,18 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     logX = math.log(X)
     intervals = spec.intervals
     ell = spec.ell
-    observed = 0
+    t_win = time.perf_counter()
+    observed = factored = rows_seen = 0
     for start in range(lo, hi + 1, TYPEII_BLOCK):
-        for fac in window_factorizations(start, min(start + TYPEII_BLOCK, hi + 1)):
-            if sum(fac.values()) != ell:
-                continue
-            primes_list = [p for p, e in fac.items() for _ in range(e)]
-            evec = sorted(math.log(p) / logX for p in primes_list)
-            for perm in set(itertools.permutations(evec)):
-                if all(a <= e <= b for e, (a, b) in zip(perm, intervals)):
-                    observed += 1
+        facs = window_factorizations(start, min(start + TYPEII_BLOCK, hi + 1))
+        factored += len(facs)
+        rows = _omega_rows(facs, ell)
+        del facs  # free this block's dicts before the next block is factored
+        rows_seen += len(rows)
+        observed += _count_ordered_tuples(rows, intervals, logX)
+    log.info("Type II window: %d integers factored, %d with Omega = %d, "
+             "%d ordered tuples counted, %.3f s",
+             factored, rows_seen, ell, observed, time.perf_counter() - t_win)
     predicted = eta * X * polytope_integral(spec, 1.0) / logX
     details = {
         "surrogate": "rational integers (not ideals)",
@@ -449,8 +451,57 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     )
 
 
+def _omega_rows(facs: list[dict[int, int]], ell: int) -> np.ndarray:
+    """(S, ell) int64 array of the primes, with multiplicity and ascending,
+    of the integers whose factorization in facs has Omega = ell.
+
+    Every integer in facs must be >= 2, so each dict holds a prime.  Only
+    the dicts with at most ell distinct primes are read entry by entry.
+    """
+    lens = np.fromiter(map(len, facs), np.int64, len(facs))
+    cand = np.flatnonzero(lens <= ell)
+    if not cand.size:
+        return np.zeros((0, ell), dtype=np.int64)
+    facs = [facs[i] for i in cand.tolist()]
+    lens = lens[cand]
+    size = int(lens.sum())
+    ps = np.fromiter(itertools.chain.from_iterable(facs), np.int64, size)
+    es = np.fromiter(itertools.chain.from_iterable(map(dict.values, facs)), np.int64, size)
+    omega = np.add.reduceat(es, np.cumsum(lens) - lens)
+    keep = np.repeat(omega == ell, lens)
+    rows = np.repeat(ps[keep], es[keep]).reshape(-1, ell)
+    return np.sort(rows, axis=1)
+
+
+def _count_ordered_tuples(rows: np.ndarray, intervals, logX: float) -> int:
+    """Distinct orderings (p_1, ..., p_l) of the rows' entries with
+    a_i <= log p_i / log X <= b_i for (a_i, b_i) = intervals[i].
+
+    rows is sorted along each row.  Each index permutation is tested on
+    all rows at once; where sorted entries are equal they must keep their
+    order, so each distinct tuple is counted once.
+    """
+    if not len(rows):
+        return 0
+    uniq, inv = np.unique(rows.ravel(), return_inverse=True)
+    # the scalar math.log, not np.log: the box edges are tested on these floats
+    e = np.array([math.log(p) / logX for p in uniq.tolist()])[inv].reshape(rows.shape)
+    inside = [(a <= e) & (e <= b) for a, b in intervals]  # inside[i][s, j]
+    ties = rows[:, 1:] == rows[:, :-1]
+    total = 0
+    for perm in itertools.permutations(range(rows.shape[1])):
+        # position i holds sorted entry perm[i]
+        ok = np.logical_and.reduce([inside[i][:, j] for i, j in enumerate(perm)])
+        for j in range(rows.shape[1] - 1):
+            if perm.index(j) > perm.index(j + 1):
+                ok &= ~ties[:, j]
+        total += int(np.count_nonzero(ok))
+    return total
+
+
 def _ideal_window_count(spec: PolytopeSpec, X: int, eta: float, ctx: FieldSpec) -> dict:
     """l = 2 ideal-level window count over good-support prime ideal pairs."""
+    t0 = time.perf_counter()
     logX = math.log(X)
     lo, hi = X, int(X * (1 + eta))
     (a1, b1), (a2, b2) = spec.intervals
@@ -474,6 +525,8 @@ def _ideal_window_count(spec: PolytopeSpec, X: int, eta: float, ctx: FieldSpec) 
         i = np.searchsorted(norms2, lo2, side="left")
         j = np.searchsorted(norms2, hi2r, side="right")
         observed += c * int(cum[j] - cum[i])
+    log.info("Type II ideal level: %d ordered prime-ideal pairs, %.3f s",
+             observed, time.perf_counter() - t0)
     # prediction at the ideal level carries the gamma-hat density squared-ish
     # correction; report the raw count next to the surrogate for comparison
     return {"observed_ordered_pairs": observed,

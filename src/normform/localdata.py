@@ -9,6 +9,7 @@ instead.  Reports carry the exclusion explicitly.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -354,8 +355,7 @@ def _prime_ideal_norm_table(ctx: FieldSpec, limit: int):
     counts; bad primes are skipped entirely.
     """
     ps = sieve_primes(limit)
-    bad = set(bad_primes(ctx))
-    ps = np.array([int(p) for p in ps if int(p) not in bad], dtype=np.int64)
+    ps = ps[~np.isin(ps, bad_primes(ctx))]
     if len(ps) == 0:
         return []
     f = list(ctx.f_coeffs)
@@ -387,6 +387,8 @@ def ideal_count(Y: int, ctx: FieldSpec, budget: int = 10**7) -> int:
 
     Multiplicative DFS over prime-ideal slots sorted by norm; includes the
     unit ideal.  Bad-prime support is excluded (reported by callers).
+    Leaves are collapsed: once q^2 > cap, each remaining slot of norm
+    <= cap contributes exactly its multiplicity, read off a prefix sum.
     """
     if Y < 1:
         return 0
@@ -395,6 +397,7 @@ def ideal_count(Y: int, ctx: FieldSpec, budget: int = 10**7) -> int:
     slots = _prime_ideal_norm_table(ctx, int(Y))
     norms = [s[0] for s in slots]
     counts = [s[3] for s in slots]
+    cum = [0, *itertools.accumulate(counts)]  # cum[j] = sum of counts[:j]
 
     def count_from(i: int, cap: int) -> int:
         # ideals supported on slots[i:] with norm <= cap, incl. the unit ideal;
@@ -406,6 +409,10 @@ def ideal_count(Y: int, ctx: FieldSpec, budget: int = 10**7) -> int:
             q = norms[j]
             if q > cap:
                 break
+            if q * q > cap:
+                # only t = 1 fits, and cap // q < q leaves the unit ideal
+                # after it: slot j onward adds its multiplicity c
+                return cnt + cum[bisect.bisect_right(norms, cap, j)] - cum[j]
             c = counts[j]
             t = 1
             qt = q

@@ -3,7 +3,7 @@
 Single-prime routines use plain polynomial arithmetic over F_p, and the
 single-prime queries (roots, degree patterns) are both read off one full
 factorization, monic_factors_mod_p.  The batch routines compute X^p mod
-(f, p) for large vectors of primes at once with numpy (square-and-multiply
+(f, p) for large vectors of primes at once with numpy (square-and-shift
 with per-prime bit masks) followed by a vectorized gcd, which is what
 makes ideal counting to 2e6 feasible.
 """
@@ -212,7 +212,7 @@ def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
 def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
     """nu_p = number of distinct roots of f mod p, for an array of primes.
 
-    Computes X^p mod (f, p) by vectorized square-and-multiply, then a
+    Computes X^p mod (f, p) by vectorized square-and-shift, then a
     vectorized polynomial gcd with f.  Requires deg f >= 2 and primes
     with deg f * p^2 < 2^63 (ValueError otherwise).  Entries where f mod p
     is not squarefree are still correct (root count of the gcd), but
@@ -220,9 +220,7 @@ def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
     """
     _require_deg2(f)
     primes = np.asarray(primes, dtype=np.int64)
-    x = np.zeros((len(primes), len(f) - 1), dtype=np.int64)
-    x[:, 1] = 1  # X mod f, as deg f >= 2
-    g = _batch_poly_pow_p(x, f, primes)  # X^p mod f
+    g = _batch_x_pow_p(f, primes).T.copy()  # X^p mod f
     g[:, 1] = (g[:, 1] - 1) % primes  # X^p - X
     fmat = np.tile(np.array(f, dtype=np.int64), (len(primes), 1)) % primes[:, None]
     return _batch_gcd_degree(fmat, g, primes)
@@ -235,23 +233,32 @@ def _require_deg2(f: list[int]) -> None:
 
 
 def _batch_polymulmod(a: np.ndarray, b: np.ndarray, f_low: np.ndarray,
-                      p: np.ndarray) -> np.ndarray:
+                      nz: list[int], p: np.ndarray) -> np.ndarray:
     """(a*b) mod (f, p) per column; f monic with low coefficients f_low.
 
     One polynomial per column (coefficient i in row i), so every step
     works on whole contiguous rows.  a, b and f_low (one column per prime)
-    hold residues in [0, p).  Only the leading row of each reduction step
-    and the result are reduced mod p: each entry is a sum of at most n
-    products below p^2 and at most n - 1 subtracted ones, so it stays
-    within (-n*p^2, n*p^2), exact in int64 while n*p^2 < 2^63 (checked by
-    _batch_poly_pow_p).
+    hold residues in [0, p); nz lists the rows i with f_i != 0, the only
+    ones a reduction step touches.  Passing b = a squares, each cross
+    product once.  Only the leading row of each reduction step and the
+    result are reduced mod p: each entry is a sum of at most n products
+    below p^2 and at most n - 1 subtracted ones, so it stays within
+    (-n*p^2, n*p^2), exact in int64 while n*p^2 < 2^63 (checked by
+    _batch_x_pow_p).
     """
     n = a.shape[0]
     prod = np.zeros((2 * n - 1, a.shape[1]), dtype=np.int64)
-    for i in range(n):
-        prod[i : i + n] += a[i] * b
+    if b is a:
+        for i in range(n):
+            prod[2 * i] += a[i] * a[i]
+            prod[2 * i + 1 : i + n] += 2 * a[i] * a[i + 1 :]
+    else:
+        for i in range(n):
+            prod[i : i + n] += a[i] * b
     for d in range(2 * n - 2, n - 1, -1):
-        prod[d - n : d] -= prod[d] % p * f_low
+        top = prod[d] % p
+        for i in nz:
+            prod[d - n + i] -= top * f_low[i]
     return prod[:n] % p
 
 
@@ -326,21 +333,30 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
     Returns an (N, n) int64 array A with A[i, d-1] = number of degree-d
     irreducible factors of f mod primes[i].  Valid for primes where f is
     squarefree mod p (good primes); computed from the root counts of f in
-    F_{p^j} for j = 1..n via Moebius-style inversion.  Requires deg f >= 2
-    and primes with deg f * p^2 < 2^63 (ValueError otherwise).
+    F_{p^j} for j = 1..n via Moebius-style inversion.  X^(p^j) comes from
+    the Frobenius matrix, whose column i is X^(ip) mod (f, p): h -> h^p is
+    F_p-linear, so X^(p^(j+1)) is that matrix times X^(p^j).  Requires
+    deg f >= 2 and primes with deg f * p^2 < 2^63 (ValueError otherwise).
     """
     _require_deg2(f)
     primes = np.asarray(primes, dtype=np.int64)
     n = len(f) - 1
     N = len(primes)
     fmat = np.tile(np.array(f, dtype=np.int64), (N, 1)) % primes[:, None]
-    # roots_j[j] = #roots of f in F_{p^(j+1)} = deg gcd(X^(p^(j+1)) - X, f)
-    hj = np.zeros((N, n), dtype=np.int64)
-    hj[:, 1] = 1  # X mod f, as deg f >= 2
+    f_low, nz = _batch_f_low(f, primes)
+    xp = _batch_x_pow_p(f, primes)
+    frob = [np.zeros((n, N), dtype=np.int64), xp]
+    frob[0][0] = 1
+    for _ in range(2, n):
+        frob.append(_batch_polymulmod(frob[-1], xp, f_low, nz, primes))
+    # counts[:, j-1] = #roots of f in F_{p^j} = deg gcd(X^(p^j) - X, f)
+    hj = xp
     counts = np.zeros((N, n), dtype=np.int64)
     for j in range(1, n + 1):
-        hj = _batch_poly_pow_p(hj, f, primes)  # X^(p^j) = (X^(p^(j-1)))^p
-        g = hj.copy()
+        if j > 1:
+            # n products below p^2 per entry: exact while n*p^2 < 2^63
+            hj = sum(frob[i] * hj[i] for i in range(n)) % primes
+        g = hj.T.copy()
         g[:, 1] = (g[:, 1] - 1) % primes
         counts[:, j - 1] = _batch_gcd_degree(fmat.copy(), g, primes)
     # counts[:, j-1] = sum_{e | j} e * a_e  ->  solve for a_e ascending
@@ -354,9 +370,19 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
     return A
 
 
-def _batch_poly_pow_p(base: np.ndarray, f: list[int], primes: np.ndarray) -> np.ndarray:
-    """base^p mod (f, p) per row, exponent = the row's own prime.
+def _batch_f_low(f: list[int], primes: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The low coefficients of monic f mod each prime, one column per prime,
+    and the rows i with f_i != 0."""
+    f_low = np.array(f[:-1], dtype=np.int64)[:, None] % primes
+    return f_low, [i for i, c in enumerate(f[:-1]) if c]
 
+
+def _batch_x_pow_p(f: list[int], primes: np.ndarray) -> np.ndarray:
+    """X^p mod (f, p) per column, exponent = the column's own prime.
+
+    Left-to-right binary powering: square, then multiply by X where the
+    prime has the bit set.  Multiplying by X is a shift plus one
+    reduction row; a prime with fewer bits squares 1 until its top bit.
     Raises ValueError unless deg f * p^2 < 2^63 for every prime, the int64
     range of _batch_polymulmod.
     """
@@ -366,17 +392,18 @@ def _batch_poly_pow_p(base: np.ndarray, f: list[int], primes: np.ndarray) -> np.
     if n * pmax**2 >= 2**63:
         raise ValueError(f"batch arithmetic mod {pmax} needs deg f * p^2 < 2^63")
     # one polynomial per column, see _batch_polymulmod
-    f_low = np.array(f[:-1], dtype=np.int64)[:, None] % p
+    f_low, nz = _batch_f_low(f, p)
     result = np.zeros((n, len(p)), dtype=np.int64)
     result[0] = 1
-    b = np.ascontiguousarray(base.T)
-    maxbits = pmax.bit_length()
-    for bit in range(maxbits):
-        bit_set = ((p >> bit) & 1).astype(bool)
-        result = np.where(bit_set, _batch_polymulmod(result, b, f_low, p), result)
-        if bit + 1 < maxbits:
-            b = _batch_polymulmod(b, b, f_low, p)
-    return np.ascontiguousarray(result.T)
+    for bit in range(pmax.bit_length() - 1, -1, -1):
+        result = _batch_polymulmod(result, result, f_low, nz, p)
+        shifted = np.empty_like(result)
+        shifted[0] = 0
+        shifted[1:] = result[:-1]
+        for i in nz:
+            shifted[i] = (shifted[i] - result[-1] * f_low[i]) % p
+        result = np.where(((p >> bit) & 1).astype(bool), shifted, result)
+    return result
 
 
 # --- Hensel lifting for prime-ideal valuations --------------------------------

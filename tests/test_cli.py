@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,25 @@ class TestSubcommands:
         assert run(["integral", "--config", cfg, "--out", str(out)]) == 0
         data = json.loads((out / "integral.json").read_text())
         assert abs(data["value"] - 1 / 3) < 1e-12
+
+    def test_integral_logs_stages(self, tmp_path, caplog):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "intervals": [[0.4, 0.5], [0.3, 0.7]], "target_sum": 1.0,
+            "typeii": {"X": 20000, "eta": 0.5}, "field": FIELD3})
+        assert run(["integral", "--config", cfg, "--out", str(tmp_path / "quiet")]) == 0
+        with caplog.at_level(logging.INFO, logger="normform"):
+            assert run(["integral", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        report = (tmp_path / "out" / "integral.json").read_bytes()
+        assert report == (tmp_path / "quiet" / "integral.json").read_bytes()
+        data = json.loads(report)["typeii"]
+        lines = [r.getMessage() for r in caplog.records if r.name == "normform"]
+        assert [m.split(":")[0] for m in lines] == [
+            "slice integral", "Type II window", "Type II ideal level"]
+        assert all(re.search(r" \d+\.\d{3} s$", m) for m in lines)
+        assert lines[1].startswith("Type II window: 10001 integers factored, ")
+        assert f"{data['observed']} ordered tuples counted" in lines[1]
+        pairs = data["details"]["ideal_level"]["observed_ordered_pairs"]
+        assert f"{pairs} ordered prime-ideal pairs" in lines[2]
 
     def test_buchstab(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",

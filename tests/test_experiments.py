@@ -33,7 +33,7 @@ from normform.experiments import (
 from normform.fields import eval_norm_poly_grid, make_context, norm_form_polynomial
 from normform.integrals import PolytopeSpec
 from normform.localdata import bad_primes, resultant
-from normform.primes import factorize, is_prime_certified, sieve_primes
+from normform.primes import factorize, is_prime_certified, primes_in, sieve_primes
 from normform.primes import tau as tau_oracle
 
 CTX3 = make_context([-2, 0, 0], 1)
@@ -271,6 +271,74 @@ class TestTypeI:
         p = 9973
         cnt = _congruence_count(box, 1, p)  # x1 + x2 = 0 mod p: impossible
         assert cnt == 0
+
+
+@functools.lru_cache(maxsize=None)
+def window_prime_tuples(X, eta, ell):
+    """Every ordered ell-tuple of primes with product in [X, X(1+eta)], as
+    its exponents log p_i / log X; built from primes_in, with no factoring."""
+    lo, hi = X, int(X * (1 + eta))
+    logX = math.log(X)
+    ps = primes_in(2, hi >> (ell - 1))
+    out = []
+
+    def grow(prefix, prod):
+        if len(prefix) == ell:
+            if prod >= lo:
+                out.append(tuple(math.log(p) / logX for p in prefix))
+            return
+        for p in ps:
+            if prod * p << (ell - len(prefix) - 1) > hi:
+                break
+            grow(prefix + (p,), prod * p)
+
+    grow((), 1)
+    return out
+
+
+def typeii_oracle(intervals, X, eta):
+    return sum(all(a <= e <= b for e, (a, b) in zip(tup, intervals))
+               for tup in window_prime_tuples(X, eta, len(intervals)))
+
+
+def log_ratio(p, X):
+    return math.log(p) / math.log(X)
+
+
+@st.composite
+def typeii_boxes(draw, X, ell):
+    # endpoints exactly at log p / log X for primes in and around the window
+    exact = [log_ratio(p, X) for p in (2, 3, 5, 23, 97, 101, 1009, 4999)]
+    endpoint = st.one_of(st.floats(0.02, 1.05), st.sampled_from(exact))
+    return [tuple(sorted((draw(endpoint), draw(endpoint)))) for _ in range(ell)]
+
+
+class TestTypeIIOracle:
+    """typeii_density_check's observed count against ordered prime tuples
+    enumerated directly."""
+
+    @pytest.mark.parametrize("intervals", [
+        [(log_ratio(23, 10**4),) * 2] * 3,  # only 23^3 = 12167, at exact endpoints
+        [(0.07, 0.08), (0.07, 0.08), (0.8, 1.0)],  # 2 * 2 * q in that order only
+        [(0.05, 1.0)] * 3,  # p^2 q in all three orders, p^3, pqr
+        [(0.3, 0.6), (0.3, 0.75)],
+        [(log_ratio(101, 10**4), 0.9)] * 2,
+    ])
+    def test_boxes_with_equal_entries(self, intervals):
+        rep = typeii_density_check(PolytopeSpec.make(intervals), 10**4, 0.5)
+        assert rep.observed == typeii_oracle(intervals, 10**4, 0.5)
+
+    def test_single_cube(self):
+        box = [(log_ratio(23, 10**4),) * 2] * 3
+        assert typeii_density_check(PolytopeSpec.make(box), 10**4, 0.5).observed == 1
+
+    @pytest.mark.parametrize("X, ell", [(2000, 2), (10**4, 2), (2000, 3), (10**4, 3)])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_boxes(self, X, ell, data):
+        intervals = data.draw(typeii_boxes(X, ell))
+        rep = typeii_density_check(PolytopeSpec.make(intervals), X, 0.5)
+        assert rep.observed == typeii_oracle(intervals, X, 0.5)
 
 
 class TestTypeII:

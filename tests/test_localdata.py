@@ -13,6 +13,7 @@ from normform.errors import BadPrime, CompositeP, NotSquarefree
 from normform.fields import embed, make_context, norm_form
 from normform.localdata import (
     IdealSym,
+    _prime_ideal_norm_table,
     bad_primes,
     degree1_prime_ideals,
     discriminant,
@@ -205,6 +206,25 @@ class TestRho:
             rho(IdealSym(((pi, 2),)), CTX3)
 
 
+def full_dfs_ideal_count(Y, ctx):
+    """Oracle of ideal_count's leaf collapse: the DFS descends to every leaf."""
+    slots = _prime_ideal_norm_table(ctx, Y)
+
+    def count_from(i, cap):
+        cnt = 1
+        for j in range(i, len(slots)):
+            q, c = slots[j][0], slots[j][3]
+            if q > cap:
+                break
+            t, qt = 1, q
+            while qt <= cap:
+                cnt += math.comb(t + c - 1, c - 1) * count_from(j + 1, cap // qt)
+                t, qt = t + 1, qt * q
+        return cnt
+
+    return count_from(0, Y)
+
+
 class TestIdealCount:
     def test_unit_only(self):
         assert ideal_count(1, CTX3) == 1
@@ -229,6 +249,21 @@ class TestIdealCount:
 
         for Y in (10, 50, 200):
             assert ideal_count(Y, CTXG) == oracle(Y)
+
+    @pytest.mark.parametrize("ctx", [CTX3, CTX4, CTXQ])
+    def test_leaf_collapse_matches_full_dfs(self, ctx):
+        # Y = 25, 121, 169 put cap = q^2, the collapse boundary, where q is a norm
+        for Y in (1, 2, 3, 17, 25, 121, 169, 360, 5000, 20000):
+            assert ideal_count(Y, ctx) == full_dfs_ideal_count(Y, ctx)
+
+    def test_norm_table_skips_bad_primes(self):
+        ps = {p for (_q, p, _d, _c) in _prime_ideal_norm_table(CTX3, 1000)}
+        assert not ps & set(bad_primes(CTX3))
+        assert {5, 7, 11} <= ps  # x^3 - 2 has a root mod 5 and 11; 7 is inert
+
+    def test_benchmark_reference(self):
+        # the ideal_count the x^4 - 2 ideal-density benchmark pins at Y = 1e6
+        assert ideal_count(10**6, CTX4) == 299654
 
     def test_gamma_stability_small(self):
         g1 = gamma_estimate(10**5, CTX3)

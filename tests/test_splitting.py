@@ -111,6 +111,27 @@ class TestBatch:
             assert c == len(roots_mod_p(F_CUBE2, p))
 
 
+# small primes beside primes around 2^20: the powering loop runs 21 bits,
+# and 3 spends all but two of them on leading zeros
+MIXED_PRIMES = [*sieve_primes(47).tolist(), 1048559, 1048571, 1048573, 1048583, 1048589]
+SPARSE_POLYS = [[-theta] + [0] * (n - 1) + [1] for n in range(2, 9) for theta in (2, 5)]
+SPARSE_POLYS += [[7, 0, 0, -3, 0, 0, 0, 1]]  # x^7 - 3x^3 + 7: zero interior coefficients
+DENSE_POLYS = [[3, -1, 4, 1], [2, 7, -1, 8, 2, 1], [-5, 9, 2, -6, 5, 3, -5, 1]]
+
+
+@pytest.mark.parametrize("f", SPARSE_POLYS + DENSE_POLYS)
+def test_batch_powering_matches_scalar(f):
+    # both batch routines start from X^p mod (f, p)
+    n = len(f) - 1
+    counts = batch_root_counts(f, np.array(MIXED_PRIMES, dtype=np.int64))
+    assert counts.tolist() == [len(roots_mod_p(f, p)) for p in MIXED_PRIMES]
+    good = [p for p in MIXED_PRIMES if degree_pattern_mod_p(f, p)[1]]
+    pats = batch_degree_patterns(f, np.array(good, dtype=np.int64))
+    for i, p in enumerate(good):
+        degs, _ = degree_pattern_mod_p(f, p)
+        assert pats[i].tolist() == [degs.count(d) for d in range(1, n + 1)]
+
+
 # the largest primes with n p^2 < 2^63, and the first prime above them
 GUARD_PRIMES = {
     2: ([2147483647, 2147483629, 2147483587], 2147483659),
