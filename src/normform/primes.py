@@ -291,9 +291,14 @@ def window_factorizations(lo: int, hi: int) -> list[dict[int, int]]:
     facs: list[dict[int, int]] = [{} for _ in range(size)]
     for p in sieve_primes(math.isqrt(hi - 1)).tolist():
         idx = np.arange((-lo) % p, size, p)
-        for j, ee in zip(idx.tolist(), _divide_out(remain, idx, p).tolist()):
-            facs[j][p] = ee  # every m = 0 mod p here, so ee >= 1
-    leftover = np.nonzero(remain > 1)[0]
-    for j in leftover.tolist():
-        facs[j][int(remain[j])] = 1  # cofactor < sqrt(hi)^2 and unfactored => prime
+        e = _divide_out(remain, idx, p)
+        for j in idx.tolist():
+            facs[j][p] = 1  # every m = 0 mod p here
+        many = np.flatnonzero(e > 1)
+        for j, ee in zip(idx[many].tolist(), e[many].tolist()):
+            facs[j][p] = ee
+    leftover = np.flatnonzero(remain > 1)
+    # cofactor < sqrt(hi)^2 and unfactored => prime
+    for j, q in zip(leftover.tolist(), remain[leftover].tolist()):
+        facs[j][q] = 1
     return facs

@@ -315,14 +315,13 @@ def _batch_degree(a: np.ndarray) -> np.ndarray:
 
 
 def _batch_modinv(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x^(p-2) mod p elementwise (p prime)."""
+    """x^(p-2) mod p elementwise (p prime); products below p^2 < 2^63."""
     e = p - 2
     result = np.ones_like(x)
     base = x % p
     maxbits = int(e.max()).bit_length()
     for bit in range(maxbits):
-        mask = ((e >> bit) & 1).astype(bool)
-        result[mask] = result[mask] * base[mask] % p[mask]
+        result = np.where((e >> bit) & 1 == 1, result * base % p, result)
         base = base * base % p
     return result
 

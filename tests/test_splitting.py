@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from normform.primes import is_prime_certified, sieve_primes
 from normform.splitting import (
+    _batch_modinv,
     batch_degree_patterns,
     batch_root_counts,
     degree_pattern_mod_p,
@@ -169,6 +170,18 @@ class TestBatchInt64Guard:
             for batch in (batch_root_counts, batch_degree_patterns):
                 with pytest.raises(ValueError, match=r"p\^2 < 2\^63"):
                     batch(f, ps)
+
+
+    def test_modinv_matches_pow(self):
+        # the guard primes of every degree, and the small primes
+        rng = random.Random(17)
+        small = sieve_primes(50).tolist()
+        ps = small + [p for below, _ in GUARD_PRIMES.values() for p in below]
+        ps = [p for p in ps for _ in range(8)]
+        xs = [rng.randrange(1, p) for p in ps]
+        inv = _batch_modinv(np.array(xs, dtype=np.int64), np.array(ps, dtype=np.int64))
+        assert inv.tolist() == [pow(x, -1, p) for x, p in zip(xs, ps)]
+        assert all(x * i % p == 1 for x, i, p in zip(xs, inv.tolist(), ps))
 
 
 class TestHensel:
