@@ -14,7 +14,6 @@ import itertools
 import json
 import logging
 import os
-import random
 import sys
 import time
 from pathlib import Path
@@ -30,17 +29,9 @@ from .experiments import (
     typei_discrepancy,
     typeii_density_check,
 )
-from .fields import FieldSpec, make_context, norm_form
+from .fields import FieldSpec, norm_form
 from .integrals import PolytopeSpec, polytope_integral
-from .lattices import (
-    det_squared_formula,
-    lambda_pair,
-    lambda_v,
-    lattice_det_sq,
-    reduced_basis,
-    wedge,
-    wedge_pair,
-)
+from .lattices import det_squared_formula, lambda_v, lattice_det_sq, reduced_basis, wedge
 from .series import per_prime_factor_table, singular_series, singular_series_tilde
 
 log = logging.getLogger("normform")
@@ -124,14 +115,13 @@ def _run_theorem(cfg: dict, args, outdir: Path) -> dict:
     header = ["slab", "x1_lo", "x1_hi", "points", "primes_pos", "primes_neg"]
     rows = [[s[h] for h in header] for s in rep.slabs]
     _write_report(outdir, "theorem", payload, header, rows)
-    return {**payload, "runtime_s": rep.runtime_s}
+    return payload
 
 
 def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "p_cut"})
     ctx = _field_from(cfg)
     p_cut = int(args.pcut or cfg.get("p_cut", 10_000))
-    t0 = time.time()
     S = singular_series(ctx, p_cut)
     St = singular_series_tilde(ctx, p_cut)
     rows = per_prime_factor_table(ctx, p_cut)
@@ -147,7 +137,7 @@ def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
     header = ["p", "degree_pattern", "nu_p", "nu", "factor", "running_product"]
     _write_report(outdir, "sseries", payload, header,
                   [[r[h] for h in header] for r in rows])
-    return {**payload, "runtime_s": time.time() - t0}
+    return payload
 
 
 def _run_lattice(cfg: dict, args, outdir: Path) -> dict:
@@ -177,35 +167,6 @@ def _run_lattice(cfg: dict, args, outdir: Path) -> dict:
                   ["basis_row"] + [f"c{i}" for i in range(ctx.n)],
                   [[i] + list(b) for i, b in enumerate(rb.basis)])
     return payload
-
-
-def _lattice_selftest(args) -> int:
-    """Formula-vs-oracle suite over random vectors, exact equality."""
-    rng = random.Random(args.seed or 0)
-    fields = [([-2, 0, 0, 0], 1), ([-1, -1, 0, 0, 0], 1),
-              ([-3, 0, 0, 0, 0, 0], 2), ([-2, 0, 0, 0, 0, 0, 0], 2)]
-    checked = 0
-    for fc, k in fields:
-        ctx = make_context(fc, k)
-        for _ in range(40):
-            v = [rng.randint(-9, 9) for _ in range(ctx.n)]
-            if all(t == 0 for t in v):
-                v[0] = 1
-            if det_squared_formula(wedge(v, ctx)) != lattice_det_sq(lambda_v(v, ctx)):
-                print(f"FAIL single {fc} k={k} v={v}", file=sys.stderr)
-                return 1
-            w = [rng.randint(-9, 9) for _ in range(ctx.n)]
-            if all(t == 0 for t in w):
-                w[0] = 1
-            wp = wedge_pair(v, w, ctx)
-            if wp.is_zero():
-                continue
-            if det_squared_formula(wp) != lattice_det_sq(lambda_pair(v, w, ctx)):
-                print(f"FAIL pair {fc} k={k}", file=sys.stderr)
-                return 1
-            checked += 1
-    print(f"lattice selftest: {checked} pair cases + singles OK")
-    return 0
 
 
 def _run_census(cfg: dict, args, outdir: Path) -> dict:
@@ -248,7 +209,7 @@ def _run_typei(cfg: dict, args, outdir: Path) -> dict:
     header = ["D", "terms", "aggregate", "reference", "ratio", "per_term_bound_ok"]
     _write_report(outdir, "typei", payload, header,
                   [[b[h] for h in header] for b in rep.details["blocks"]])
-    return {**payload, "runtime_s": rep.runtime_s}
+    return payload
 
 
 def _run_integral(cfg: dict, args, outdir: Path) -> dict:
@@ -256,7 +217,12 @@ def _run_integral(cfg: dict, args, outdir: Path) -> dict:
     if "intervals" not in cfg:
         raise ValidationError("integral config needs 'intervals': [[lo, hi], ...]")
     spec = PolytopeSpec.make([tuple(iv) for iv in cfg["intervals"]])
-    target = float(cfg.get("target_sum", sum(iv[0] for iv in cfg["intervals"])))
+    if "target_sum" in cfg:
+        target = float(cfg["target_sum"])
+    else:
+        target = 0.0
+        for iv in cfg["intervals"]:  # left to right: sum() compensates floats on 3.12+
+            target += iv[0]
     t0 = time.perf_counter()
     value = polytope_integral(spec, target)
     log.info("slice integral: %.3f s", time.perf_counter() - t0)
@@ -326,7 +292,7 @@ def _run_divisor(cfg: dict, args, outdir: Path) -> dict:
         "version": __version__,
     }
     _write_report(outdir, "divisor", payload)
-    return {**payload, "runtime_s": rep.runtime_s}
+    return payload
 
 
 def _run_norms(cfg: dict, args, outdir: Path) -> dict:
@@ -398,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int, default=None)
         sp.add_argument("--pcut", type=int, default=None)
         sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--selftest", action="store_true")
     return ap
 
 
@@ -409,18 +374,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        if args.command == "lattice" and args.selftest:
-            return _lattice_selftest(args)
-        if args.selftest:
-            raise ValidationError("--selftest is only wired for 'lattice'")
         if args.config is None:
             raise ValidationError("--config PATH is required")
         cfg = _load_config(args.config)
         outdir = Path(args.out)
         result = _RUNNERS[args.command](cfg, args, outdir)
-        result = dict(result)
-        result.setdefault("runtime_s", time.time() - t0)
-        print(_canonical_json(result), end="")
+        print(_canonical_json({**result, "runtime_s": time.time() - t0}), end="")
         return 0
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -74,7 +74,3 @@ class BudgetExceeded(NormformError):
 
 class FactorizationBudget(BudgetExceeded):
     pass
-
-
-class EmptySlice(NormformError):
-    """Polytope slice has no interior; callers usually treat this as 0."""

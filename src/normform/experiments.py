@@ -40,6 +40,10 @@ from .splitting import roots_mod_p
 
 log = logging.getLogger("normform")
 
+# stratified Monte Carlo of log_norm_integral: slab count, least samples per slab
+MC_SLABS = 64
+MC_MIN_PER_SLAB = 256
+
 
 @dataclass
 class ExperimentConfig:
@@ -65,6 +69,9 @@ class ExperimentConfig:
             raise ValueError("box dimension must equal n - k")
         if not (0 < self.eta1 < 1 and 0 < self.eta2 < 1):
             raise ValueError("eta parameters must lie in (0, 1)")
+        if self.mc_samples < MC_SLABS * MC_MIN_PER_SLAB:
+            raise ValueError(f"mc_samples must be at least "
+                             f"{MC_SLABS * MC_MIN_PER_SLAB}, got {self.mc_samples}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,7 +112,6 @@ class RunReport:
     config: dict
     details: dict = field(default_factory=dict)
     slabs: list = field(default_factory=list)
-    runtime_s: float = 0.0
 
 
 # --- observed side -------------------------------------------------------------
@@ -221,10 +227,10 @@ def log_norm_integral(cfg: ExperimentConfig) -> tuple[float, float]:
         coarse, fine = gl(96), gl(192)
         return fine, abs(fine - coarse) + 1e-12 * abs(fine)
     # stratified MC over first-coordinate slabs
-    nslabs = 64
+    nslabs = MC_SLABS
     lo1, hi1 = cfg.box[0]
     edges = np.linspace(lo1, hi1, nslabs + 1)
-    per = max(cfg.mc_samples // nslabs, 256)
+    per = cfg.mc_samples // nslabs
     total = 0.0
     var_acc = 0.0
     for s in range(nslabs):
@@ -274,7 +280,6 @@ LOWER_BOUND_C0 = 0.5
 
 def theorem_check(cfg: ExperimentConfig) -> RunReport:
     """Observed vs predicted prime counts; flags the applicable claim regime."""
-    t0 = time.time()
     pos, neg, slabs = observed_prime_count(cfg)
     pred, err, S = predicted_main_term(cfg)
     ratio = pos / pred if pred > 0 else math.inf
@@ -297,7 +302,6 @@ def theorem_check(cfg: ExperimentConfig) -> RunReport:
         config=cfg.to_json_dict(),
         details=details,
         slabs=slabs,
-        runtime_s=time.time() - t0,
     )
 
 
@@ -332,7 +336,6 @@ def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
     side; the fitted constant is the geometric mean of block ratios and
     each block is compared against it.
     """
-    t0 = time.time()
     ctx = cfg.ctx
     m = ctx.m
     bad = set(bad_primes(ctx))
@@ -363,8 +366,10 @@ def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
                        "per_term_bound_ok": bound_ok})
         D *= 2
     ratios = [b["ratio"] for b in blocks if b["terms"] > 0]
-    fitted = math.exp(sum(math.log(max(r, 1e-300)) for r in ratios) / len(ratios)) \
-        if ratios else 0.0
+    log_sum = 0.0
+    for r in ratios:  # left to right: sum() compensates floats on 3.12+
+        log_sum += math.log(max(r, 1e-300))
+    fitted = math.exp(log_sum / len(ratios)) if ratios else 0.0
     worst = max((b["ratio"] / fitted for b in blocks if b["terms"] > 0),
                 default=0.0)
     details = {
@@ -382,7 +387,6 @@ def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
         ratio=worst,
         config=cfg.to_json_dict(),
         details=details,
-        runtime_s=time.time() - t0,
     )
 
 
@@ -409,7 +413,6 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     if not (X >= 2 and eta > 0):
         raise ValueError(f"Type II window needs X >= 2 and eta > 0, "
                          f"got X={X}, eta={eta}")
-    t0 = time.time()
     if X > 10**8:
         raise BudgetExceeded("X exceeds 1e8")
     if spec.ell > 3:
@@ -447,7 +450,6 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
         ratio=ratio,
         config={"X": X, "eta": eta, "intervals": [list(iv) for iv in intervals]},
         details=details,
-        runtime_s=time.time() - t0,
     )
 
 
@@ -549,7 +551,6 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     when the box is inside ideal_points_budget, skipping the points it
     cannot resolve, counted by reason.
     """
-    t0 = time.time()
     if ctx.m != 2:
         raise ValidationError(f"divisor_sum_check supports n - k = 2 boxes, not {ctx.m}")
     if e not in (0, 1, 2):
@@ -562,7 +563,7 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
         return RunReport(kind="divisor_sum", observed=X * X,
                          predicted=float(X * X), pred_err=0.0, ratio=1.0,
                          config={"X": X, "e": e, "field": ctx.to_json_dict()},
-                         details={}, runtime_s=time.time() - t0)
+                         details={})
     ax = np.arange(1, X + 1, dtype=np.int64)
     vals = np.abs(eval_norm_poly_grid(poly, np.ix_(ax, ax)))
     with_factors = X * X <= ideal_points_budget
@@ -616,7 +617,6 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
         ratio=surrogate / (X * X),
         config={"X": X, "e": e, "field": ctx.to_json_dict()},
         details=details,
-        runtime_s=time.time() - t0,
     )
 
 

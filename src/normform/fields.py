@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -25,8 +25,6 @@ from .errors import (
     ZeroVector,
 )
 from .intlinalg import det_bareiss, solve_rational
-from .primes import primes_in
-from .splitting import degree_pattern_mod_p
 
 Vec = tuple[int, ...]
 
@@ -43,9 +41,6 @@ class FieldSpec:
     k: int
     f_coeffs: Vec
     pure_theta: int | None = None
-    degree_patterns: tuple[tuple[int, tuple[int, ...]], ...] = field(
-        default=(), compare=False
-    )
 
     @property
     def m(self) -> int:
@@ -96,8 +91,7 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
     f_coeffs are the n low-order coefficients of monic f, constant term
     first; the leading 1 is implicit.  Rejects degree < 2, rational roots
     and repeated factors; irreducibility beyond that is the caller's
-    assertion, spot-checked by factoring mod three pseudo-random good
-    primes (patterns are recorded on the spec for reports).
+    assertion, not checked here.
     """
     f = [int(c) for c in f_coeffs] + [1]
     n = len(f) - 1
@@ -114,23 +108,10 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
             raise ReducibleDetected(f"rational root {r}")
     if _poly_content_free_gcd_degree(f) > 0:
         raise ReducibleDetected("repeated factor (gcd(f, f') nontrivial)")
-    # spot check: degree patterns mod three good primes, recorded for reports
-    rng = random.Random(sum(abs(c) for c in f) * 1009 + n)
-    small_primes = primes_in(101, 399)
-    pats: list[tuple[int, tuple[int, ...]]] = []
-    while len(pats) < 3:
-        p = rng.choice(small_primes)
-        if any(p == q for q, _ in pats):
-            continue
-        degs, squarefree = degree_pattern_mod_p(f, p)
-        if not squarefree:
-            continue  # skip bad primes
-        pats.append((p, tuple(sorted(degs))))
     pure = None
     if all(c == 0 for c in f[1:n]):
         pure = -f[0]
-    return FieldSpec(n=n, k=k, f_coeffs=tuple(f), pure_theta=pure,
-                     degree_patterns=tuple(pats))
+    return FieldSpec(n=n, k=k, f_coeffs=tuple(f), pure_theta=pure)
 
 
 def _divisors_signed(c: int) -> list[int]:
@@ -224,15 +205,6 @@ def constraint_rows(v, ctx: FieldSpec) -> list[list[int]]:
     return [M[ctx.n - 1 - i] for i in range(ctx.k)]
 
 
-def t_iterate(v, theta: int) -> list[int]:
-    """One application of the pure-field shift map T."""
-    return list(v[1:]) + [theta * v[0]]
-
-
-def reverse(v) -> list[int]:
-    return list(v)[::-1]
-
-
 # --- symbolic norm form -----------------------------------------------------
 
 def _homogeneous_exponents(n: int, m: int) -> list[tuple[int, ...]]:
@@ -252,7 +224,7 @@ def norm_form_polynomial(ctx: FieldSpec) -> Mapping[tuple[int, ...], int]:
 
     Recovered by exact interpolation from point evaluations of the
     determinant definition; feasible for m = n - k <= 4.  Cached per
-    (f, k): the spec's hash leaves out the recorded degree patterns.
+    (f, k).
     """
     m = ctx.m
     n = ctx.n

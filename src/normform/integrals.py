@@ -19,8 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import EmptySlice
-
 log = logging.getLogger("normform")
 
 
@@ -56,18 +54,9 @@ def polytope_integral(spec: PolytopeSpec, target_sum: float) -> float:
     """Integral of 1/(e_1...e_l) over the slice sum(e_i) = target_sum.
 
     Exactly 1/target_sum for l = 1 when the target lies in the interval;
-    0 on an empty slice (callers may catch EmptySlice via strict=True).
+    0 on an empty slice.
     """
     return _slice_integral(list(spec.intervals), float(target_sum), REL_TOL)
-
-
-def polytope_integral_strict(spec: PolytopeSpec, target_sum: float) -> float:
-    val = polytope_integral(spec, target_sum)
-    lo = sum(a for a, _ in spec.intervals)
-    hi = sum(b for _, b in spec.intervals)
-    if not lo <= target_sum <= hi:
-        raise EmptySlice(f"target {target_sum} outside [{lo}, {hi}]")
-    return val
 
 
 def _slice_integral(intervals, s: float, rel_tol: float) -> float:
@@ -79,8 +68,10 @@ def _slice_integral(intervals, s: float, rel_tol: float) -> float:
         return 1.0 / s if lo <= s <= hi else 0.0
     lo1, hi1 = intervals[0]
     rest = intervals[1:]
-    rest_lo = sum(a for a, _ in rest)
-    rest_hi = sum(b for _, b in rest)
+    rest_lo = rest_hi = 0.0
+    for lo, hi in rest:  # left to right: sum() compensates floats on 3.12+
+        rest_lo += lo
+        rest_hi += hi
     a = max(lo1, s - rest_hi)
     b = min(hi1, s - rest_lo)
     if a > b:

@@ -207,13 +207,3 @@ def nice_basis(v, ctx: FieldSpec, search_bound: int = 2) -> ReducedBasis:
                     near_orthogonality=near_orthogonality(new_basis),
                 )
     raise SearchExhausted("no bounded combination makes the target wedge pair nonzero")
-
-
-def degenerate_directions(v, ctx: FieldSpec):
-    """Spanning set of the subspace where wedge_pair(., v) vanishes.
-
-    The reversed constraint rows of v: x in their span has its own
-    constraint rows dependent on those of v, which is the exact content of
-    the tightness remark for the subspace-dimension bound.
-    """
-    return [row[::-1] for row in constraint_rows(v, ctx)]

@@ -253,14 +253,6 @@ def tau(n: int, **kw) -> int:
     return math.prod(e + 1 for e in factorize(n, **kw).values())
 
 
-def least_prime_factor(n: int, **kw) -> int:
-    """Smallest prime factor of |n| (inf-like sentinel 0 for |n| == 1)."""
-    n = abs(n)
-    if n == 1:
-        return 0
-    return min(factorize(n, **kw))
-
-
 def _divide_out(remain: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
     """Divide every power of p out of remain[idx] in place; return the exponents.
 

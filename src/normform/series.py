@@ -27,7 +27,7 @@ from .localdata import (
     _nu_from_degrees,
     squarefree_ideal_symbols,
 )
-from .primes import primes_in, sieve_primes
+from .primes import sieve_primes
 from .splitting import batch_degree_patterns
 
 _PREC_BITS = 100
@@ -89,15 +89,6 @@ def _local_factor_data(ctx: FieldSpec, p_cut: int):
     return out
 
 
-def fixed_divisor_check(ctx: FieldSpec) -> int | None:
-    """A prime p <= n+1 with nu(p) = p^(n-k) (fixed divisor), if one exists."""
-    for p in primes_in(2, ctx.n + 1):
-        ld = local_data(p, ctx)
-        if ld.nu is not None and ld.nu == p**ctx.m:
-            return p
-    return None
-
-
 def _second_order_constant(ctx: FieldSpec) -> float:
     # |nu/p^m - nu_p/p| <= 2^n / p^2 (subset terms beyond the degree-1
     # singletons), plus series remainders n^2/p^2 and 1/p^2
@@ -119,12 +110,7 @@ def singular_series(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate:
         log_acc = mp.mpf(0)
         for p, nu, nu2, degs, nu_p in data:
             a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
-            if a >= 1:
-                return SeriesEstimate(
-                    value=0.0, cutoff=p_cut, tail_cert=0.0, tail_osc=0.0,
-                    kind="singular_series",
-                    notes={"fixed_divisor_at": p},
-                )
+            # a < 1: N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at every p
             log_acc += mp.log(1 - a) - mp.log(1 - mp.mpf(1) / p)
             partial_first_order.append((p, (nu_p - 1) / p))
         value = float(mp.e**log_acc)
@@ -151,11 +137,7 @@ def singular_series_tilde(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate
         for p, nu, nu2, _degs, _nu_p in data:
             a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
             b = mp.mpf(nu2) / mp.mpf(p) ** ctx.n
-            if a >= 1:
-                return SeriesEstimate(
-                    value=0.0, cutoff=p_cut, tail_cert=0.0, tail_osc=0.0,
-                    kind="singular_series_tilde", notes={"fixed_divisor_at": p},
-                )
+            # a < 1: N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at every p
             log_acc += mp.log(1 - a) - mp.log(1 - b)
         value = float(mp.e**log_acc)
         c2 = _second_order_constant(ctx)
@@ -233,14 +215,4 @@ def sieve_sum(R: int, ctx: FieldSpec, budget: int = 10**6) -> float:
     acc = 0.0
     for factors, nrm, mu, rho_val in squarefree_ideal_symbols(ctx, R):
         acc += mu * float(rho_val) / nrm * math.log(R / nrm)
-    return acc
-
-
-def sieve_sum_classical(R: int, ctx: FieldSpec, budget: int = 10**6) -> float:
-    """The same sum with rho replaced by 1 (Selberg-style comparison)."""
-    if R > budget:
-        raise BudgetExceeded(f"R = {R} exceeds budget {budget}")
-    acc = 0.0
-    for _factors, nrm, mu, _rho in squarefree_ideal_symbols(ctx, R):
-        acc += mu / nrm * math.log(R / nrm)
     return acc

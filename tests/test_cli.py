@@ -1,8 +1,10 @@
 """CLI dispatch, exit codes, determinism of emitted artifacts."""
 
+import builtins
 import hashlib
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -21,6 +23,22 @@ FIELD3 = {"f": [-2, 0, 0, 1], "k": 1}
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_REFS = json.loads(
     (ROOT / "perfbench" / "references.json").read_text())["configs"]
+# one small run of every subcommand
+RUNS = [
+    ("theorem", {"field": FIELD3, "X": 20, "p_cut": 300, "seed": 7}),
+    ("sseries", {"field": FIELD3, "p_cut": 200}),
+    ("census", {"field": {"f": [-2, 0, 0, 0, 0, 0, 0, 1], "k": 2},
+                "census": "skew", "B": 10, "samples": 50,
+                "kappas": [0.5], "seed": 3}),
+    ("typei", {"field": FIELD3, "X": 25, "d_lo": 16, "d_hi": 32}),
+    ("integral", {"intervals": [[0.4, 0.5], [0.3, 0.7]],
+                  "target_sum": 1.0}),
+    ("buchstab", {"range": [50, 150], "z1": 3, "z2": 11}),
+    ("norms", {"field": FIELD3, "X": 4}),
+    ("lattice", {"field": {"f": [-2, 0, 0, 0, 1], "k": 1},
+                 "v": [1, 2, 3, 4]}),
+    ("divisor", {"field": FIELD3, "X": 30, "e": 2}),
+]
 
 
 def run(argv) -> int:
@@ -60,8 +78,22 @@ class TestExitCodes:
                          "typeii": {"X": X, "eta": eta}})
         assert run(["integral", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    def test_selftest(self):
-        assert run(["lattice", "--selftest"]) == 0
+    def test_selftest_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["lattice", "--selftest"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("samples, code", [(0, 2), (16_383, 2), (16_384, 0)])
+    def test_mc_samples_floor(self, tmp_path, samples, code):
+        # 64 Monte Carlo slabs of at least 256 samples each (n - k = 3)
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"field": {"f": [-2, 0, 0, 0, 1], "k": 1}, "X": 6,
+                         "p_cut": 100, "mc_samples": samples})
+        out = tmp_path / "out"
+        assert run(["theorem", "--config", cfg, "--out", str(out)]) == code
+        if code == 0:
+            data = json.loads((out / "theorem.json").read_text())
+            assert data["config"]["mc_samples"] == samples
 
     def test_divisor_budget_exceeded(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 40, "e": 1})
@@ -183,21 +215,16 @@ class TestSubcommands:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("command,cfg", [
-        ("theorem", {"field": FIELD3, "X": 20, "p_cut": 300, "seed": 7}),
-        ("sseries", {"field": FIELD3, "p_cut": 200}),
-        ("census", {"field": {"f": [-2, 0, 0, 0, 0, 0, 0, 1], "k": 2},
-                    "census": "skew", "B": 10, "samples": 50,
-                    "kappas": [0.5], "seed": 3}),
-        ("typei", {"field": FIELD3, "X": 25, "d_lo": 16, "d_hi": 32}),
-        ("integral", {"intervals": [[0.4, 0.5], [0.3, 0.7]],
-                      "target_sum": 1.0}),
-        ("buchstab", {"range": [50, 150], "z1": 3, "z2": 11}),
-        ("norms", {"field": FIELD3, "X": 4}),
-        ("lattice", {"field": {"f": [-2, 0, 0, 0, 1], "k": 1},
-                     "v": [1, 2, 3, 4]}),
-        ("divisor", {"field": FIELD3, "X": 30, "e": 2}),
-    ])
+    @pytest.mark.parametrize("command,cfg", RUNS)
+    def test_runtime_only_on_stdout(self, tmp_path, capsys, command, cfg):
+        cpath = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert run([command, "--config", cpath, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["runtime_s"] >= 0
+        reports = sorted(out.iterdir())
+        assert reports and all(b"runtime_s" not in p.read_bytes() for p in reports)
+
+    @pytest.mark.parametrize("command,cfg", RUNS)
     def test_byte_identical_reruns(self, tmp_path, command, cfg):
         cpath = write_cfg(tmp_path, "c.json", cfg)
         outs = []
@@ -226,3 +253,47 @@ class TestShippedConfigBytes:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
         assert got == ref["sha256"]
+
+
+_plain_sum = builtins.sum
+
+
+def compensated_sum(iterable, start=0):
+    """builtins.sum as Python 3.12+ adds floats: Neumaier-compensated."""
+    items = list(iterable)
+    if not items or not all(type(x) is float for x in items):
+        return _plain_sum(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+class TestCompensatedSum:
+    """Report bytes do not depend on how builtins.sum adds floats."""
+
+    def test_typei_report_sha256(self, tmp_path, monkeypatch):
+        assert compensated_sum([0.1, 0.2, 0.3]) == 0.6 != 0.1 + 0.2 + 0.3
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        ref = CONFIG_REFS["typei_cubic.json"]
+        out = tmp_path / "out"
+        assert run(["typei", "--config", str(ROOT / "configs" / "typei_cubic.json"),
+                    "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+        assert got == ref["sha256"]
+
+    def test_default_target_sum(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"intervals": [[0.1, 0.5], [0.2, 0.6], [0.3, 0.7]]})
+        reports = []
+        for tag in ("plain", "compensated"):
+            if tag == "compensated":
+                monkeypatch.setattr(builtins, "sum", compensated_sum)
+            out = tmp_path / tag
+            assert run(["integral", "--config", cfg, "--out", str(out)]) == 0
+            reports.append((out / "integral.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["target_sum"] == 0.1 + 0.2 + 0.3

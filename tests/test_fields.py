@@ -1,7 +1,9 @@
 """Order arithmetic: multiplication, norms, constraint rows."""
 
 import itertools
+import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -24,10 +26,9 @@ from normform.fields import (
     norm,
     norm_form,
     norm_form_polynomial,
-    reverse,
-    t_iterate,
 )
 from normform.localdata import resultant
+from normform.primes import primes_in
 
 FIELDS = [
     ([-2, 0, 0], 1),          # X^3 - 2, pure
@@ -86,6 +87,17 @@ class TestMakeContext:
         # X^2 - 3X + 2 = (X-1)(X-2)
         with pytest.raises(ReducibleDetected):
             make_context([2, -3], 0)
+
+    def test_no_good_prime_in_small_range(self):
+        # x^2 + bx + 1 = (x + 1)^2 mod every prime in [101, 399], yet
+        # irreducible over Q: make_context must not look for good primes
+        b = 2 + math.prod(primes_in(101, 399))
+        got = []
+        worker = threading.Thread(target=lambda: got.append(make_context([1, b], 0)),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=20)
+        assert got and got[0].f_coeffs == (1, b, 1)
 
     def test_degree_guards(self):
         with pytest.raises(DegenerateDegree):
@@ -328,7 +340,7 @@ class TestConstraintRows:
                 if all(t == 0 for t in v):
                     v[0] = 1
                 rows = constraint_rows(v, ctx)
-                expect = reverse(v)
+                expect = v[::-1]
                 for i in range(ctx.k):
                     assert rows[i] == expect
-                    expect = t_iterate(expect, theta)
+                    expect = expect[1:] + [theta * expect[0]]

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normform.errors import BudgetExceeded, DegeneratePair, DependentRows, ZeroWedge
-from normform.fields import diamond, make_context
+from normform.fields import constraint_rows, diamond, make_context
 from normform.intlinalg import (
     det_bareiss,
     enumerate_short_vectors,
@@ -29,7 +29,6 @@ from normform.primes import is_prime
 from normform.lattices import (
     IntLattice,
     WedgeVec,
-    degenerate_directions,
     det_squared_formula,
     lambda_pair,
     lambda_v,
@@ -335,6 +334,12 @@ class TestNiceBasis:
             nb = nice_basis(v, ctx)
             assert not wedge_pair(list(nb.basis[0]), list(nb.basis[3]),
                                   ctx).is_zero()
+
+
+def degenerate_directions(v, ctx):
+    # the reversed constraint rows of v span the subspace of the tightness
+    # remark: x in their span has constraint rows dependent on those of v
+    return [row[::-1] for row in constraint_rows(v, ctx)]
 
 
 class TestSubspaceBoundTightness:

@@ -15,7 +15,6 @@ from normform.primes import (
     is_prime,
     is_prime_batch,
     is_prime_certified,
-    least_prime_factor,
     prime_mask,
     primes_in,
     sieve_primes,
@@ -157,8 +156,6 @@ def test_factorization_budget():
 def test_tau_and_lpf():
     assert tau(12) == 6
     assert tau(1) == 1
-    assert least_prime_factor(1) == 0
-    assert least_prime_factor(91) == 7
 
 
 def test_primes_in():

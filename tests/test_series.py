@@ -6,12 +6,11 @@ import mpmath as mp
 import pytest
 
 from normform.fields import make_context
-from normform.localdata import gamma_estimate
+from normform.localdata import gamma_estimate, local_data
+from normform.primes import primes_in
 from normform.series import (
-    fixed_divisor_check,
     per_prime_factor_table,
     sieve_sum,
-    sieve_sum_classical,
     sieve_weights,
     singular_series,
     singular_series_tilde,
@@ -30,9 +29,16 @@ class TestSingularSeries:
             assert mp.mp.prec == 60
 
     def test_positive_no_fixed_divisor(self):
-        assert fixed_divisor_check(CTX3) is None
         S = singular_series(CTX3, 2000)
         assert S.value > 0
+
+    @pytest.mark.parametrize("ctx", [CTX3, CTX4])
+    def test_local_density_below_one(self, ctx):
+        # N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at bad primes too: no
+        # local factor of either series vanishes
+        assert any(local_data(p, ctx).is_bad for p in primes_in(2, 50))
+        for p in primes_in(2, 50):
+            assert local_data(p, ctx).nu < p**ctx.m
 
     def test_tilde_cauchy_within_certified_tail(self):
         a = singular_series_tilde(CTX4, 1000)
@@ -103,16 +109,3 @@ class TestSieveSum:
         gaps = [abs(sieve_sum(R, CTX3) - target) for R in (100, 1000, 10000)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] / target < 0.10
-
-    def test_classical_comparison_oracle(self):
-        # with rho == 1 the sum must match an independently organized
-        # summation over (norm, mu) pairs
-        R = 400
-        from normform.localdata import squarefree_ideal_symbols
-
-        by_norm: dict[int, int] = {}
-        for _f, nrm, mu, _r in squarefree_ideal_symbols(CTX3, R):
-            by_norm[nrm] = by_norm.get(nrm, 0) + mu
-        oracle = sum(cnt / nrm * math.log(R / nrm)
-                     for nrm, cnt in sorted(by_norm.items()))
-        assert sieve_sum_classical(R, CTX3) == pytest.approx(oracle, rel=1e-12)
