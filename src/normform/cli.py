@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -71,15 +72,23 @@ def _load_config(path: str) -> dict:
 
 
 def _field_from(cfg: dict) -> FieldSpec:
-    if "field" not in cfg:
+    field = cfg.get("field")
+    if not (isinstance(field, dict) and "f" in field and "k" in field):
         raise ValidationError("config needs a 'field' object {f: [...], k: int}")
-    return FieldSpec.from_json_dict(cfg["field"])
+    return FieldSpec.from_json_dict(field)
 
 
-def _reject_unknown(cfg: dict, allowed: set[str]) -> None:
+def _reject_unknown(cfg: dict, allowed: set[str], where: str = "config") -> None:
     unknown = set(cfg) - allowed
     if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+
+
+def _finite(value, name: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def _experiment_config(cfg: dict, args) -> ExperimentConfig:
@@ -212,13 +221,30 @@ def _run_typei(cfg: dict, args, outdir: Path) -> dict:
     return payload
 
 
+def _typeii_window(t2cfg) -> tuple[int, float]:
+    """(X, eta) of the integral config's typeii block: an int X, a finite eta."""
+    if not isinstance(t2cfg, dict):
+        raise ValidationError(f"'typeii' must be an object {{X: int, eta: number}}, "
+                              f"not {t2cfg!r}")
+    _reject_unknown(t2cfg, {"X", "eta"}, "typeii")
+    for key in ("X", "eta"):
+        if key not in t2cfg:
+            raise ValidationError(f"typeii block is missing {key!r}")
+    X = t2cfg["X"]
+    if type(X) is not int:
+        raise ValidationError(f"typeii 'X' must be an integer, not {X!r}")
+    return X, _finite(t2cfg["eta"], "typeii 'eta'")
+
+
 def _run_integral(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"intervals", "target_sum", "typeii", "field"})
     if "intervals" not in cfg:
         raise ValidationError("integral config needs 'intervals': [[lo, hi], ...]")
     spec = PolytopeSpec.make([tuple(iv) for iv in cfg["intervals"]])
+    window = _typeii_window(cfg["typeii"]) if "typeii" in cfg else None
+    ctx = _field_from(cfg) if "field" in cfg else None
     if "target_sum" in cfg:
-        target = float(cfg["target_sum"])
+        target = _finite(cfg["target_sum"], "'target_sum'")
     else:
         target = 0.0
         for iv in cfg["intervals"]:  # left to right: sum() compensates floats on 3.12+
@@ -232,11 +258,8 @@ def _run_integral(cfg: dict, args, outdir: Path) -> dict:
         "value": value,
         "version": __version__,
     }
-    t2cfg = cfg.get("typeii")
-    if t2cfg:
-        ctx = _field_from(cfg) if "field" in cfg else None
-        rep = typeii_density_check(spec, int(t2cfg["X"]), float(t2cfg["eta"]),
-                                   ctx=ctx)
+    if window is not None:
+        rep = typeii_density_check(spec, *window, ctx=ctx)
         payload["typeii"] = {
             "observed": rep.observed,
             "predicted": rep.predicted,

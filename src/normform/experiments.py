@@ -1,6 +1,6 @@
 """Desk-scale experiments: prime counts of the incomplete norm form against
 the predicted main term, Type I discrepancies, Type II density checks and
-divisor-sum growth.
+divisor sums.
 
 Everything is deterministic given (config, seed, threads): Monte Carlo
 streams are counter-based per slab, and box enumeration reduces slab
@@ -29,6 +29,7 @@ from .localdata import (
     ideal_tau,
 )
 from .primes import (
+    WindowFactors,
     _divide_out,
     prime_mask,
     primes_in,
@@ -427,7 +428,7 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
         facs = window_factorizations(start, min(start + TYPEII_BLOCK, hi + 1))
         factored += len(facs)
         rows = _omega_rows(facs, ell)
-        del facs  # free this block's dicts before the next block is factored
+        del facs  # free this block's table before the next block is factored
         rows_seen += len(rows)
         observed += _count_ordered_tuples(rows, intervals, logX)
     log.info("Type II window: %d integers factored, %d with Omega = %d, "
@@ -453,26 +454,12 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     )
 
 
-def _omega_rows(facs: list[dict[int, int]], ell: int) -> np.ndarray:
+def _omega_rows(facs: WindowFactors, ell: int) -> np.ndarray:
     """(S, ell) int64 array of the primes, with multiplicity and ascending,
-    of the integers whose factorization in facs has Omega = ell.
-
-    Every integer in facs must be >= 2, so each dict holds a prime.  Only
-    the dicts with at most ell distinct primes are read entry by entry.
+    of the integers in the window table facs that have Omega = ell.
     """
-    lens = np.fromiter(map(len, facs), np.int64, len(facs))
-    cand = np.flatnonzero(lens <= ell)
-    if not cand.size:
-        return np.zeros((0, ell), dtype=np.int64)
-    facs = [facs[i] for i in cand.tolist()]
-    lens = lens[cand]
-    size = int(lens.sum())
-    ps = np.fromiter(itertools.chain.from_iterable(facs), np.int64, size)
-    es = np.fromiter(itertools.chain.from_iterable(map(dict.values, facs)), np.int64, size)
-    omega = np.add.reduceat(es, np.cumsum(lens) - lens)
-    keep = np.repeat(omega == ell, lens)
-    rows = np.repeat(ps[keep], es[keep]).reshape(-1, ell)
-    return np.sort(rows, axis=1)
+    keep = (facs.omega() == ell)[facs.pos]
+    return np.repeat(facs.primes[keep], facs.exps[keep]).reshape(-1, ell)
 
 
 def _count_ordered_tuples(rows: np.ndarray, intervals, logX: float) -> int:
@@ -674,20 +661,3 @@ def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
         for k, kk, ee in zip(left.tolist(), key.tolist(), (square + 1).tolist()):
             fac_store.setdefault(divmod(k, X), {})[kk] = ee
     return tau_int.reshape(vals.shape), fac_store, len(primes)
-
-
-def divisor_sum_growth(ctx: FieldSpec, e: int, xs=(2**8, 2**10, 2**12),
-                       budget: int = 2 * 10**7) -> dict:
-    """Fitted log-exponent of the divisor sum across scales."""
-    rows = []
-    for X in xs:
-        rep = divisor_sum_check(X, e, ctx, budget=budget)
-        rows.append({"X": X, "sum": rep.observed,
-                     "normalized": rep.observed / X**2})
-    # fit: sum ~ X^2 (log X)^beta -> beta from successive ratios
-    betas = []
-    for r1, r2 in zip(rows, rows[1:]):
-        num = math.log(r2["normalized"] / r1["normalized"])
-        den = math.log(math.log(r2["X"]) / math.log(r1["X"]))
-        betas.append(num / den)
-    return {"rows": rows, "fitted_log_exponents": betas}

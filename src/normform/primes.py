@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -270,27 +272,67 @@ def _divide_out(remain: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
     return e
 
 
-def window_factorizations(lo: int, hi: int) -> list[dict[int, int]]:
+class WindowFactors(Sequence):
+    """Factorizations of the integers lo, ..., hi - 1 as one flat table.
+
+    Entry j says that primes[j] ** exps[j] exactly divides lo + pos[j].
+    The entries are ordered by position and, within a position, by prime.
+    Item i is the {prime: exponent} dict of lo + i, built on access.
+    """
+
+    def __init__(self, size: int, pos: np.ndarray, primes: np.ndarray,
+                 exps: np.ndarray):
+        self.pos, self.primes, self.exps = pos, primes, exps
+        self._starts = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pos, minlength=size), out=self._starts[1:])
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, i: int) -> dict[int, int]:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("window index out of range")
+        a, b = self._starts[i], self._starts[i + 1]
+        return dict(zip(self.primes[a:b].tolist(), self.exps[a:b].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def omega(self) -> np.ndarray:
+        """Omega (prime factors with multiplicity) of every integer, int64."""
+        return np.bincount(np.repeat(self.pos, self.exps), minlength=len(self))
+
+
+def window_factorizations(lo: int, hi: int) -> WindowFactors:
     """Factorize every integer in [lo, hi) by sieving with primes <= sqrt(hi).
 
-    Returns a list of {prime: exponent} dicts indexed by m - lo.  lo must
-    be at least 1: zero has no factorization.
+    Returns a WindowFactors table: flat (position, prime, exponent) arrays,
+    one entry per prime power exactly dividing some m, and item m - lo is
+    the {prime: exponent} dict of m.  lo must be at least 1: zero has no
+    factorization.
     """
     if lo < 1:
         raise ValueError(f"window_factorizations needs lo >= 1, got {lo}")
-    size = hi - lo
+    size = max(hi - lo, 0)
     remain = np.arange(lo, hi, dtype=np.int64)
-    facs: list[dict[int, int]] = [{} for _ in range(size)]
+    pos, ps, es = [], [], []
     for p in sieve_primes(math.isqrt(hi - 1)).tolist():
-        idx = np.arange((-lo) % p, size, p)
-        e = _divide_out(remain, idx, p)
-        for j in idx.tolist():
-            facs[j][p] = 1  # every m = 0 mod p here
-        many = np.flatnonzero(e > 1)
-        for j, ee in zip(idx[many].tolist(), e[many].tolist()):
-            facs[j][p] = ee
-    leftover = np.flatnonzero(remain > 1)
-    # cofactor < sqrt(hi)^2 and unfactored => prime
-    for j, q in zip(leftover.tolist(), remain[leftover].tolist()):
-        facs[j][q] = 1
-    return facs
+        idx = np.arange((-lo) % p, size, p)  # every m = 0 mod p here
+        pos.append(idx)
+        ps.append(np.full(len(idx), p, dtype=np.int64))
+        es.append(_divide_out(remain, idx, p))
+    # cofactor < sqrt(hi)^2 and unfactored => prime, above every sieving prime
+    left = np.flatnonzero(remain > 1)
+    pos.append(left)
+    ps.append(remain[left])
+    es.append(np.ones(len(left), dtype=np.int64))
+    pos = np.concatenate(pos)
+    # stable keeps each m's primes ascending; positions below 2^16 sort by radix
+    order = np.argsort(pos.astype(np.min_scalar_type(max(size - 1, 0))), kind="stable")
+    return WindowFactors(size, pos[order], np.concatenate(ps)[order],
+                         np.concatenate(es)[order])

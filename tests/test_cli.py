@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from normform import cli
 from normform.cli import main
 
 
@@ -77,6 +78,45 @@ class TestExitCodes:
                         {"intervals": [[0.4, 0.5], [0.3, 0.7]],
                          "typeii": {"X": X, "eta": eta}})
         assert run(["integral", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    TYPEII_CFG = {"intervals": [[0.4, 0.5], [0.3, 0.7]], "target_sum": 1.0,
+                  "typeii": {"X": 1000, "eta": 0.5}, "field": FIELD3}
+
+    @staticmethod
+    def _forbid_work(monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("integral work ran before validation")
+        monkeypatch.setattr(cli, "polytope_integral", work)
+        monkeypatch.setattr(cli, "typeii_density_check", work)
+
+    def test_valid_typeii_config_reaches_work(self, tmp_path, monkeypatch):
+        self._forbid_work(monkeypatch)
+        cfg = write_cfg(tmp_path, "c.json", self.TYPEII_CFG)
+        with pytest.raises(AssertionError, match="work ran"):
+            run(["integral", "--config", cfg, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"typeii": {"X": "1000", "eta": 0.5}}, "typeii 'X' must be an integer, not '1000'"),
+        ({"typeii": {"X": 1000.7, "eta": 0.5}}, "typeii 'X' must be an integer, not 1000.7"),
+        ({"typeii": {"X": True, "eta": 0.5}}, "typeii 'X' must be an integer, not True"),
+        ({"typeii": {"X": 1000, "eta": math.nan}}, "typeii 'eta' must be a finite number"),
+        ({"typeii": {"X": 1000, "eta": "0.5"}}, "typeii 'eta' must be a finite number"),
+        ({"target_sum": math.nan}, "'target_sum' must be a finite number"),
+        ({"target_sum": math.inf}, "'target_sum' must be a finite number"),
+        ({"typeii": {"X": 1000, "eta": 0.5, "zz": 1}}, "unknown typeii keys: ['zz']"),
+        ({"typeii": {"X": 1000}}, "typeii block is missing 'eta'"),
+        ({"typeii": None}, "'typeii' must be an object"),
+        ({"field": None}, "config needs a 'field' object"),
+        ({"field": {"f": [-2, 0, 0, 1]}}, "config needs a 'field' object"),
+    ], ids=["X-string", "X-float", "X-bool", "eta-nan", "eta-string", "target-nan",
+            "target-inf", "unknown-key", "missing-eta", "typeii-null", "field-null",
+            "field-without-k"])
+    def test_integral_typeii_bad_input(self, tmp_path, capsys, monkeypatch,
+                                       change, message):
+        self._forbid_work(monkeypatch)
+        cfg = write_cfg(tmp_path, "c.json", {**self.TYPEII_CFG, **change})
+        assert run(["integral", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_selftest_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:

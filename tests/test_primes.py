@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normform.errors import FactorizationBudget
@@ -175,6 +175,52 @@ def test_window_factorizations_small_window():
     assert window_factorizations(1, 11) == [
         {}, {2: 1}, {3: 1}, {2: 2}, {5: 1}, {2: 1, 3: 1}, {7: 1}, {2: 3},
         {3: 2}, {2: 1, 5: 1}]
+
+
+@st.composite
+def windows(draw):
+    """(lo, hi) windows, some ending at a prime square p^2 = isqrt(hi - 1)^2."""
+    width = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(primes_in(2, 1200)))
+        hi = p * p + 1
+        return max(1, hi - width), hi
+    lo = draw(st.integers(1, 10**6))
+    return lo, lo + width
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(windows())
+@example((1, 1))  # empty window at the first integer
+@example((1, 300))
+@example((97, 97))  # empty window
+@example((1, 2))  # one integer: 1
+@example((10**6, 10**6 + 1))  # one integer
+@example((1009**2, 1009**2 + 1))  # one integer: a prime square
+@example((994_000, 997**2 + 1))  # hi - 1 = 997^2
+def test_window_items_match_factorize(window):
+    lo, hi = window
+    facs = window_factorizations(lo, hi)
+    assert len(facs) == hi - lo
+    items = list(facs)
+    assert items == [factorize(m) for m in range(lo, hi)]
+    assert all(list(fac) == sorted(fac) for fac in items)  # ascending primes
+    omega = facs.omega()
+    assert omega.dtype == np.int64
+    assert omega.tolist() == [sum(fac.values()) for fac in items]
+    assert facs == items
+
+
+def test_window_negative_index_and_index_error():
+    facs = window_factorizations(10, 20)  # 10, ..., 19
+    assert facs[-1] == {19: 1} == facs[9]
+    assert facs[-10] == {2: 1, 5: 1} == facs[0]
+    assert facs[np.int64(2)] == {2: 2, 3: 1}
+    for i in (10, -11, 100):
+        with pytest.raises(IndexError):
+            facs[i]
+    with pytest.raises(IndexError):
+        window_factorizations(5, 5)[0]
 
 
 @pytest.mark.parametrize("lo", [0, -10])
