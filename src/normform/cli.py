@@ -91,6 +91,12 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
+def _int(value, name: str) -> int:
+    if type(value) is not int:  # a bool is an int subclass, a float is not
+        raise ValidationError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def _experiment_config(cfg: dict, args) -> ExperimentConfig:
     d = dict(cfg)
     if args.seed is not None:
@@ -101,6 +107,18 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
         d["p_cut"] = args.pcut
     if args.budget is not None:
         d["point_budget"] = args.budget
+    for key in ("X", "p_cut", "seed", "threads", "point_budget", "mc_samples"):
+        if key in d:
+            _int(d[key], f"'{key}'")
+    for key in ("eta1", "eta2"):
+        if key in d:
+            _finite(d[key], f"'{key}'")
+    box = d.get("box", [])
+    if not (isinstance(box, list) and all(
+            isinstance(b, list) and len(b) == 2 and all(type(e) is int for e in b)
+            for b in box)):
+        raise ValidationError(f"'box' must be a list of [lo, hi] integer pairs, "
+                              f"not {box!r}")
     return ExperimentConfig.from_json_dict(d)
 
 
@@ -130,7 +148,7 @@ def _run_theorem(cfg: dict, args, outdir: Path) -> dict:
 def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "p_cut"})
     ctx = _field_from(cfg)
-    p_cut = int(args.pcut or cfg.get("p_cut", 10_000))
+    p_cut = args.pcut or _int(cfg.get("p_cut", 10_000), "'p_cut'")
     S = singular_series(ctx, p_cut)
     St = singular_series_tilde(ctx, p_cut)
     rows = per_prime_factor_table(ctx, p_cut)
@@ -230,10 +248,7 @@ def _typeii_window(t2cfg) -> tuple[int, float]:
     for key in ("X", "eta"):
         if key not in t2cfg:
             raise ValidationError(f"typeii block is missing {key!r}")
-    X = t2cfg["X"]
-    if type(X) is not int:
-        raise ValidationError(f"typeii 'X' must be an integer, not {X!r}")
-    return X, _finite(t2cfg["eta"], "typeii 'eta'")
+    return _int(t2cfg["X"], "typeii 'X'"), _finite(t2cfg["eta"], "typeii 'eta'")
 
 
 def _run_integral(cfg: dict, args, outdir: Path) -> dict:

@@ -90,8 +90,11 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
 
     f_coeffs are the n low-order coefficients of monic f, constant term
     first; the leading 1 is implicit.  Rejects degree < 2, rational roots
-    and repeated factors; irreducibility beyond that is the caller's
-    assertion, not checked here.
+    and repeated factors.  A pure f = X^n - theta is certified irreducible
+    by Capelli's theorem (Lang, Algebra, VI Thm. 9.1): it is reducible
+    exactly when theta is a q-th power for a prime q | n, or 4 | n and
+    theta = -4c^4.  For any other f, irreducibility beyond the rational
+    root and squarefree tests is the caller's assertion, not checked here.
     """
     f = [int(c) for c in f_coeffs] + [1]
     n = len(f) - 1
@@ -111,7 +114,41 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
     pure = None
     if all(c == 0 for c in f[1:n]):
         pure = -f[0]
+        _require_capelli(n, pure)
     return FieldSpec(n=n, k=k, f_coeffs=tuple(f), pure_theta=pure)
+
+
+def _require_capelli(n: int, theta: int) -> None:
+    """Raise ReducibleDetected when X^n - theta factors over Q (Capelli).
+
+    Divisors q of n are tried in increasing order, so the first q-th power
+    found is for a prime q: a d-th power is a q-th power for each q | d.
+    """
+    for q in range(2, n + 1):
+        if n % q == 0 and _is_power(theta, q):
+            raise ReducibleDetected(f"X^{n} - ({theta}) factors: {theta} = b^{q}")
+    if n % 4 == 0 and theta < 0 and -theta % 4 == 0 and _is_power(-theta // 4, 4):
+        raise ReducibleDetected(f"X^{n} - ({theta}) factors: {theta} = -4 c^4")
+
+
+def _is_power(a: int, q: int) -> bool:
+    """True when the integer a is the q-th power of an integer."""
+    if a < 0:
+        return q % 2 == 1 and _is_power(-a, q)
+    r = _iroot(a, q)
+    return r**q == a
+
+
+def _iroot(a: int, q: int) -> int:
+    """floor(a^(1/q)) for an integer a >= 0, by integer Newton iteration."""
+    if a < 2:
+        return a
+    x = 1 << -(-a.bit_length() // q)  # 2^ceil(bits/q) > a^(1/q)
+    while True:
+        y = ((q - 1) * x + a // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
 
 
 def _divisors_signed(c: int) -> list[int]:

@@ -375,9 +375,9 @@ def _prime_ideal_norm_table(ctx: FieldSpec, limit: int):
                     slots.append((p**d, p, d, c))
     if len(large):
         nu_ps = batch_root_counts(f, large)
-        for p, c in zip(large.tolist(), nu_ps.tolist()):
-            if c:
-                slots.append((p, p, 1, int(c)))
+        split = nu_ps != 0
+        ls = large[split].tolist()
+        slots += zip(ls, ls, itertools.repeat(1), nu_ps[split].tolist())
     slots.sort()
     return slots
 

@@ -86,13 +86,20 @@ def is_prime_certified(n: int, rounds: int = 64, seed: int = 0) -> tuple[bool, b
     return True, False
 
 
-def _powmod_batch(a: int, d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a^d mod n elementwise for uint64 d, n with a < n < 2^32."""
+def _powmod_batch(a, d: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a^d mod n elementwise, for d >= 0 and 0 <= a < n of one integer dtype.
+
+    a is a scalar or an array shaped like n.  Every product of two
+    residues must be exact in that dtype: n < 2^32 for uint64, n^2 < 2^63
+    for int64.
+    """
     x = np.ones_like(n)
-    base = np.full_like(n, a)
+    base = np.empty_like(n)
+    base[...] = a
     t = np.empty_like(n)
+    one = d.dtype.type(1)
     for i in range(int(d.max()).bit_length()):
-        bit = ((d >> np.uint64(i)) & np.uint64(1)).astype(bool)
+        bit = ((d >> d.dtype.type(i)) & one).astype(bool)
         np.multiply(x, base, out=t)
         np.remainder(t, n, out=t)
         np.copyto(x, t, where=bit)

@@ -5,7 +5,8 @@ single-prime queries (roots, degree patterns) are both read off one full
 factorization, monic_factors_mod_p.  The batch routines compute X^p mod
 (f, p) for large vectors of primes at once with numpy (square-and-shift
 with per-prime bit masks) followed by a vectorized gcd, which is what
-makes ideal counting to 2e6 feasible.
+makes ideal counting to 2e6 feasible; root counts of a binomial X^n - theta
+skip both and come from the n-th power residue criterion.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 from itertools import zip_longest
 
 import numpy as np
+
+from .primes import _powmod_batch
 
 # --- single-prime polynomial arithmetic over F_p ----------------------------
 
@@ -212,24 +215,48 @@ def monic_factors_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
 def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
     """nu_p = number of distinct roots of f mod p, for an array of primes.
 
-    Computes X^p mod (f, p) by vectorized square-and-shift, then a
-    vectorized polynomial gcd with f.  Requires deg f >= 2 and primes
-    with deg f * p^2 < 2^63 (ValueError otherwise).  Entries where f mod p
-    is not squarefree are still correct (root count of the gcd), but
-    callers normally exclude bad primes anyway.
+    Requires deg f >= 2 and primes with deg f * p^2 < 2^63 (ValueError
+    otherwise).  For a binomial f = X^n - theta the count is closed form,
+    by the n-th power residue criterion (Ireland-Rosen, Prop. 7.1.2): with
+    g = gcd(n, p - 1) it is g when theta^((p-1)/g) == 1 mod p, else 0, and
+    it is 1 (the root 0) when p | theta.  That holds at the bad primes too,
+    p | n included, since x -> x^n on the cyclic group F_p^* has image of
+    index g.  Any other f goes the general way: X^p mod (f, p) by
+    vectorized square-and-shift, then a vectorized gcd of X^p - X with f,
+    still correct where f mod p is not squarefree (the root count of the
+    gcd), though callers normally exclude bad primes anyway.
     """
-    _require_deg2(f)
-    primes = np.asarray(primes, dtype=np.int64)
+    primes = _batch_primes(f, primes)
+    if not any(f[1:-1]) and f[-1] == 1:
+        return _binomial_root_counts(len(f) - 1, f[0], primes)
     g = _batch_x_pow_p(f, primes).T.copy()  # X^p mod f
     g[:, 1] = (g[:, 1] - 1) % primes  # X^p - X
     fmat = np.tile(np.array(f, dtype=np.int64), (len(primes), 1)) % primes[:, None]
     return _batch_gcd_degree(fmat, g, primes)
 
 
-def _require_deg2(f: list[int]) -> None:
-    # the batch routines store X mod f as a row with a coefficient at X^1
+def _binomial_root_counts(n: int, c: int, p: np.ndarray) -> np.ndarray:
+    """Distinct roots of X^n + c mod each prime p, by the criterion above."""
+    g = np.gcd(n, p - 1)
+    t = (p - np.int64(c) % p) % p  # theta = -c mod p
+    residue = _powmod_batch(t, (p - 1) // g, p) == 1
+    return np.where(t == 0, 1, np.where(residue, g, 0))
+
+
+def _batch_primes(f: list[int], primes) -> np.ndarray:
+    """The primes as int64, once f and they suit the batch routines.
+
+    Raises ValueError unless deg f >= 2 (X mod f is stored as a row with a
+    coefficient at X^1) and deg f * p^2 < 2^63 for every prime (the int64
+    range of _batch_polymulmod and of a product of two residues).
+    """
     if len(f) - 1 < 2:
         raise ValueError("deg f must be >= 2")
+    primes = np.asarray(primes, dtype=np.int64)
+    pmax = int(primes.max())
+    if (len(f) - 1) * pmax**2 >= 2**63:
+        raise ValueError(f"batch arithmetic mod {pmax} needs deg f * p^2 < 2^63")
+    return primes
 
 
 def _batch_polymulmod(a: np.ndarray, b: np.ndarray, f_low: np.ndarray,
@@ -316,14 +343,7 @@ def _batch_degree(a: np.ndarray) -> np.ndarray:
 
 def _batch_modinv(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """x^(p-2) mod p elementwise (p prime); products below p^2 < 2^63."""
-    e = p - 2
-    result = np.ones_like(x)
-    base = x % p
-    maxbits = int(e.max()).bit_length()
-    for bit in range(maxbits):
-        result = np.where((e >> bit) & 1 == 1, result * base % p, result)
-        base = base * base % p
-    return result
+    return _powmod_batch(x % p, p - 2, p)
 
 
 def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
@@ -337,8 +357,7 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
     F_p-linear, so X^(p^(j+1)) is that matrix times X^(p^j).  Requires
     deg f >= 2 and primes with deg f * p^2 < 2^63 (ValueError otherwise).
     """
-    _require_deg2(f)
-    primes = np.asarray(primes, dtype=np.int64)
+    primes = _batch_primes(f, primes)
     n = len(f) - 1
     N = len(primes)
     fmat = np.tile(np.array(f, dtype=np.int64), (N, 1)) % primes[:, None]
@@ -382,14 +401,11 @@ def _batch_x_pow_p(f: list[int], primes: np.ndarray) -> np.ndarray:
     Left-to-right binary powering: square, then multiply by X where the
     prime has the bit set.  Multiplying by X is a shift plus one
     reduction row; a prime with fewer bits squares 1 until its top bit.
-    Raises ValueError unless deg f * p^2 < 2^63 for every prime, the int64
-    range of _batch_polymulmod.
+    The primes come from _batch_primes.
     """
     n = len(f) - 1
     p = primes
     pmax = int(p.max())
-    if n * pmax**2 >= 2**63:
-        raise ValueError(f"batch arithmetic mod {pmax} needs deg f * p^2 < 2^63")
     # one polynomial per column, see _batch_polymulmod
     f_low, nz = _batch_f_low(f, p)
     result = np.zeros((n, len(p)), dtype=np.int64)

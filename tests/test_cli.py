@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from normform import cli
+from normform import cli, experiments
 from normform.cli import main
 
 
@@ -152,6 +152,58 @@ class TestExitCodes:
     def test_divisor_bad_input(self, tmp_path, cfg):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert run(["divisor", "--config", path, "--out", str(tmp_path)]) == 2
+
+    THEOREM_CFG = {"field": FIELD3, "X": 20, "p_cut": 300, "seed": 7}
+
+    @staticmethod
+    def _forbid_count(monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("observed_prime_count ran before validation")
+        monkeypatch.setattr(experiments, "observed_prime_count", work)
+
+    def test_valid_theorem_config_reaches_count(self, tmp_path, monkeypatch):
+        self._forbid_count(monkeypatch)
+        cfg = write_cfg(tmp_path, "c.json", self.THEOREM_CFG)
+        with pytest.raises(AssertionError, match="observed_prime_count ran"):
+            run(["theorem", "--config", cfg, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("change, message", [
+        ({"field": {"f": [-4, 0, 0, 0, 1], "k": 1}}, "X^4 - (4) factors: 4 = b^2"),
+        ({"X": 8.5}, "'X' must be an integer, not 8.5"),
+        ({"X": math.nan}, "'X' must be an integer, not nan"),
+        ({"X": "80"}, "'X' must be an integer, not '80'"),
+        ({"X": True}, "'X' must be an integer, not True"),
+        ({"p_cut": 1e4}, "'p_cut' must be an integer, not 10000.0"),
+        ({"seed": "7"}, "'seed' must be an integer, not '7'"),
+        ({"mc_samples": 4e5}, "'mc_samples' must be an integer, not 400000.0"),
+        ({"eta1": math.nan}, "'eta1' must be a finite number"),
+        ({"eta2": "0.05"}, "'eta2' must be a finite number"),
+        ({"box": [[1, 20.5], [1, 20]]}, "'box' must be a list of [lo, hi] integer pairs"),
+        ({"box": [[False, 20], [1, 20]]}, "'box' must be a list of [lo, hi] integer pairs"),
+        ({"box": [[1, 20, 3], [1, 20]]}, "'box' must be a list of [lo, hi] integer pairs"),
+    ], ids=["x4-4", "X-float", "X-nan", "X-string", "X-bool", "pcut-float", "seed-string",
+            "mc-float", "eta1-nan", "eta2-string", "box-float", "box-bool", "box-triple"])
+    def test_theorem_bad_input(self, tmp_path, capsys, monkeypatch, change, message):
+        self._forbid_count(monkeypatch)
+        cfg = write_cfg(tmp_path, "c.json", {**self.THEOREM_CFG, **change})
+        assert run(["theorem", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_typei_bad_input(self, tmp_path, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("typei work ran before validation")
+        monkeypatch.setattr(cli, "typei_discrepancy", work)
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 25.0})
+        assert run(["typei", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'X' must be an integer, not 25.0" in capsys.readouterr().err
+
+    def test_sseries_bad_input(self, tmp_path, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("sseries work ran before validation")
+        monkeypatch.setattr(cli, "singular_series", work)
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "p_cut": 1e4})
+        assert run(["sseries", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'p_cut' must be an integer, not 10000.0" in capsys.readouterr().err
 
 
 class TestSubcommands:

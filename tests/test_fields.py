@@ -18,6 +18,7 @@ from normform.errors import (
 )
 from normform.fields import (
     FieldSpec,
+    _iroot,
     constraint_rows,
     diamond,
     eval_norm_poly_grid,
@@ -104,6 +105,38 @@ class TestMakeContext:
             make_context([5], 0)
         with pytest.raises(DegenerateDegree):
             make_context([-2, 0, 0], 3)
+
+    @pytest.mark.parametrize("n, theta", [(4, 4), (4, -4), (6, 8), (6, -1), (4, 9)],
+                             ids=["x4-4", "x4+4", "x6-8", "x6+1", "x4-9"])
+    def test_reducible_pure_rejected(self, n, theta):
+        # Capelli: theta a q-th power for a prime q | n, or 4 | n, theta = -4c^4
+        with pytest.raises(ReducibleDetected, match="factors"):
+            make_context([-theta] + [0] * (n - 1), 1)
+
+    @pytest.mark.parametrize("n, theta", [(2, -1), (4, -1), (8, -1), (3, 2), (6, -3)],
+                             ids=["x2+1", "x4+1", "x8+1", "x3-2", "x6+3"])
+    def test_irreducible_pure_accepted(self, n, theta):
+        assert make_context([-theta] + [0] * (n - 1), 1).pure_theta == theta
+
+    def test_pure_irreducibility_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        for n in range(2, 10):
+            for theta in range(-100, 101):
+                if theta == 0:
+                    continue
+                try:
+                    make_context([-theta] + [0] * (n - 1), 1)
+                    accepted = True
+                except ReducibleDetected:
+                    accepted = False
+                assert accepted == sympy.Poly(x**n - theta, x).is_irreducible, (n, theta)
+
+    def test_integer_root_is_exact(self):
+        for q in range(2, 12):
+            for a in [*range(300), 10**40, 3**200 - 1, 3**200, 2**521]:
+                r = _iroot(a, q)
+                assert r**q <= a < (r + 1) ** q, (a, q)
 
     def test_json_roundtrip(self):
         ctx = make_context([-2, 0, 0], 1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normform import splitting
 from normform.primes import is_prime_certified, sieve_primes
 from normform.splitting import (
     _batch_modinv,
@@ -182,6 +183,65 @@ class TestBatchInt64Guard:
         inv = _batch_modinv(np.array(xs, dtype=np.int64), np.array(ps, dtype=np.int64))
         assert inv.tolist() == [pow(x, -1, p) for x, p in zip(xs, ps)]
         assert all(x * i % p == 1 for x, i, p in zip(xs, inv.tolist(), ps))
+
+
+BINOMIAL_THETAS = (1, -1, 2, -2, 3, 4, -4, 8, -27, 64)
+
+
+def binomial(n, theta):
+    """X^n - theta, constant term first."""
+    return [-theta] + [0] * (n - 1) + [1]
+
+
+class TestBinomialRootCounts:
+    """batch_root_counts on X^n - theta: the closed-form power-residue count.
+
+    Reducible and bad-prime cases included: the batch function takes any f.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_prime_below_5000(self, n):
+        # oracle: count the x mod p with x^n == theta by scanning all of F_p
+        # (test_roots_match_brute_force_scan ties the scan to roots_mod_p)
+        ps = sieve_primes(5000)
+        got = {t: batch_root_counts(binomial(n, t), ps).tolist() for t in BINOMIAL_THETAS}
+        for i, p in enumerate(ps.tolist()):
+            x = np.arange(p, dtype=np.int64)
+            xn = np.ones(p, dtype=np.int64)
+            for _ in range(n):
+                xn = xn * x % p
+            scan = np.bincount(xn, minlength=p)
+            assert [got[t][i] for t in BINOMIAL_THETAS] == [
+                scan[t % p] for t in BINOMIAL_THETAS], (n, p)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_roots_mod_p(self, n):
+        ps = sieve_primes(128)
+        for t in BINOMIAL_THETAS:
+            f = binomial(n, t)
+            assert batch_root_counts(f, ps).tolist() == [
+                len(roots_mod_p(f, p)) for p in ps.tolist()], (n, t)
+
+    @pytest.mark.parametrize("n", sorted(GUARD_PRIMES))
+    def test_guard_primes(self, n):
+        below, above = GUARD_PRIMES[n]
+        ps = np.array(below, dtype=np.int64)
+        for t in (-1, 2, -2, 3, 5, -7):
+            f = binomial(n, t)
+            assert batch_root_counts(f, ps).tolist() == [
+                len(roots_mod_p(f, p)) for p in below], (n, t)
+            with pytest.raises(ValueError, match=r"p\^2 < 2\^63"):
+                batch_root_counts(f, np.array([*below, above], dtype=np.int64))
+
+    def test_general_path_skipped_only_for_binomials(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("X^p powering ran")
+        monkeypatch.setattr(splitting, "_batch_x_pow_p", refuse)
+        ps = sieve_primes(100)
+        for f in ([-2, 0, 0, 0, 1], [1, 0, 1], [-2, 0, 0, 0, 0, 0, 0, 1]):
+            batch_root_counts(f, ps)
+        with pytest.raises(AssertionError, match="powering ran"):
+            batch_root_counts([7, 0, 0, -3, 0, 0, 0, 1], ps)
 
 
 class TestHensel:
