@@ -97,6 +97,15 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _box(box) -> list[list[int]]:
+    if not (isinstance(box, list) and all(
+            isinstance(b, list) and len(b) == 2 and all(type(e) is int for e in b)
+            for b in box)):
+        raise ValidationError(f"'box' must be a list of [lo, hi] integer pairs, "
+                              f"not {box!r}")
+    return box
+
+
 def _experiment_config(cfg: dict, args) -> ExperimentConfig:
     d = dict(cfg)
     if args.seed is not None:
@@ -113,12 +122,7 @@ def _experiment_config(cfg: dict, args) -> ExperimentConfig:
     for key in ("eta1", "eta2"):
         if key in d:
             _finite(d[key], f"'{key}'")
-    box = d.get("box", [])
-    if not (isinstance(box, list) and all(
-            isinstance(b, list) and len(b) == 2 and all(type(e) is int for e in b)
-            for b in box)):
-        raise ValidationError(f"'box' must be a list of [lo, hi] integer pairs, "
-                              f"not {box!r}")
+    _box(d.get("box", []))
     return ExperimentConfig.from_json_dict(d)
 
 
@@ -220,8 +224,8 @@ def _run_census(cfg: dict, args, outdir: Path) -> dict:
 
 
 def _run_typei(cfg: dict, args, outdir: Path) -> dict:
-    d_lo = int(cfg.pop("d_lo", 16))
-    d_hi = int(cfg.pop("d_hi", 128))
+    d_lo = _int(cfg.pop("d_lo", 16), "'d_lo'")
+    d_hi = _int(cfg.pop("d_hi", 128), "'d_hi'")
     ecfg = _experiment_config(cfg, args)
     rep = typei_discrepancy(ecfg, d_lo, d_hi)
     payload = {
@@ -258,12 +262,9 @@ def _run_integral(cfg: dict, args, outdir: Path) -> dict:
     spec = PolytopeSpec.make([tuple(iv) for iv in cfg["intervals"]])
     window = _typeii_window(cfg["typeii"]) if "typeii" in cfg else None
     ctx = _field_from(cfg) if "field" in cfg else None
-    if "target_sum" in cfg:
-        target = _finite(cfg["target_sum"], "'target_sum'")
-    else:
-        target = 0.0
-        for iv in cfg["intervals"]:  # left to right: sum() compensates floats on 3.12+
-            target += iv[0]
+    if "target_sum" not in cfg:
+        raise ValidationError("integral config needs 'target_sum': a number")
+    target = _finite(cfg["target_sum"], "'target_sum'")
     t0 = time.perf_counter()
     value = polytope_integral(spec, target)
     log.info("slice integral: %.3f s", time.perf_counter() - t0)
@@ -337,9 +338,9 @@ def _run_norms(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "box", "X", "max_rows"})
     ctx = _field_from(cfg)
     if "box" in cfg:
-        box = [(int(lo), int(hi)) for lo, hi in cfg["box"]]
+        box = _box(cfg["box"])
     else:
-        X = int(cfg.get("X", 10))
+        X = _int(cfg.get("X", 10), "'X'")
         box = [(1, X)] * ctx.m
     if len(box) != ctx.m:
         raise ValidationError(f"box must have {ctx.m} coordinates")
@@ -348,7 +349,7 @@ def _run_norms(cfg: dict, args, outdir: Path) -> dict:
         npts *= hi - lo + 1
     if npts > (args.budget or 10**6):
         raise BudgetExceeded(f"{npts} points exceed budget")
-    max_rows = int(cfg.get("max_rows", 1000))
+    max_rows = _int(cfg.get("max_rows", 1000), "'max_rows'")
     rows = []
     neg = 0
     tiny = 0

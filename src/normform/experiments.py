@@ -472,9 +472,13 @@ def _count_ordered_tuples(rows: np.ndarray, intervals, logX: float) -> int:
     """
     if not len(rows):
         return 0
-    uniq, inv = np.unique(rows.ravel(), return_inverse=True)
-    # the scalar math.log, not np.log: the box edges are tested on these floats
-    e = np.array([math.log(p) / logX for p in uniq.tolist()])[inv].reshape(rows.shape)
+    e = np.log(rows) / logX
+    # the box edges are tested on the scalar math.log, which np.log can miss
+    # by an ulp: take it again wherever an entry lies that close to an edge
+    near = np.zeros(e.shape, dtype=bool)
+    for edge in {x for iv in intervals for x in iv}:
+        near |= np.abs(e - edge) <= 1e-12
+    e[near] = [math.log(p) / logX for p in rows[near].tolist()]
     inside = [(a <= e) & (e <= b) for a, b in intervals]  # inside[i][s, j]
     ties = rows[:, 1:] == rows[:, :-1]
     total = 0

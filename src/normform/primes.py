@@ -315,8 +315,16 @@ class WindowFactors(Sequence):
         return np.bincount(np.repeat(self.pos, self.exps), minlength=len(self))
 
 
+_STRIDED_MAX = 256  # a larger prime has few multiples in a 2^16 block: batch them
+
+
 def window_factorizations(lo: int, hi: int) -> WindowFactors:
     """Factorize every integer in [lo, hi) by sieving with primes <= sqrt(hi).
+
+    No integer is divided by a prime: primes <= _STRIDED_MAX mark their
+    powers with strided slices, the larger ones are expanded into (position,
+    prime) pairs in one pass with one m % p^k test per k, and m over the
+    prime powers found is 1 or its one prime factor above sqrt(hi).
 
     Returns a WindowFactors table: flat (position, prime, exponent) arrays,
     one entry per prime power exactly dividing some m, and item m - lo is
@@ -326,20 +334,36 @@ def window_factorizations(lo: int, hi: int) -> WindowFactors:
     if lo < 1:
         raise ValueError(f"window_factorizations needs lo >= 1, got {lo}")
     size = max(hi - lo, 0)
-    remain = np.arange(lo, hi, dtype=np.int64)
+    sieve = sieve_primes(math.isqrt(hi - 1))
+    prod = np.ones(size, dtype=np.int64)  # the sieved part of each m
     pos, ps, es = [], [], []
-    for p in sieve_primes(math.isqrt(hi - 1)).tolist():
-        idx = np.arange((-lo) % p, size, p)  # every m = 0 mod p here
-        pos.append(idx)
-        ps.append(np.full(len(idx), p, dtype=np.int64))
-        es.append(_divide_out(remain, idx, p))
+    for p in sieve[sieve <= _STRIDED_MAX].tolist():
+        pos.append(np.arange((-lo) % p, size, p))
+        e, pk = np.zeros(len(pos[-1]), dtype=np.int64), p
+        while (sk := (-lo) % pk) < size:  # every m = 0 mod p^k from sk on
+            prod[sk::pk] *= p
+            e[sk // p::pk // p] += 1  # e[i] belongs to position (-lo) % p + i p
+            pk *= p
+        ps.append(np.full(len(e), p, dtype=np.int64))
+        es.append(e)
+    sp = sieve[sieve > _STRIDED_MAX]
+    s = (-lo) % sp
+    cnt = (size - 1 - s) // sp + 1  # multiples of each prime in the window
+    p = np.repeat(sp, cnt)
+    # pair j is multiple j - first of its prime, first = pairs of smaller primes
+    at = np.repeat(s - sp * (np.cumsum(cnt) - cnt), cnt) + p * np.arange(len(p))
+    e, live = np.ones(len(p), dtype=np.int64), np.arange(len(p))
+    while live.size:  # p^e divides m; is p^(e+1), if <= hi - 1, a divisor too?
+        live = live[p[live] ** e[live] <= (hi - 1) // p[live]]
+        live = live[(lo + at[live]) % p[live] ** (e[live] + 1) == 0]
+        e[live] += 1
+    np.multiply.at(prod, at, p ** e)
+    cof = np.arange(lo, hi, dtype=np.int64) // prod
     # cofactor < sqrt(hi)^2 and unfactored => prime, above every sieving prime
-    left = np.flatnonzero(remain > 1)
-    pos.append(left)
-    ps.append(remain[left])
-    es.append(np.ones(len(left), dtype=np.int64))
-    pos = np.concatenate(pos)
+    left = np.flatnonzero(cof > 1)
+    pos = np.concatenate(pos + [at, left])
     # stable keeps each m's primes ascending; positions below 2^16 sort by radix
     order = np.argsort(pos.astype(np.min_scalar_type(max(size - 1, 0))), kind="stable")
-    return WindowFactors(size, pos[order], np.concatenate(ps)[order],
-                         np.concatenate(es)[order])
+    ps = np.concatenate(ps + [p, cof[left]])
+    es = np.concatenate(es + [e, np.ones(len(left), dtype=np.int64)])
+    return WindowFactors(size, pos[order], ps[order], es[order])

@@ -118,6 +118,15 @@ class TestExitCodes:
         assert run(["integral", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_integral_requires_target_sum(self, tmp_path, capsys, monkeypatch):
+        # the sum of the lower ends, once the default, makes every slice a point
+        self._forbid_work(monkeypatch)
+        without = {k: v for k, v in self.TYPEII_CFG.items() if k != "target_sum"}
+        for body in (without, {"intervals": [[0.1, 0.5], [0.2, 0.6], [0.3, 0.7]]}):
+            cfg = write_cfg(tmp_path, "c.json", body)
+            assert run(["integral", "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert "integral config needs 'target_sum'" in capsys.readouterr().err
+
     def test_selftest_flag_is_gone(self):
         with pytest.raises(SystemExit) as exc:
             run(["lattice", "--selftest"])
@@ -196,6 +205,36 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 25.0})
         assert run(["typei", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "'X' must be an integer, not 25.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"d_lo": 16.9, "d_hi": "32"}, "'d_lo' must be an integer, not 16.9"),
+        ({"d_hi": "32"}, "'d_hi' must be an integer, not '32'"),
+        ({"d_lo": True}, "'d_lo' must be an integer, not True"),
+    ], ids=["dlo-float", "dhi-string", "dlo-bool"])
+    def test_typei_block_bounds_not_truncated(self, tmp_path, capsys, monkeypatch,
+                                              change, message):
+        def work(*args, **kwargs):
+            raise AssertionError("typei work ran before validation")
+        monkeypatch.setattr(cli, "typei_discrepancy", work)
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 25, **change})
+        assert run(["typei", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"X": 3.7}, "'X' must be an integer, not 3.7"),
+        ({"X": "4"}, "'X' must be an integer, not '4'"),
+        ({"X": 4, "max_rows": 10.5}, "'max_rows' must be an integer, not 10.5"),
+        ({"box": [[1, 3.5], [1, 3]]}, "'box' must be a list of [lo, hi] integer pairs"),
+        ({"box": [[1, "3"], [1, 3]]}, "'box' must be a list of [lo, hi] integer pairs"),
+        ({"box": [[1, 3, 5], [1, 3]]}, "'box' must be a list of [lo, hi] integer pairs"),
+    ], ids=["X-float", "X-string", "max-rows-float", "box-float", "box-string",
+            "box-triple"])
+    def test_norms_bad_input(self, tmp_path, capsys, change, message):
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, **change})
+        out = tmp_path / "out"
+        assert run(["norms", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sseries_bad_input(self, tmp_path, capsys, monkeypatch):
         def work(*args, **kwargs):
@@ -376,16 +415,3 @@ class TestCompensatedSum:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
         assert got == ref["sha256"]
-
-    def test_default_target_sum(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, "c.json",
-                        {"intervals": [[0.1, 0.5], [0.2, 0.6], [0.3, 0.7]]})
-        reports = []
-        for tag in ("plain", "compensated"):
-            if tag == "compensated":
-                monkeypatch.setattr(builtins, "sum", compensated_sum)
-            out = tmp_path / tag
-            assert run(["integral", "--config", cfg, "--out", str(out)]) == 0
-            reports.append((out / "integral.json").read_bytes())
-        assert reports[0] == reports[1]
-        assert json.loads(reports[1])["target_sum"] == 0.1 + 0.2 + 0.3

@@ -375,6 +375,41 @@ class TestTypeIIOracle:
         assert rep.observed == typeii_oracle(intervals, X, 0.5)
 
 
+def scalar_ordered_tuples(rows: np.ndarray, intervals, logX: float) -> int:
+    """_count_ordered_tuples one row and one ordering at a time, with the
+    scalar math.log."""
+    return sum(all(a <= math.log(p) / logX <= b for p, (a, b) in zip(tup, intervals))
+               for row in rows.tolist() for tup in set(itertools.permutations(row)))
+
+
+class TestLogEdgeRescue:
+    """Box edges placed exactly at math.log(p) / log X, for the primes p at
+    which np.log and math.log disagree."""
+
+    X = 10**6
+
+    @pytest.fixture(scope="class")
+    def primes(self):
+        ps = primes_in(2, 1_500_000)
+        logs = np.log(np.array(ps, dtype=np.float64)).tolist()
+        # found on one machine; others may differ elsewhere or nowhere
+        return sorted({p for p, v in zip(ps, logs) if v != math.log(p)}
+                      | {285343, 287549, 351497})
+
+    @pytest.mark.parametrize("shape", ["point-first", "point-second", "upper", "lower"])
+    def test_count_matches_scalar_reference(self, primes, shape):
+        logX = math.log(self.X)
+        for p in primes:
+            e = math.log(p) / logX
+            intervals = {"point-first": [(e, e), (0.0, 1.1)],
+                         "point-second": [(0.0, 1.1), (e, e)],
+                         "upper": [(0.0, e), (0.0, e)],
+                         "lower": [(e, 1.1), (0.0, 1.1)]}[shape]
+            rows = np.array([[2, p], [p, p], [p, 1_299_709], [3, 1_299_709]])
+            count = experiments._count_ordered_tuples(rows, intervals, logX)
+            assert count == scalar_ordered_tuples(rows, intervals, logX) > 0
+
+
 class TestTypeII:
     def test_impossible_polytope(self):
         spec = PolytopeSpec.make([(0.9, 0.99), (0.9, 0.99)])

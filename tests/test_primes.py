@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normform import primes
 from normform.errors import FactorizationBudget
 from normform.primes import (
     _mr_witness,
@@ -209,6 +210,48 @@ def test_window_items_match_factorize(window):
     assert omega.dtype == np.int64
     assert omega.tolist() == [sum(fac.values()) for fac in items]
     assert facs == items
+
+
+# the primes either side of the split between strided and batched sieving
+LAST_STRIDED, FIRST_BATCHED = 251, 257
+
+
+def test_window_split_lies_between_the_fixed_cases():
+    assert primes_in(LAST_STRIDED, FIRST_BATCHED) == [LAST_STRIDED, FIRST_BATCHED]
+    assert LAST_STRIDED <= primes._STRIDED_MAX < FIRST_BATCHED
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 10**8), st.integers(1, 3000))
+@example(1, 3000)  # lo = 1
+@example(1, 1)
+@example(LAST_STRIDED**2 - 1500, 3000)
+@example(FIRST_BATCHED**2 - 1500, 3000)
+@example(LAST_STRIDED**3 - 1500, 3000)
+@example(FIRST_BATCHED**3 - 1500, 3000)
+@example(LAST_STRIDED**2 - 2999, 3000)  # hi - 1 is a prime square ...
+@example(FIRST_BATCHED**2 - 2999, 3000)  # ... of the one batched prime
+@example(9973**2 - 2999, 3000)
+@example(2**20 - 1000, 2000)
+@example(3**13 - 1000, 2000)
+@example(2**20, 1)  # windows shorter than the gap between odd primes
+@example(FIRST_BATCHED**3, 1)
+@example(99_999_989, 1)  # a prime
+@example(1_000_002, 2)
+def test_window_matches_factorize_random_lo(lo, length):
+    facs = window_factorizations(lo, lo + length)
+    assert [facs.pos.dtype, facs.primes.dtype, facs.exps.dtype] == [np.int64] * 3
+    keys = list(zip(facs.pos.tolist(), facs.primes.tolist()))
+    assert keys == sorted(set(keys))  # strictly by position, then by prime
+    assert list(facs) == [factorize(m) for m in range(lo, lo + length)]
+
+
+def test_window_does_not_divide(monkeypatch):
+    def divide_out(*args):
+        raise AssertionError("window_factorizations divided the window")
+    monkeypatch.setattr(primes, "_divide_out", divide_out)
+    assert window_factorizations(10**6, 10**6 + 300) == [
+        factorize(m) for m in range(10**6, 10**6 + 300)]
 
 
 def test_window_negative_index_and_index_error():
