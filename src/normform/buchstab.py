@@ -32,14 +32,15 @@ class BuchstabReport:
         return self.__dict__.copy()
 
 
-def buchstab_report(values, z1, z2, size_limit: int = 2**64) -> BuchstabReport:
+def buchstab_report(values, z1, z2) -> BuchstabReport:
     """Both sides of the identity for the values; residual must be 0.
 
     residual = S(A, z2) - [S(A, z1) - sum_(z1 < p <= z2) S_>=(A_p, p)].
-    Factorization failures raise FactorizationBudget.
+    Factorization failures (a composite cofactor above factorize's default
+    size limit, 2^64) raise FactorizationBudget.
     """
     vals = [abs(int(v)) for v in values]
-    facs = [factorize(v, size_limit=size_limit) for v in vals]
+    facs = [factorize(v) for v in vals]
     s2 = sum(1 for f in facs if _lpf(f) > z2)
     s1 = sum(1 for f in facs if _lpf(f) > z1)
     middle = 0
@@ -57,9 +58,9 @@ def buchstab_report(values, z1, z2, size_limit: int = 2**64) -> BuchstabReport:
                           middle_sum=middle, residual=s2 - (s1 - middle))
 
 
-def buchstab_residual(values, z1, z2, size_limit: int = 2**64) -> int:
+def buchstab_residual(values, z1, z2) -> int:
     """The residual of buchstab_report for nonzero integer values."""
     vals = [abs(int(v)) for v in values]
     if 0 in vals:
         raise ValueError("0 has no least prime factor")
-    return buchstab_report(vals, z1, z2, size_limit=size_limit).residual
+    return buchstab_report(vals, z1, z2).residual

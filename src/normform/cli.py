@@ -33,6 +33,7 @@ from .experiments import (
 from .fields import FieldSpec, norm_form
 from .integrals import PolytopeSpec, polytope_integral
 from .lattices import det_squared_formula, lambda_v, lattice_det_sq, reduced_basis, wedge
+from .primes import is_prime
 from .series import per_prime_factor_table, singular_series, singular_series_tilde
 
 log = logging.getLogger("normform")
@@ -91,18 +92,26 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
-def _int(value, name: str) -> int:
+def _int(value, name: str, lo: int | None = None) -> int:
     if type(value) is not int:  # a bool is an int subclass, a float is not
         raise ValidationError(f"{name} must be an integer, not {value!r}")
+    if lo is not None and value < lo:
+        raise ValidationError(f"{name} must be at least {lo}, not {value!r}")
     return value
+
+
+def _list(values, name: str, item=_int) -> list:
+    if not isinstance(values, list):
+        raise ValidationError(f"{name} must be a list, not {values!r}")
+    return [item(v, f"{name} entry") for v in values]
 
 
 def _box(box) -> list[list[int]]:
     if not (isinstance(box, list) and all(
             isinstance(b, list) and len(b) == 2 and all(type(e) is int for e in b)
-            for b in box)):
+            and b[0] <= b[1] for b in box)):
         raise ValidationError(f"'box' must be a list of [lo, hi] integer pairs, "
-                              f"not {box!r}")
+                              f"lo <= hi, not {box!r}")
     return box
 
 
@@ -174,9 +183,7 @@ def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
 def _run_lattice(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "v"})
     ctx = _field_from(cfg)
-    if "v" not in cfg:
-        raise ValidationError("lattice config needs 'v': [int, ...]")
-    v = [int(t) for t in cfg["v"]]
+    v = _list(cfg.get("v"), "'v'")
     w = wedge(v, ctx)
     lat = lambda_v(v, ctx)
     rb = reduced_basis(lat)
@@ -206,15 +213,17 @@ def _run_census(cfg: dict, args, outdir: Path) -> dict:
     ctx = _field_from(cfg)
     kind = cfg.get("census", "fp_wedge")
     if kind == "fp_wedge":
-        primes = [int(p) for p in cfg.get("primes", [3, 5, 7])]
+        primes = _list(cfg.get("primes", [3, 5, 7]), "'primes'")
+        if not all(map(is_prime, primes)):
+            raise ValidationError(f"'primes' entries must be primes, not {primes}")
         rep = fp_wedge_census_report(ctx, primes,
                                      budget=args.budget or 10**8)
     elif kind == "skew":
-        rep = skew_census(ctx, int(cfg.get("B", 20)),
-                          int(cfg.get("samples", 500)),
-                          [float(k) for k in cfg.get("kappas",
-                                                     [0.0, 2**-10, 2**-6, 1.0])],
-                          seed=args.seed or int(cfg.get("seed", 0)))
+        rep = skew_census(ctx, _int(cfg.get("B", 20), "'B'", 1),
+                          _int(cfg.get("samples", 500), "'samples'", 1),
+                          _list(cfg.get("kappas", [0.0, 2**-10, 2**-6, 1.0]),
+                                "'kappas'", _finite),
+                          seed=args.seed or _int(cfg.get("seed", 0), "'seed'"))
     else:
         raise ValidationError(f"unknown census kind {kind!r}")
     payload = {**rep.to_json_dict(), "version": __version__}
@@ -288,21 +297,22 @@ def _run_integral(cfg: dict, args, outdir: Path) -> dict:
 
 def _run_buchstab(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"values", "range", "field", "box", "z1", "z2"})
-    if "z1" not in cfg or "z2" not in cfg:
-        raise ValidationError("buchstab config needs z1 and z2")
+    z1, z2 = _finite(cfg.get("z1"), "'z1'"), _finite(cfg.get("z2"), "'z2'")
     if "values" in cfg:
-        values = [int(v) for v in cfg["values"]]
+        values = _list(cfg["values"], "'values'")
     elif "range" in cfg:
-        lo, hi = cfg["range"]
-        values = list(range(int(lo), int(hi) + 1))
+        bounds = _list(cfg["range"], "'range'")
+        if len(bounds) != 2 or bounds[0] > bounds[1]:
+            raise ValidationError(f"'range' must be [lo, hi] with lo <= hi, not {bounds}")
+        values = list(range(bounds[0], bounds[1] + 1))
     elif "field" in cfg and "box" in cfg:
         ctx = _field_from(cfg)
-        ranges = [range(int(lo), int(hi) + 1) for lo, hi in cfg["box"]]
+        ranges = [range(lo, hi + 1) for lo, hi in _box(cfg["box"])]
         values = [norm_form(x, ctx) for x in itertools.product(*ranges)]
         values = [v for v in values if v != 0]
     else:
         raise ValidationError("buchstab config needs values, range, or field+box")
-    rep = buchstab_report(values, float(cfg["z1"]), float(cfg["z2"]))
+    rep = buchstab_report(values, z1, z2)
     payload = {**rep.to_json_dict(), "version": __version__}
     _write_report(outdir, "buchstab", payload)
     return payload
@@ -340,16 +350,14 @@ def _run_norms(cfg: dict, args, outdir: Path) -> dict:
     if "box" in cfg:
         box = _box(cfg["box"])
     else:
-        X = _int(cfg.get("X", 10), "'X'")
+        X = _int(cfg.get("X", 10), "'X'", 1)
         box = [(1, X)] * ctx.m
     if len(box) != ctx.m:
         raise ValidationError(f"box must have {ctx.m} coordinates")
-    npts = 1
-    for lo, hi in box:
-        npts *= hi - lo + 1
+    max_rows = _int(cfg.get("max_rows", 1000), "'max_rows'", 0)
+    npts = math.prod(hi - lo + 1 for lo, hi in box)
     if npts > (args.budget or 10**6):
         raise BudgetExceeded(f"{npts} points exceed budget")
-    max_rows = _int(cfg.get("max_rows", 1000), "'max_rows'")
     rows = []
     neg = 0
     tiny = 0

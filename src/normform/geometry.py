@@ -62,10 +62,6 @@ class AxisBox:
         """Squared radius of the smallest origin-centred ball covering the box."""
         return sum(max(a * a, b * b) for a, b in zip(self.lo, self.hi))
 
-    def translate(self, t) -> "AxisBox":
-        return AxisBox(tuple(a + Fraction(x) for a, x in zip(self.lo, t)),
-                       tuple(b + Fraction(x) for b, x in zip(self.hi, t)))
-
 
 @dataclass(frozen=True)
 class LinearRegion:

@@ -120,9 +120,6 @@ class IdealSym:
         return -1 if len(self.factors) % 2 else 1
 
 
-UNIT_IDEAL = IdealSym(factors=())
-
-
 @lru_cache(maxsize=None)
 def _prime_ideals_above_cached(p: int, f_coeffs: tuple[int, ...]) -> tuple[PrimeIdeal, ...]:
     facs = monic_factors_mod_p(list(f_coeffs), p)

@@ -23,6 +23,10 @@ _MR_REGIMES = (
     (3_317_044_064_679_887_385_961_981,
      (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
+# The probabilistic regime: random bases drawn from Random(_MR_SEED ^ low
+# 32 bits of n), so every verdict is reproducible.
+_MR_ROUNDS = 64
+_MR_SEED = 0
 
 # Domain of is_prime_batch: above its largest base, and small enough that
 # a product of two residues is exact in uint64.
@@ -51,17 +55,17 @@ def _mr_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def is_prime(n: int, rounds: int = 64, seed: int = 0) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test: deterministic below 3.3e24, else probabilistic.
 
-    Above the deterministic bound a seeded Miller-Rabin with `rounds`
+    Above the deterministic bound a seeded Miller-Rabin with _MR_ROUNDS
     random bases is used; see is_prime_certified when the caller needs to
     record which regime applied.
     """
-    return is_prime_certified(n, rounds=rounds, seed=seed)[0]
+    return is_prime_certified(n)[0]
 
 
-def is_prime_certified(n: int, rounds: int = 64, seed: int = 0) -> tuple[bool, bool]:
+def is_prime_certified(n: int) -> tuple[bool, bool]:
     """Return (is_prime, certified) where certified means non-probabilistic.
 
     The witness bases are chosen by the size of n from _MR_REGIMES; past
@@ -79,8 +83,8 @@ def is_prime_certified(n: int, rounds: int = 64, seed: int = 0) -> tuple[bool, b
     for bound, bases in _MR_REGIMES:
         if n < bound:
             return not any(_mr_witness(n, a, d, s) for a in bases), True
-    rng = random.Random(seed ^ (n & 0xFFFFFFFF))
-    for _ in range(rounds):
+    rng = random.Random(_MR_SEED ^ (n & 0xFFFFFFFF))
+    for _ in range(_MR_ROUNDS):
         if _mr_witness(n, rng.randrange(2, n - 1), d, s):
             return False, False
     return True, False

@@ -1,9 +1,10 @@
 """Truncated Euler products: the singular series, its tilde variant, and
 the Perron-limit sieve sum.
 
-Products accumulate in log space with 80+ bit mpmath arithmetic.  The
-tilde series has local factors 1 + O(1/p^2), so its truncation error gets
-a fully certified tail bound.  The plain series has a conditionally
+Products accumulate in log space in stdlib decimal arithmetic at
+_DIGITS = 34 significant digits (about 113 bits).  The tilde series has
+local factors 1 + O(1/p^2), so its truncation error gets a fully
+certified tail bound.  The plain series has a conditionally
 convergent first-order part (the zeta-vs-zeta_K coefficient fluctuation);
 its tail field combines the certified second-order bound with a clearly
 labelled empirical oscillation estimate.
@@ -11,10 +12,13 @@ labelled empirical oscillation estimate.
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
+from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .errors import BudgetExceeded
@@ -30,7 +34,10 @@ from .localdata import (
 from .primes import sieve_primes
 from .splitting import batch_degree_patterns
 
-_PREC_BITS = 100
+# Products run in a copy of this context, so no caller's decimal settings
+# reach a report; Context() copies unnamed fields from DefaultContext.
+_DIGITS = 34
+_CONTEXT = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
 
 
 @dataclass
@@ -66,33 +73,53 @@ class SeriesEstimate:
         }
 
 
-def _local_factor_data(ctx: FieldSpec, p_cut: int):
-    """(p, nu, nu2) for all p <= p_cut; batch formulas at good p, brute at bad p."""
+def _local_factor_data(ctx: FieldSpec, p_cut: int) -> tuple:
+    """(p, nu, nu2, degs, nu_p) for all p <= p_cut: batch formulas at good p,
+    brute force at bad p."""
     bad = set(bad_primes(ctx))
-    ps = sieve_primes(p_cut)
-    good = np.array([p for p in ps.tolist() if p not in bad], dtype=np.int64)
+    good = np.array([p for p in sieve_primes(p_cut).tolist() if p not in bad], dtype=np.int64)
     pats = batch_degree_patterns(list(ctx.f_coeffs), good)
     out = []
     for i, p in enumerate(good.tolist()):
-        degs = [d for d in range(1, ctx.n + 1) for _ in range(int(pats[i, d - 1]))]
+        degs = tuple(d for d in range(1, ctx.n + 1) for _ in range(int(pats[i, d - 1])))
         nu_p = int(pats[i, 0])
         out.append((p, _nu_from_degrees(degs, p, ctx.m),
                     nu2_from_degrees(degs, p, ctx.n), degs, nu_p))
-    for p in sorted(bad):
-        if p > p_cut:
-            continue
+    for p in sorted(q for q in bad if q <= p_cut):
         ld = local_data(p, ctx)
         if ld.nu is None or ld.nu2 is None:
             raise BudgetExceeded(f"bad prime {p} too large for brute force")
-        out.append((p, ld.nu, ld.nu2, list(ld.degree_pattern), ld.nu_p))
+        out.append((p, ld.nu, ld.nu2, tuple(ld.degree_pattern), ld.nu_p))
     out.sort()
-    return out
+    return tuple(out)
 
 
-def _second_order_constant(ctx: FieldSpec) -> float:
-    # |nu/p^m - nu_p/p| <= 2^n / p^2 (subset terms beyond the degree-1
-    # singletons), plus series remainders n^2/p^2 and 1/p^2
-    return 2.0**ctx.n + ctx.n**2 + 2.0
+@lru_cache(maxsize=4)
+def _local_factors(ctx: FieldSpec, p_cut: int) -> tuple:
+    """_local_factor_data once per (ctx, p_cut), shared by every product below."""
+    if p_cut < 100:
+        raise ValueError("p_cut must be at least 100")
+    return _local_factor_data(ctx, p_cut)
+
+
+def _euler_product(ctx: FieldSpec, p_cut: int, tilde: bool) -> tuple[float, float]:
+    """(value, certified tail) of prod_(p <= p_cut) (1 - nu/p^(n-k)) / (1 - b).
+
+    b is nu_2/p^n for the tilde series and 1/p for the plain one.  The tail
+    bounds the 1 + O(1/p^2) part of the factors beyond p_cut.
+    """
+    with decimal.localcontext(_CONTEXT):
+        log_acc = Decimal(0)
+        for p, nu, nu2, _degs, _nu_p in _local_factors(ctx, p_cut):
+            b = Decimal(nu2) / p**ctx.n if tilde else Decimal(1) / p
+            # nu/p^(n-k) < 1: N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at every p
+            log_acc += (1 - Decimal(nu) / p**ctx.m).ln() - (1 - b).ln()
+        value = float(log_acc.exp())
+        # |nu/p^m - nu_p/p| <= 2^n / p^2 (subset terms beyond the degree-1
+        # singletons), plus series remainders n^2/p^2 and 1/p^2
+        c2 = 2**ctx.n + ctx.n**2 + 2
+        tail_cert = float((Decimal(c2) / p_cut).exp() - 1) * value
+    return value, tail_cert
 
 
 def singular_series(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate:
@@ -102,24 +129,11 @@ def singular_series(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate:
     (nu_p - 1)/p fluctuation is conditionally convergent and is reported
     through an empirical oscillation estimate.
     """
-    if p_cut < 100:
-        raise ValueError("p_cut must be at least 100")
-    data = _local_factor_data(ctx, p_cut)
-    partial_first_order = []
-    with mp.workprec(_PREC_BITS):
-        log_acc = mp.mpf(0)
-        for p, nu, nu2, degs, nu_p in data:
-            a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
-            # a < 1: N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at every p
-            log_acc += mp.log(1 - a) - mp.log(1 - mp.mpf(1) / p)
-            partial_first_order.append((p, (nu_p - 1) / p))
-        value = float(mp.e**log_acc)
-        c2 = _second_order_constant(ctx)
-        tail_cert = float(mp.expm1(mp.mpf(c2) / p_cut)) * value
-    tail_osc = _oscillation_estimate(partial_first_order) * value
+    value, tail_cert = _euler_product(ctx, p_cut, tilde=False)
+    tail_osc = _oscillation_estimate(_local_factors(ctx, p_cut)) * value
     return SeriesEstimate(
-        value=value, cutoff=p_cut, tail_cert=tail_cert,
-        tail_osc=tail_osc, kind="singular_series",
+        value=value, cutoff=p_cut, tail_cert=tail_cert, tail_osc=tail_osc,
+        kind="singular_series",
         notes={"bad_primes_brute_forced": bad_primes(ctx)},
     )
 
@@ -129,19 +143,7 @@ def singular_series_tilde(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate
 
     Local factors are 1 + O(1/p^2), so the tail bound here is certified.
     """
-    if p_cut < 100:
-        raise ValueError("p_cut must be at least 100")
-    data = _local_factor_data(ctx, p_cut)
-    with mp.workprec(_PREC_BITS):
-        log_acc = mp.mpf(0)
-        for p, nu, nu2, _degs, _nu_p in data:
-            a = mp.mpf(nu) / mp.mpf(p) ** ctx.m
-            b = mp.mpf(nu2) / mp.mpf(p) ** ctx.n
-            # a < 1: N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at every p
-            log_acc += mp.log(1 - a) - mp.log(1 - b)
-        value = float(mp.e**log_acc)
-        c2 = _second_order_constant(ctx)
-        tail_cert = float(mp.expm1(mp.mpf(c2) / p_cut)) * value
+    value, tail_cert = _euler_product(ctx, p_cut, tilde=True)
     return SeriesEstimate(
         value=value, cutoff=p_cut, tail_cert=tail_cert, tail_osc=0.0,
         kind="singular_series_tilde",
@@ -149,34 +151,25 @@ def singular_series_tilde(ctx: FieldSpec, p_cut: int = 10_000) -> SeriesEstimate
     )
 
 
-def _oscillation_estimate(first_order: list[tuple[int, float]]) -> float:
+def _oscillation_estimate(data: tuple) -> float:
     """Heuristic size of the unresolved sum_(p>P) (nu_p - 1)/p.
 
     Takes the spread of the partial sums over the last few dyadic windows
     as a forward estimate; labelled non-certified in every report.
     """
-    if not first_order:
-        return 0.0
-    P = first_order[-1][0]
-    acc = 0.0
-    sums = []
-    for p, t in first_order:
-        acc += t
-        sums.append((p, acc))
-    window = [s for p, s in sums if p > P / 4]
-    if not window:
-        return 0.0
+    P = data[-1][0]
+    sums = itertools.accumulate((nu_p - 1) / p for p, _nu, _nu2, _degs, nu_p in data)
+    window = [s for row, s in zip(data, sums) if row[0] > P / 4]
     return 2.0 * (max(window) - min(window)) + 1e-12
 
 
 def per_prime_factor_table(ctx: FieldSpec, p_cut: int):
     """Rows (p, degree_pattern, nu_p, nu, factor, running_product) for CSV."""
-    data = _local_factor_data(ctx, p_cut)
     rows = []
-    with mp.workprec(_PREC_BITS):
-        running = mp.mpf(1)
-        for p, nu, nu2, degs, nu_p in data:
-            factor = (1 - mp.mpf(nu) / mp.mpf(p) ** ctx.m) / (1 - mp.mpf(1) / p)
+    with decimal.localcontext(_CONTEXT):
+        running = Decimal(1)
+        for p, nu, _nu2, degs, nu_p in _local_factors(ctx, p_cut):
+            factor = (1 - Decimal(nu) / p**ctx.m) / (1 - Decimal(1) / p)
             running *= factor
             rows.append({
                 "p": p,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from normform import cli, experiments
+from normform import cli, experiments, series
 from normform.cli import main
 
 
@@ -236,6 +236,66 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("norms", {"field": FIELD3, "box": [[5, 1], [1, 3]]},
+         "'box' must be a list of [lo, hi] integer pairs, lo <= hi"),
+        ("norms", {"field": FIELD3, "X": -4}, "'X' must be at least 1, not -4"),
+        ("norms", {"field": FIELD3, "X": 0}, "'X' must be at least 1, not 0"),
+        ("norms", {"field": FIELD3, "X": 4, "max_rows": -1},
+         "'max_rows' must be at least 0, not -1"),
+        ("theorem", {"field": FIELD3, "X": 20, "box": [[9, 3], [1, 5]]},
+         "'box' must be a list of [lo, hi] integer pairs, lo <= hi"),
+        ("lattice", {"field": {"f": [-2, 0, 0, 0, 1], "k": 1}, "v": [3.7, -2, 5, 1]},
+         "'v' entry must be an integer, not 3.7"),
+        ("lattice", {"field": {"f": [-2, 0, 0, 0, 1], "k": 1}}, "'v' must be a list, not None"),
+        ("census", {"field": FIELD3, "primes": [4]}, "'primes' entries must be primes"),
+        ("census", {"field": FIELD3, "primes": [3.0]}, "'primes' entry must be an integer"),
+        ("census", {"field": FIELD3, "census": "skew", "B": 20.9},
+         "'B' must be an integer, not 20.9"),
+        ("census", {"field": FIELD3, "census": "skew", "B": 0}, "'B' must be at least 1"),
+        ("census", {"field": FIELD3, "census": "skew", "samples": "500"},
+         "'samples' must be an integer, not '500'"),
+        ("census", {"field": FIELD3, "census": "skew", "samples": 0},
+         "'samples' must be at least 1"),
+        ("census", {"field": FIELD3, "census": "skew", "seed": 1.5},
+         "'seed' must be an integer, not 1.5"),
+        ("census", {"field": FIELD3, "census": "skew", "kappas": [0.5, math.inf]},
+         "'kappas' entry must be a finite number, not inf"),
+        ("census", {"field": FIELD3, "census": "skew", "kappas": 0.5},
+         "'kappas' must be a list, not 0.5"),
+        ("buchstab", '{"range": [50, 150], "z1": 3, "z2": 1e400}',
+         "'z2' must be a finite number, not inf"),
+        ("buchstab", {"range": [50, 150], "z1": "3", "z2": 11},
+         "'z1' must be a finite number, not '3'"),
+        ("buchstab", {"range": [50, 150], "z2": 11}, "'z1' must be a finite number, not None"),
+        ("buchstab", {"values": [12, 13.5], "z1": 3, "z2": 11},
+         "'values' entry must be an integer, not 13.5"),
+        ("buchstab", {"range": [50, "150"], "z1": 3, "z2": 11},
+         "'range' entry must be an integer, not '150'"),
+        ("buchstab", {"range": [150, 50], "z1": 3, "z2": 11},
+         "'range' must be [lo, hi] with lo <= hi, not [150, 50]"),
+        ("buchstab", {"field": FIELD3, "box": [[1, 20], [20, 1]], "z1": 3, "z2": 11},
+         "'box' must be a list of [lo, hi] integer pairs, lo <= hi"),
+    ], ids=["norms-box-inverted", "norms-X-negative", "norms-X-zero", "norms-max-rows",
+            "theorem-box-inverted", "lattice-v-float", "lattice-v-missing",
+            "census-composite", "census-prime-float", "census-B-float", "census-B-zero",
+            "census-samples-string", "census-samples-zero", "census-seed-float",
+            "census-kappa-inf", "census-kappas-scalar", "buchstab-z2-1e400",
+            "buchstab-z1-string", "buchstab-z1-missing", "buchstab-values-float",
+            "buchstab-range-string", "buchstab-range-inverted", "buchstab-box-inverted"])
+    def test_config_values_typed(self, tmp_path, capsys, monkeypatch, command, cfg, message):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{command} work ran before validation")
+        for name in ("theorem_check", "wedge", "fp_wedge_census_report", "skew_census",
+                     "buchstab_report", "norm_form"):
+            monkeypatch.setattr(cli, name, work)
+        path = tmp_path / "c.json"
+        path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sseries_bad_input(self, tmp_path, capsys, monkeypatch):
         def work(*args, **kwargs):
             raise AssertionError("sseries work ran before validation")
@@ -264,6 +324,21 @@ class TestSubcommands:
         assert run(["sseries", "--config", cfg, "--out", str(out)]) == 0
         data = json.loads((out / "sseries.json").read_text())
         assert data["value"] > 0 and data["tail_bound"] > 0
+
+    def test_sseries_computes_local_factors_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = series._local_factor_data
+
+        def counted(ctx, p_cut):
+            calls.append(p_cut)
+            return real(ctx, p_cut)
+
+        monkeypatch.setattr(series, "_local_factor_data", counted)
+        series._local_factors.cache_clear()
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "p_cut": 300})
+        assert run(["sseries", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        series._local_factors.cache_clear()
+        assert calls == [300]
 
     def test_lattice(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",

@@ -142,7 +142,7 @@ class TestDavenport:
         lat1 = IntLattice(2, ((2, 1), (1, 1)))
         lat2 = IntLattice(2, ((3, 2), (1, 1)))  # row op applied
         reg = LinearRegion.from_box(AxisBox.cube(2, 0, 30))
-        reg2 = LinearRegion.from_box(AxisBox.cube(2, 0, 30).translate([5, -3]))
+        reg2 = LinearRegion.from_box(AxisBox.make([5, -3], [35, 27]))  # moved by (5, -3)
         a = davenport_estimate(lat1, reg)
         b = davenport_estimate(lat2, reg)
         c = davenport_estimate(lat1, reg2)

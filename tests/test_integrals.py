@@ -92,15 +92,20 @@ def test_scipy_is_never_imported():
         sys.path.insert(0, {str(src)!r})
         import normform.cli
         assert "scipy" not in sys.modules, "import normform.cli loaded scipy"
+        assert "mpmath" not in sys.modules, "import normform.cli loaded mpmath"
+        from normform.fields import make_context
         from normform.integrals import PolytopeSpec, polytope_integral
+        from normform.series import singular_series
         cfg = json.loads(open({str(config)!r}).read())
         value = polytope_integral(PolytopeSpec.make(cfg["intervals"]), cfg["target_sum"])
-        print(repr(value), any(m.split(".")[0] == "scipy" for m in sys.modules))
+        singular_series(make_context([-2, 0, 0], 1), 200)
+        loaded = {{m.split(".")[0] for m in sys.modules}}
+        print(repr(value), "scipy" in loaded, "mpmath" in loaded)
     """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     # the pinned value of configs/typeii_integral.json, bit for bit
-    assert out.stdout.split() == ["0.40546510810816433", "False"]
+    assert out.stdout.split() == ["0.40546510810816433", "False", "False"]
 
 
 # random boxes: ell intervals (lo, hi) and a target sum inside their range

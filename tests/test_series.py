@@ -1,5 +1,6 @@
 """Singular series, tail bounds, sieve weights and the Perron sum."""
 
+import decimal
 import math
 
 import mpmath as mp
@@ -22,11 +23,20 @@ CTX4 = make_context([-2, 0, 0, 0], 1)
 
 class TestSingularSeries:
     def test_mpmath_precision_left_alone(self):
+        def values():
+            return (singular_series(CTX3, 200), singular_series_tilde(CTX3, 200),
+                    per_prime_factor_table(CTX3, 200))
+
+        want = values()
         with mp.workprec(60):
-            singular_series(CTX3, 200)
-            singular_series_tilde(CTX3, 200)
-            per_prime_factor_table(CTX3, 200)
+            values()
             assert mp.mp.prec == 60
+        caller = decimal.Context(prec=5, rounding=decimal.ROUND_DOWN)
+        with decimal.localcontext(caller) as ctx:
+            assert values() == want
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
+            assert not any(ctx.flags.values())
 
     def test_positive_no_fixed_divisor(self):
         S = singular_series(CTX3, 2000)
