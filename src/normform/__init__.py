@@ -67,7 +67,6 @@ from .localdata import (  # noqa: F401
 from .series import (  # noqa: F401
     SeriesEstimate,
     sieve_sum,
-    sieve_weights,
     singular_series,
     singular_series_tilde,
 )

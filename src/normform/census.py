@@ -5,6 +5,7 @@ rank oracle) and the empirical Archimedean skew statistics."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -69,11 +70,15 @@ def fp_wedge_census(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     and #{b : D(b) contains W} = p^(n - rank_p R_W), R_W stacking
     sum c_i R_i over a basis c of W.  Moebius inversion over the subspaces
     of F_p^k, mu(0, W) = (-1)^d p^(d(d-1)/2) for dim W = d, sums these.
-    The budget gates p^n, which bounds the subspace count for k < 2 sqrt(n).
+    The budget gates the work: for each of the [k choose d]_p subspaces of
+    dimension d, one rank of a dn x n matrix, d n^3 steps.
     """
     n, k = ctx.n, ctx.k
-    if p**n > budget:
-        raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
+    # [k choose d]_p = prod_(i < d) (p^k - p^i) / (p^d - p^i)
+    work = sum(math.prod(p**k - p**i for i in range(d)) * d * n**3
+               // math.prod(p**d - p**i for i in range(d)) for d in range(1, k + 1))
+    if work > budget:
+        raise BudgetExceeded(f"census work {work} exceeds budget {budget}")
     if k == 0:
         return p**n
     tensors = [(R % p).tolist() for R in constraint_row_tensors(ctx)]

@@ -161,7 +161,8 @@ def _run_theorem(cfg: dict, args, outdir: Path) -> dict:
 def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "p_cut"})
     ctx = _field_from(cfg)
-    p_cut = args.pcut or _int(cfg.get("p_cut", 10_000), "'p_cut'")
+    p_cut = (_int(cfg.get("p_cut", 10_000), "'p_cut'", 100) if args.pcut is None
+             else _int(args.pcut, "--pcut", 100))
     S = singular_series(ctx, p_cut)
     St = singular_series_tilde(ctx, p_cut)
     rows = per_prime_factor_table(ctx, p_cut)
@@ -216,14 +217,15 @@ def _run_census(cfg: dict, args, outdir: Path) -> dict:
         primes = _list(cfg.get("primes", [3, 5, 7]), "'primes'")
         if not all(map(is_prime, primes)):
             raise ValidationError(f"'primes' entries must be primes, not {primes}")
-        rep = fp_wedge_census_report(ctx, primes,
-                                     budget=args.budget or 10**8)
+        rep = fp_wedge_census_report(
+            ctx, primes, budget=10**8 if args.budget is None else args.budget)
     elif kind == "skew":
         rep = skew_census(ctx, _int(cfg.get("B", 20), "'B'", 1),
                           _int(cfg.get("samples", 500), "'samples'", 1),
                           _list(cfg.get("kappas", [0.0, 2**-10, 2**-6, 1.0]),
                                 "'kappas'", _finite),
-                          seed=args.seed or _int(cfg.get("seed", 0), "'seed'"))
+                          seed=_int(cfg.get("seed", 0), "'seed'") if args.seed is None
+                          else args.seed)
     else:
         raise ValidationError(f"unknown census kind {kind!r}")
     payload = {**rep.to_json_dict(), "version": __version__}
@@ -356,7 +358,7 @@ def _run_norms(cfg: dict, args, outdir: Path) -> dict:
         raise ValidationError(f"box must have {ctx.m} coordinates")
     max_rows = _int(cfg.get("max_rows", 1000), "'max_rows'", 0)
     npts = math.prod(hi - lo + 1 for lo, hi in box)
-    if npts > (args.budget or 10**6):
+    if npts > (10**6 if args.budget is None else args.budget):
         raise BudgetExceeded(f"{npts} points exceed budget")
     rows = []
     neg = 0

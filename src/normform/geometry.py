@@ -1,9 +1,10 @@
 """Geometry of numbers: boxes, linear regions, exact counts and volumes.
 
-points_in_region enumerates lattice points exactly (Fincke-Pohst inside
-the region's bounding ball, then exact membership filtering), and
-davenport_estimate returns the volume/determinant main term together with
-the error expression built from exact successive minima.
+points_in_region counts lattice points exactly: the Fincke-Pohst walk
+inside the region's bounding ball yields leaf intervals of points on a
+line, each clipped against the box and the constraints by exact integer
+division.  davenport_estimate returns the volume/determinant main term
+together with the error expression built from exact successive minima.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from numpy.random import Generator, Philox
 
 from .errors import BudgetExceeded, RankTooLarge, Unbounded
 from .intlinalg import (
-    enumerate_short_vectors,
+    _dot,
+    _leaf_intervals,
     gram_det,
     lll_reduce,
     solve_rational,
@@ -126,9 +128,11 @@ def points_in_region(lat: IntLattice, region: LinearRegion,
                      budget: int = 10**8) -> int:
     """Exact number of lattice points in the region.
 
-    Enumerates the lattice inside the bounding ball of the region via
-    Fincke-Pohst on the LLL-reduced basis, then filters by exact
-    membership.  The ball count estimate is guarded by `budget`.
+    Walks the Fincke-Pohst tree of the LLL-reduced basis inside the
+    region's bounding ball; each leaf, the points v + t*b0 for t in an
+    interval, is clipped for +-(v + t*b0) by every box coordinate and
+    constraint in exact integer division, so no point is built.  The ball count estimate
+    and the tree's coefficient choices are guarded by `budget`.
     """
     region.require_bounded()
     if lat.rank > 10:
@@ -140,26 +144,31 @@ def points_in_region(lat: IntLattice, region: LinearRegion,
     est = (float(r2) ** (lat.rank / 2) * _ball_volume(lat.rank)) / math.sqrt(det_sq)
     if est > budget:
         raise BudgetExceeded(f"estimated enumeration {est:.3g} > budget {budget}")
-    # integer points only: lo <= t <= hi  <=>  ceil(lo) <= t <= floor(hi)
-    box = [(math.ceil(a), math.floor(b)) for a, b in zip(region.box.lo, region.box.hi)]
-    cons = [(a, math.ceil(lo), math.floor(hi)) for a, lo, hi in region.constraints]
+    # one row per box coordinate, then per constraint functional; integer
+    # points only: lo <= t <= hi  <=>  ceil(lo) <= t <= floor(hi)
+    funcs = [a for a, _, _ in region.constraints]
+    bounds = [(math.ceil(lo), math.floor(hi)) for lo, hi in
+              [*zip(region.box.lo, region.box.hi), *(c[1:] for c in region.constraints)]]
+    b0 = red[0] if red else []
+    steps = b0 + [_dot(a, b0) for a in funcs]
     count = int(region.contains(tuple([0] * lat.ambient_dim)))
-    for _, v in enumerate_short_vectors(red, r2, limit=budget):
-        # v and -v together; stop once both are outside
-        pos = neg = True
-        for t, (lo, hi) in zip(v, box):
-            pos = pos and lo <= t <= hi
-            neg = neg and lo <= -t <= hi
-            if not (pos or neg):
-                break
-        for a, lo, hi in cons:
-            if not (pos or neg):
-                break
-            s = sum(c * t for c, t in zip(a, v))
-            pos = pos and lo <= s <= hi
-            neg = neg and lo <= -s <= hi
-        count += pos + neg
+    for _, partial, start, stop in _leaf_intervals(red, r2, budget):
+        vals = partial + [_dot(a, partial) for a in funcs]
+        pos = neg = (start, stop)
+        for p, s, (lo, hi) in zip(vals, steps, bounds):
+            pos = _clip(*pos, p, s, lo, hi)
+            neg = _clip(*neg, -p, -s, lo, hi)
+        count += max(0, pos[1] - pos[0]) + max(0, neg[1] - neg[0])
     return count
+
+
+def _clip(a: int, b: int, p: int, s: int, lo: int, hi: int) -> tuple[int, int]:
+    """[a, b) cut down to the t with lo <= p + t*s <= hi."""
+    if s == 0:
+        return (a, b) if lo <= p <= hi else (a, a)
+    if s < 0:
+        p, s, lo, hi = -p, -s, -hi, -lo
+    return max(a, -((p - lo) // s)), min(b, (hi - p) // s + 1)
 
 
 def _ball_volume(r: int) -> float:

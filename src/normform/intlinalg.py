@@ -295,6 +295,16 @@ def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7
     nonzero coefficient is positive.  Raises RankTooLarge beyond rank 10 and
     BudgetExceeded once more than limit coefficient choices have been made.
     """
+    for tail, partial, lo, stop in _leaf_intervals(basis, radius2, limit):
+        for x in range(lo, stop):
+            yield [x] + tail, [t + x * y for t, y in zip(partial, basis[0])]
+
+
+def _leaf_intervals(basis: Matrix, radius2: Fraction, limit: int):
+    """The walk of enumerate_short_vectors, one leaf at a time: (coefficients
+    above level 0, their vector v, [lo, stop)) stands for v + x * basis[0],
+    lo <= x < stop.  Leaves count whole against limit; past it, the
+    truncated leaf is yielded, then BudgetExceeded raised."""
     r = len(basis)
     if r == 0:
         return
@@ -344,10 +354,7 @@ def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7
                 stop = lo + limit - count
             count += stop - lo
             if sign >= 0:
-                tail = coeffs[1:]
-                b0 = basis[0]
-                for x in range(lo if sign else max(lo, 1), stop):
-                    yield [x] + tail, [t + x * y for t, y in zip(partial, b0)]
+                yield coeffs[1:], partial, lo if sign else max(lo, 1), stop
             if over:
                 raise BudgetExceeded("short-vector enumeration budget")
             return

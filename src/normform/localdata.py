@@ -473,16 +473,6 @@ def squarefree_ideal_symbols(ctx: FieldSpec, limit: int, budget: int = 10**6):
     yield from dfs(0, 1)
 
 
-def materialize_symbol(factors, ctx: FieldSpec) -> IdealSym:
-    """Build a full IdealSym (with root labels) from (p, degree, index) triples."""
-    out = []
-    for (q, p, d, label) in factors:
-        pis = [pi for pi in prime_ideals_above(p, ctx) if pi.degree == d]
-        pis.sort(key=lambda pi: pi.label)
-        out.append((pis[label], 1))
-    return IdealSym(factors=tuple(out))
-
-
 # --- exact ideal divisor function --------------------------------------------
 
 

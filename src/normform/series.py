@@ -26,7 +26,6 @@ from .fields import FieldSpec
 from .localdata import (
     bad_primes,
     local_data,
-    materialize_symbol,
     nu2_from_degrees,
     _nu_from_degrees,
     squarefree_ideal_symbols,
@@ -183,17 +182,6 @@ def per_prime_factor_table(ctx: FieldSpec, p_cut: int):
 
 
 # --- sieve weights and the Perron sum -----------------------------------------
-
-
-def sieve_weights(R: int, ctx: FieldSpec, budget: int = 10**6):
-    """Squarefree good-support ideals of norm < R with lambda = mu log(R/N)."""
-    if R > budget:
-        raise BudgetExceeded(f"R = {R} exceeds budget {budget}")
-    out = []
-    for factors, nrm, mu, _rho in squarefree_ideal_symbols(ctx, R):
-        lam = mu * math.log(R / nrm)
-        out.append((materialize_symbol(factors, ctx), lam))
-    return out
 
 
 def sieve_sum(R: int, ctx: FieldSpec, budget: int = 10**6) -> float:

@@ -296,6 +296,34 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # an explicit 0 is read, never replaced by the default or the config
+    def test_census_seed_zero_is_kept(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "census": "skew", "B": 5,
+                                             "samples": 20, "kappas": [0.5], "seed": 3})
+        out = tmp_path / "out"
+        assert run(["census", "--config", cfg, "--out", str(out), "--seed", "0"]) == 0
+        assert json.loads((out / "census.json").read_text())["params"][0]["seed"] == 0
+
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_census_small_budget_is_exceeded(self, tmp_path, budget):
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "primes": [3]})
+        assert run(["census", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--budget", budget]) == 3
+
+    def test_norms_budget_zero_is_exceeded(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 2})
+        assert run(["norms", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--budget", "0"]) == 3
+
+    def test_sseries_pcut_zero_names_the_flag(self, tmp_path, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("sseries work ran before validation")
+        monkeypatch.setattr(cli, "singular_series", work)
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "p_cut": 200})
+        assert run(["sseries", "--config", cfg, "--out", str(tmp_path / "out"),
+                    "--pcut", "0"]) == 2
+        assert "--pcut must be at least 100, not 0" in capsys.readouterr().err
+
     def test_sseries_bad_input(self, tmp_path, capsys, monkeypatch):
         def work(*args, **kwargs):
             raise AssertionError("sseries work ran before validation")

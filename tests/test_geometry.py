@@ -26,10 +26,11 @@ from normform.geometry import (
     polytope_volume_exact,
     region_volume,
 )
-from normform.intlinalg import rank_mod_p, rank_rational
+from normform.intlinalg import gram_det, lll_reduce, rank_mod_p, rank_rational
 from normform.lattices import IntLattice
 from normform.primes import primes_in
 from normform.splitting import degree_pattern_mod_p
+from test_lattices import coefficient_bounds, depth_first_reference
 
 
 class TestPointsInRegion:
@@ -120,6 +121,117 @@ def test_points_in_region_matches_brute_force(case):
     oracle = sum(1 for x in itertools.product(*axes)
                  if region.contains(x) and lat.contains(x))
     assert points_in_region(lat, region) == oracle
+
+
+
+def brute_force_count(lat, region):
+    """Lattice points of the region, one integer point of its box at a time."""
+    box = region.box
+    axes = [range(math.ceil(a), math.floor(b) + 1) for a, b in zip(box.lo, box.hi)]
+    return sum(1 for x in itertools.product(*axes)
+               if region.contains(x) and lat.contains(x))
+
+
+def coefficient_scan_count(lat, region):
+    """Lattice points of the region from every coefficient vector within the
+    exact coefficient bounds of the region's bounding ball."""
+    B = [list(b) for b in lat.basis]
+    bounds = coefficient_bounds(B, region.box.radius_sq())
+    return sum(1 for c in itertools.product(*(range(-b, b + 1) for b in bounds))
+               if region.contains([sum(ci * b[j] for ci, b in zip(c, B))
+                                   for j in range(lat.ambient_dim)]))
+
+
+@st.composite
+def lattices_in_z4_regions(draw):
+    r = draw(st.integers(1, 4))
+    rows = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+    basis = draw(st.lists(rows, min_size=r, max_size=r)
+                 .filter(lambda B: rank_rational(B) == r))
+    lo = [draw(ends) for _ in range(4)]
+    hi = [a + draw(st.fractions(0, 4, max_denominator=3)) for a in lo]
+    cons = []
+    for _ in range(draw(st.integers(0, 2))):
+        c_lo = draw(ends)
+        cons.append((draw(rows), c_lo, c_lo + draw(widths)))
+    return (IntLattice(4, tuple(map(tuple, basis))),
+            LinearRegion.make(AxisBox.make(lo, hi), cons))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lattices_in_z4_regions())
+def test_leaf_interval_clipping_matches_brute_force_in_z4(case):
+    lat, region = case
+    assert points_in_region(lat, region) == brute_force_count(lat, region)
+
+
+class TestLeafIntervalClipping:
+    """points_in_region clips each Fincke-Pohst leaf interval v + t*b0 against
+    every box coordinate and constraint; these cases pin the edges of that."""
+
+    @pytest.mark.parametrize("b0", [(2, 0, -3, 0), (0, -1, 0, 0), (-1, -2, 0, 1),
+                                    (0, 0, 0, 5)])
+    def test_b0_with_zero_and_negative_entries(self, b0):
+        # a rank-1 lattice is its own reduced basis, so b0 is exactly this row
+        lat = IntLattice(4, (b0,))
+        region = LinearRegion.from_box(AxisBox.make([-7, -3, -9, -10], [5, 4, 8, 10]))
+        assert points_in_region(lat, region) == coefficient_scan_count(lat, region)
+
+    def test_zero_and_negative_entries_in_a_rank3_basis(self):
+        lat = IntLattice(4, ((0, -2, 1, 0), (3, 0, 0, -1), (-1, 1, -1, 2)))
+        region = LinearRegion.from_box(AxisBox.make([-4, -5, -3, -6], [6, 2, 4, 3]))
+        assert points_in_region(lat, region) == coefficient_scan_count(lat, region)
+
+    def test_box_ends_on_lattice_coordinates(self):
+        # 3Z x 2Z: every end is a coordinate of a lattice point, and inclusive
+        lat = IntLattice(2, ((3, 0), (0, 2)))
+        region = LinearRegion.from_box(AxisBox.make([-6, -4], [9, 8]))
+        assert points_in_region(lat, region) == 6 * 7 == brute_force_count(lat, region)
+        # moving each end inwards by 1/2 drops the points on it
+        region = LinearRegion.from_box(AxisBox.make(
+            [Fraction(-11, 2), Fraction(-7, 2)], [Fraction(17, 2), Fraction(15, 2)]))
+        assert points_in_region(lat, region) == 4 * 5 == brute_force_count(lat, region)
+
+    def test_box_ends_on_a_line_of_lattice_points(self):
+        # t (1, 2, -3) lies in the box for t in [-2, 3] in every coordinate
+        lat = IntLattice(3, ((1, 2, -3),))
+        region = LinearRegion.from_box(AxisBox.make([-2, -4, -9], [3, 6, 6]))
+        assert points_in_region(lat, region) == 6 == brute_force_count(lat, region)
+
+    @pytest.mark.parametrize("a, lo, hi", [((3, 1, -1, 0), -3, 4), ((3, 1, -1, 0), 1, 4),
+                                           ((0, 0, 0, 0), 0, 0), ((0, 0, 0, 0), 1, 2)])
+    def test_constraint_orthogonal_to_b0(self, a, lo, hi):
+        # a.b0 == 0: the constraint keeps a whole leaf interval or empties it
+        basis = [[1, 2, 0, -1], [0, 1, 1, 1]]
+        assert sum(x * y for x, y in zip(a, lll_reduce(basis)[0])) == 0
+        lat = IntLattice(4, tuple(map(tuple, basis)))
+        region = LinearRegion.make(AxisBox.cube(4, -5, 5), [(a, lo, hi)])
+        assert points_in_region(lat, region) == coefficient_scan_count(lat, region)
+
+    def test_box_holding_v_but_not_minus_v(self):
+        lat = IntLattice(2, ((1, 1),))
+        region = LinearRegion.from_box(AxisBox.make([0, 0], [5, 5]))
+        assert points_in_region(lat, region) == 6  # (t, t) for t = 0..5, no -v
+        lat = IntLattice(2, ((2, 1), (-1, 3)))
+        region = LinearRegion.make(AxisBox.make([1, -2], [9, 7]),
+                                   [((1, -1), Fraction(-3, 2), 6)])
+        assert points_in_region(lat, region) == brute_force_count(lat, region)
+
+    def test_budget_counts_coefficient_choices(self):
+        # BudgetExceeded exactly when the Fincke-Pohst tree of the reduced
+        # basis in the bounding ball has more nodes than the budget
+        basis = [[1, 2, 0, -1], [0, 1, 1, 1], [3, 0, -1, 1]]
+        region = LinearRegion.from_box(AxisBox.make([-3, -2, -4, -1], [4, 3, 2, 5]))
+        lat = IntLattice(4, tuple(map(tuple, basis)))
+        red, r2 = lll_reduce(basis), region.box.radius_sq()
+        nodes = len(depth_first_reference(red, r2, coefficient_bounds(red, r2)))
+        # the ball-volume estimate passes at both budgets
+        est = float(r2) ** 1.5 * 4 / 3 * math.pi / math.sqrt(gram_det(red))
+        assert est <= nodes - 1
+        assert (points_in_region(lat, region, budget=nodes)
+                == coefficient_scan_count(lat, region))
+        with pytest.raises(BudgetExceeded):
+            points_in_region(lat, region, budget=nodes - 1)
 
 
 class TestDavenport:
@@ -234,15 +346,29 @@ class TestFpWedgeCensus:
             assert fp_wedge_census(p, ctx) == pointwise_census(p, ctx)
 
     def test_budget(self):
+        # p + 1 lines at 7^3 rank steps and one plane at 2 * 7^3 make
+        # 343 (p + 3) steps, over the default 10^8 from p = 291,543 on
         ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
         with pytest.raises(BudgetExceeded):
-            fp_wedge_census(101, ctx)
+            fp_wedge_census(1_000_003, ctx)
 
     def test_budget_boundary(self):
+        # 8 lines at 1 * 7^3 rank steps each, one plane at 2 * 7^3
         ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
-        assert fp_wedge_census(7, ctx, budget=7**7) == 7
+        work = 8 * 343 + 2 * 343
+        assert fp_wedge_census(7, ctx, budget=work) == 7
         with pytest.raises(BudgetExceeded):
-            fp_wedge_census(7, ctx, budget=7**7 - 1)
+            fp_wedge_census(7, ctx, budget=work - 1)
+
+    def test_budget_gates_rank_work_not_p_to_the_n(self):
+        # x^5 - 2, k = 2 at p = 5: 6 lines at 125 and one plane at 250 make
+        # 1000 rank steps, while p^n = 3125 would have refused this budget
+        ctx = make_context([-2, 0, 0, 0, 0], 2)
+        assert fp_wedge_census(5, ctx, budget=1000) == pointwise_census(5, ctx)
+        with pytest.raises(BudgetExceeded):
+            fp_wedge_census(5, ctx, budget=999)
+        # the septic at p = 17: 18 lines and one plane, well inside 10^8
+        assert fp_wedge_census(17, make_context([-2, 0, 0, 0, 0, 0, 0], 2)) >= 1
 
 
 def pointwise_census(p, ctx):

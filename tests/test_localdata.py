@@ -31,7 +31,6 @@ from normform.localdata import (
     rho,
     rho_brute,
     squarefree_ideal_symbols,
-    materialize_symbol,
 )
 from normform.primes import factorize, primes_in
 from normform.splitting import hensel_lift_factor
@@ -40,6 +39,16 @@ CTX3 = make_context([-2, 0, 0], 1)       # X^3 - 2, k=1, disc -108
 CTX4 = make_context([-2, 0, 0, 0], 1)    # X^4 - 2, k=1
 CTXQ = make_context([1, 1, 0, 0], 1)     # X^4 + X + 1, k=1
 CTXG = make_context([1, 0], 0)           # X^2 + 1, k=0 (Gaussian)
+
+
+def materialize_symbol(factors, ctx):
+    """The IdealSym of squarefree_ideal_symbols' (q, p, degree, label) factors."""
+    out = []
+    for (q, p, d, label) in factors:
+        pis = sorted((pi for pi in prime_ideals_above(p, ctx) if pi.degree == d),
+                     key=lambda pi: pi.label)
+        out.append((pis[label], 1))
+    return IdealSym(factors=tuple(out))
 
 
 class TestLocalData:

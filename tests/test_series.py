@@ -7,15 +7,15 @@ import mpmath as mp
 import pytest
 
 from normform.fields import make_context
-from normform.localdata import gamma_estimate, local_data
+from normform.localdata import gamma_estimate, local_data, squarefree_ideal_symbols
 from normform.primes import primes_in
 from normform.series import (
     per_prime_factor_table,
     sieve_sum,
-    sieve_weights,
     singular_series,
     singular_series_tilde,
 )
+from test_localdata import materialize_symbol
 
 CTX3 = make_context([-2, 0, 0], 1)
 CTX4 = make_context([-2, 0, 0, 0], 1)
@@ -83,6 +83,12 @@ class TestSingularSeries:
     def test_pcut_guard(self):
         with pytest.raises(ValueError):
             singular_series(CTX3, 50)
+
+
+def sieve_weights(R, ctx):
+    """Squarefree good-support ideals of norm < R with lambda = mu log(R/N)."""
+    return [(materialize_symbol(factors, ctx), mu * math.log(R / nrm))
+            for factors, nrm, mu, _rho in squarefree_ideal_symbols(ctx, R)]
 
 
 class TestSieveWeights:
