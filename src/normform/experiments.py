@@ -148,6 +148,7 @@ def observed_prime_count(cfg: ExperimentConfig):
     npoints = math.prod(hi - lo + 1 for lo, hi in cfg.box)
     if npoints > cfg.point_budget:
         raise BudgetExceeded(f"{npoints} box points exceed budget {cfg.point_budget}")
+    norm_form_polynomial(cfg.ctx)  # built once, before the workers share it
     lo1, hi1 = cfg.box[0]
     nslabs = min(max(cfg.threads * 4, 8), hi1 - lo1 + 1)
     edges = np.linspace(lo1, hi1 + 1, nslabs + 1, dtype=np.int64)

@@ -11,7 +11,6 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -24,7 +23,7 @@ from .errors import (
     ReducibleDetected,
     ZeroVector,
 )
-from .intlinalg import det_bareiss, solve_rational
+from .intlinalg import det_bareiss
 
 Vec = tuple[int, ...]
 
@@ -58,33 +57,6 @@ class FieldSpec:
         return make_context(f[:-1], int(d["k"]))
 
 
-def _poly_content_free_gcd_degree(f: list[int]) -> int:
-    """Degree of gcd(f, f') over Q; 0 means f squarefree."""
-    a = [Fraction(c) for c in f]
-    b = [Fraction((i) * c) for i, c in enumerate(f)][1:]
-    while any(b):
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        # a mod b
-        r = a[:]
-        while len(r) >= len(b) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            q = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[shift + i] -= q * bc
-            r.pop()
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    return len(a) - 1
-
-
 def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
     """Validate (f, k) and build the shared context.
 
@@ -109,13 +81,14 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
     for r in _divisors_signed(c0):
         if _poly_eval_int(f, r) == 0:
             raise ReducibleDetected(f"rational root {r}")
-    if _poly_content_free_gcd_degree(f) > 0:
+    pure = -f[0] if all(c == 0 for c in f[1:n]) else None
+    ctx = FieldSpec(n=n, k=k, f_coeffs=tuple(f), pure_theta=pure)
+    # N(f'(omega)) = Res(f, f') for monic f, zero exactly when gcd(f, f') != 1
+    if norm([i * c for i, c in enumerate(f)][1:], ctx) == 0:
         raise ReducibleDetected("repeated factor (gcd(f, f') nontrivial)")
-    pure = None
-    if all(c == 0 for c in f[1:n]):
-        pure = -f[0]
+    if pure is not None:
         _require_capelli(n, pure)
-    return FieldSpec(n=n, k=k, f_coeffs=tuple(f), pure_theta=pure)
+    return ctx
 
 
 def _require_capelli(n: int, theta: int) -> None:
@@ -259,48 +232,46 @@ def _homogeneous_exponents(n: int, m: int) -> list[tuple[int, ...]]:
 def norm_form_polynomial(ctx: FieldSpec) -> Mapping[tuple[int, ...], int]:
     """The incomplete norm form as a read-only {exponent tuple: coefficient}.
 
-    Recovered by exact interpolation from point evaluations of the
-    determinant definition; feasible for m = n - k <= 4.  Cached per
-    (f, k).
+    Gregory-Newton interpolation of N(y, 1), of total degree <= n, from its
+    values on the simplex |y| <= n, unisolvent for that degree (Chung & Yao,
+    SIAM J. Numer. Anal. 14, 1977): integer forward differences one axis at
+    a time, then binomials to monomials by signed Stirling numbers of the
+    first kind, scaled by n! to stay in the integers.  Keys follow
+    _homogeneous_exponents(n, m), zeros omitted.  Cached per (f, k).
     """
-    m = ctx.m
-    n = ctx.n
+    n, m = ctx.n, ctx.m
     exps = _homogeneous_exponents(n, m)
+    table = {ex[:-1]: norm_form(ex[:-1] + (1,), ctx) for ex in exps}
+    _along_axes(table, n, lambda line: [
+        sum((-1) ** (t - u) * math.comb(t, u) * line[u] for u in range(t + 1))
+        for t in range(len(line))])  # Delta^t
+    fact = math.factorial(n)
+    for a in table:  # n! times the coefficient of prod binom(y_i, a_i)
+        table[a] *= fact // math.prod(map(math.factorial, a))
+    stirling = [[1] + [0] * n]  # stirling[a][j] = s(a, j)
+    for a in range(n):
+        stirling.append([0] + [stirling[a][j - 1] - a * stirling[a][j]
+                               for j in range(1, n + 1)])
+    _along_axes(table, n, lambda line: [
+        sum(stirling[a][j] * line[a] for a in range(j, len(line)))
+        for j in range(len(line))])
+    coeffs = {ex: table[ex[:-1]] // fact for ex in exps if table[ex[:-1]]}
     rng = random.Random(17)
-    for _attempt in range(10):
-        pts = []
-        seen = set()
-        while len(pts) < len(exps):
-            p = tuple(rng.randint(-n - 4, n + 4) for _ in range(m))
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-        rows = [[Fraction(math.prod(x ** e for x, e in zip(pt, ex)))
-                 for ex in exps] for pt in pts]
-        rhs = [Fraction(norm_form(pt, ctx)) for pt in pts]
-        sol = solve_rational(rows, rhs)
-        if sol is None:
-            continue
-        coeffs = {}
-        ok = True
-        for ex, c in zip(exps, sol):
-            if c.denominator != 1:
-                ok = False
-                break
-            if c:
-                coeffs[ex] = int(c)
-        if not ok:
-            continue
-        for _ in range(4):  # verify on fresh points
-            pt = tuple(rng.randint(-9, 9) for _ in range(m))
-            val = sum(c * math.prod(x ** e for x, e in zip(pt, ex))
-                      for ex, c in coeffs.items())
-            if val != norm_form(pt, ctx):
-                ok = False
-                break
-        if ok:
-            return MappingProxyType(coeffs)
-    raise RuntimeError("norm form interpolation failed")  # pragma: no cover
+    pts = [tuple(rng.randint(-9, 9) for _ in range(m)) for _ in range(4)]
+    if any(v % fact for v in table.values()) or any(  # exact spot check
+            sum(c * math.prod(x**e for x, e in zip(pt, ex)) for ex, c in coeffs.items())
+            != norm_form(pt, ctx) for pt in pts):
+        raise RuntimeError(f"norm form interpolation failed for {ctx}")
+    return MappingProxyType(coeffs)
+
+
+def _along_axes(table: dict, n: int, line_map) -> None:
+    """Replace each line of the simplex table {a: int for |a| <= n} along
+    axis i by line_map(line), for each axis i in turn."""
+    for i in range(len(next(iter(table)))):
+        for a in [a for a in table if a[i] == 0]:
+            keys = [a[:i] + (t,) + a[i + 1:] for t in range(n - sum(a) + 1)]
+            table.update(zip(keys, line_map([table[key] for key in keys])))
 
 
 def eval_norm_poly_grid(coeffs: Mapping[tuple[int, ...], int], grids,

@@ -168,9 +168,7 @@ def nu_brute(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     m = ctx.m
     if p**m > budget:
         raise BudgetExceeded(f"p^(n-k) = {p**m} exceeds budget")
-    if m <= 4 and p**m > 4096:
-        # the polynomial is only interpolated for m <= 4; per-point
-        # determinants cover m > 4 and small grids
+    if p**m > 4096:
         axes = np.ix_(*[np.arange(p, dtype=np.int64)] * m)
         vals = eval_norm_poly_grid(norm_form_polynomial(ctx), axes, p)
         return int((vals == 0).sum())

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +35,10 @@ BATCH_LO = max(_MR_REGIMES[0][1])
 BATCH_HI = 2**32
 
 # The primes <= BATCH_LO: trial division by them leaves odd n > BATCH_LO.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61)
+# prime_mask takes one pass per group, a lookup of v mod the group's product.
+_TRIAL_GROUPS = ((2, 3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37), (41, 43, 47),
+                 (53,), (59,), (61,))
+_SMALL_PRIMES = sum(_TRIAL_GROUPS, ())
 _SMALL_IS_PRIME = np.zeros(BATCH_LO + 1, dtype=bool)
 _SMALL_IS_PRIME[list(_SMALL_PRIMES)] = True
 
@@ -159,14 +162,26 @@ def prime_mask(n: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
     idx = np.flatnonzero(~small)
     v = n[idx]
     above = v.size
-    for p in _SMALL_PRIMES:  # compress as we go: about a quarter survive 2, 3, 5
-        keep = v % p != 0
+    for coprime in _coprime_tables():  # compress as we go
+        keep = coprime[v % coprime.size]
         idx, v = idx[keep], v[keep]
     low = v < BATCH_HI
     mask[idx[low]] = is_prime_batch(v[low])
     high = v[~low].tolist()
     mask[idx[~low]] = [is_prime_certified(h)[0] for h in high]
     return mask, (above - v.size, int(np.count_nonzero(low)), len(high))
+
+
+@lru_cache(maxsize=1)
+def _coprime_tables() -> tuple[np.ndarray, ...]:
+    """One table per trial-division group, of size M the group's product:
+    table[r] is gcd(r, M) == 1.  Built on first use by strided marking."""
+    out = []
+    for group in _TRIAL_GROUPS:
+        out.append(np.ones(math.prod(group), dtype=bool))
+        for p in group:
+            out[-1][::p] = False
+    return tuple(out)
 
 
 def sieve_primes(limit: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Truncated Euler products: the singular series, its tilde variant, and
 the Perron-limit sieve sum.
 
-Products accumulate in log space in stdlib decimal arithmetic at
+Products are multiplied out in stdlib decimal arithmetic at
 _DIGITS = 34 significant digits (about 113 bits).  The tilde series has
 local factors 1 + O(1/p^2), so its truncation error gets a fully
 certified tail bound.  The plain series has a conditionally
@@ -108,12 +108,11 @@ def _euler_product(ctx: FieldSpec, p_cut: int, tilde: bool) -> tuple[float, floa
     bounds the 1 + O(1/p^2) part of the factors beyond p_cut.
     """
     with decimal.localcontext(_CONTEXT):
-        log_acc = Decimal(0)
+        acc = Decimal(1)
         for p, nu, nu2, _degs, _nu_p in _local_factors(ctx, p_cut):
             b = Decimal(nu2) / p**ctx.n if tilde else Decimal(1) / p
-            # nu/p^(n-k) < 1: N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at every p
-            log_acc += (1 - Decimal(nu) / p**ctx.m).ln() - (1 - b).ln()
-        value = float(log_acc.exp())
+            acc *= (1 - Decimal(nu) / p**ctx.m) / (1 - b)
+        value = float(acc)
         # |nu/p^m - nu_p/p| <= 2^n / p^2 (subset terms beyond the degree-1
         # singletons), plus series remainders n^2/p^2 and 1/p^2
         c2 = 2**ctx.n + ctx.n**2 + 2

@@ -346,6 +346,14 @@ class TestSubcommands:
         assert "runtime_s" in stdout
         assert (out / "theorem.csv").read_text().startswith("slab,")
 
+    def test_theorem_with_five_free_coordinates(self, tmp_path):
+        # x^6 - 2, k = 1: m = 5, past the reach of a dense interpolation solve
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"field": {"f": [-2, 0, 0, 0, 0, 0, 1], "k": 1}, "X": 12})
+        out = tmp_path / "out"
+        assert run(["theorem", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "theorem.json").read_text())["observed"] > 0
+
     def test_sseries(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "p_cut": 200})
         out = tmp_path / "out"

@@ -112,6 +112,12 @@ class TestObservedPrimeCount:
             cfg = ExperimentConfig(ctx=CTX3, X=10**5, point_budget=10**5)
             observed_prime_count(cfg)
 
+    def test_polynomial_built_once_before_the_workers(self):
+        ctx = make_context([-2, 0, 0, 0, 0, 0], 1)  # m = 5
+        norm_form_polynomial.cache_clear()
+        observed_prime_count(ExperimentConfig(ctx=ctx, X=4, seed=0, threads=2))
+        assert norm_form_polynomial.cache_info().misses == 1
+
     def test_int64_guard_bounds_lower_end(self):
         # N(-70000, 1, 1) = 24009999980399440002 wraps in int64
         assert oracle_norm((-70000, 1, 1), CTX4) == 24009999980399440002

@@ -4,20 +4,24 @@ import itertools
 import math
 import random
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from normform import fields
 from normform.errors import (
     BudgetExceeded,
     DegenerateDegree,
     ReducibleDetected,
+    ValidationError,
     ZeroVector,
 )
 from normform.fields import (
     FieldSpec,
+    _homogeneous_exponents,
     _iroot,
     constraint_rows,
     diamond,
@@ -28,6 +32,7 @@ from normform.fields import (
     norm_form,
     norm_form_polynomial,
 )
+from normform.intlinalg import solve_rational
 from normform.localdata import resultant
 from normform.primes import primes_in
 
@@ -83,6 +88,12 @@ class TestMakeContext:
         # (X - 1)^2 = X^2 - 2X + 1
         with pytest.raises(ReducibleDetected):
             make_context([1, -2], 0)
+
+    @pytest.mark.parametrize("fc", [[4, 0, -4, 0], [1, 0, 2, 0], [4, 0, 0, -4, 0, 0]],
+                             ids=["(x2-2)^2", "(x2+1)^2", "(x3-2)^2"])
+    def test_repeated_factor_without_rational_root_rejected(self, fc):
+        with pytest.raises(ReducibleDetected, match="repeated factor"):
+            make_context(fc, 0)
 
     def test_rational_root_rejected_nonzero(self):
         # X^2 - 3X + 2 = (X-1)(X-2)
@@ -246,9 +257,95 @@ class TestNormForm:
     def test_polynomial_interpolation(self):
         ctx = ctx_of([-2, 0, 0], 1)
         assert norm_form_polynomial(ctx) == {(3, 0): 1, (0, 3): 2}
+        assert norm_form_polynomial(ctx_of([-2, 0, 0, 0], 3)) == {(4,): 1}  # m = 1
 
 
-# m = n - k <= 4, where the polynomial is interpolated; pure and general f
+def dense_solve_oracle(ctx: FieldSpec) -> dict:
+    """The norm form by a dense Fraction solve at seeded random points.
+
+    An interpolation independent of the Newton differences, feasible for
+    n <= 6 and m <= 4; it inserts the nonzero coefficients in
+    _homogeneous_exponents order, the order log_norm_integral sums in.
+    """
+    exps = _homogeneous_exponents(ctx.n, ctx.m)
+    rng = random.Random(17)
+    for _attempt in range(10):
+        pts = []
+        while len(pts) < len(exps):
+            pt = tuple(rng.randint(-ctx.n - 4, ctx.n + 4) for _ in range(ctx.m))
+            if pt not in pts:
+                pts.append(pt)
+        rows = [[Fraction(math.prod(x**e for x, e in zip(pt, ex))) for ex in exps]
+                for pt in pts]
+        sol = solve_rational(rows, [Fraction(norm_form(pt, ctx)) for pt in pts])
+        if sol is not None:
+            assert all(c.denominator == 1 for c in sol)
+            return {ex: int(c) for ex, c in zip(exps, sol) if c}
+    raise AssertionError("singular sample points ten times")
+
+
+def poly_value(poly, pt) -> int:
+    return sum(c * math.prod(x**e for x, e in zip(pt, ex)) for ex, c in poly.items())
+
+
+@st.composite
+def norm_form_cases(draw):
+    """A field with n <= 8 and m = n - k in [2, 6], and a few points."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, min(n, 6)))
+    f = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    try:
+        ctx = make_context(f, n - m)
+    except ValidationError:
+        assume(False)
+    pts = draw(st.lists(st.tuples(*[st.integers(-12, 12)] * m), min_size=1, max_size=6))
+    return ctx, pts
+
+
+class TestNormFormPolynomial:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(norm_form_cases())
+    @example((make_context([-2, 0, 0, 0, 0, 0], 1), [(3, -1, 4, -1, 5)]))
+    @example((make_context([-2, 0, 0, 0, 0, 0, 0], 2), [(2, -7, 1, 8, -2)]))
+    @example((make_context([3, -3, 0, 0, 0, 0, 0, 0], 2), [(1, -4, 1, 4, -2, 1)]))
+    @example((make_context([-1, 1, 0, 2, 0, 0, 0, -1], 2), [(-12, 12, 5, 0, 7, -3)]))
+    def test_matches_norm_form(self, case):
+        ctx, pts = case
+        poly = norm_form_polynomial(ctx)
+        exps = _homogeneous_exponents(ctx.n, ctx.m)
+        assert list(poly) == [ex for ex in exps if ex in poly]
+        assert 0 not in poly.values()
+        for pt in pts:
+            assert poly_value(poly, pt) == norm_form(pt, ctx)
+
+    @pytest.mark.parametrize("fc, k", [
+        ([-2, 0, 0], 1),             # m = 2
+        ([-1, -1, 0], 0),            # m = 3
+        ([1, 1, 0, 0], 1),           # m = 3
+        ([-2, 0, 0, 0], 0),          # m = 4
+        ([-1, -1, 0, 0, 0], 1),      # m = 4
+        ([3, -3, 0, 0, 0, 0], 3),    # n = 6, m = 3
+        ([-2, 0, 0, 0, 0, 0], 2),    # n = 6, m = 4
+    ])
+    def test_key_order_matches_dense_solve_oracle(self, fc, k):
+        ctx = make_context(fc, k)
+        assert list(norm_form_polynomial(ctx).items()) == list(
+            dense_solve_oracle(ctx).items())
+
+    def test_failed_spot_check_is_an_internal_error(self, monkeypatch):
+        # every simplex point is >= 0, and the spot check draws from [-9, 9]
+        exact = fields.norm_form
+        monkeypatch.setattr(fields, "norm_form",
+                            lambda x, ctx: exact(x, ctx) + (min(x) < 0))
+        norm_form_polynomial.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="interpolation failed"):
+                norm_form_polynomial(ctx_of([-2, 0, 0], 1))
+        finally:
+            norm_form_polynomial.cache_clear()
+
+
+# pure and general f, m = n - k from 2 to 4
 EVAL_CTXS = [make_context(fc, k) for fc, k in [
     ([-2, 0, 0], 1),          # X^3 - 2, m = 2
     ([-1, -1, 0], 0),         # X^3 - X - 1, m = 3

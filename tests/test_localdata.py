@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normform import localdata
 from normform.errors import BadPrime, CompositeP, NotSquarefree
 from normform.fields import embed, make_context, norm_form
 from normform.localdata import (
@@ -92,6 +93,19 @@ class TestLocalData:
         for d in degs:
             frac *= 1 - Fraction(1, p**d)
         assert nu2_from_degrees(degs, p, n) == (1 - frac) * p**n
+
+    def test_nu_brute_polynomial_path_at_m5(self, monkeypatch):
+        # x^6 - 2, k = 1 (m = 5): 5^5 = 3125 <= 4096 is counted point by
+        # point, 7^5 = 16807 on the norm-form polynomial
+        ctx = make_context([-2, 0, 0, 0, 0, 0], 1)
+        want = {p: sum(norm_form(a, ctx) % p == 0
+                       for a in itertools.product(range(p), repeat=5)) for p in (5, 7)}
+        assert nu_brute(5, ctx) == want[5] == nu_fast(5, ctx)
+
+        def per_point(*args):
+            raise AssertionError("per-point count above 4096 points")
+        monkeypatch.setattr(localdata, "norm_form", per_point)
+        assert nu_brute(7, ctx) == want[7] == nu_fast(7, ctx)
 
     def test_bad_prime_brute_forced(self):
         ld = local_data(2, CTX3)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +125,38 @@ def test_prime_mask_agrees_with_scalar(vals):
     mask, (trial, batch, scalar) = prime_mask(np.array(vals, dtype=np.int64))
     assert mask.tolist() == [is_prime_certified(v)[0] for v in vals]
     assert trial + batch + scalar == sum(v > 61 for v in vals)
+
+
+TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(
+    st.integers(0, 10**6),
+    st.integers(0, 2**62),
+    # on and next to the multiples of each trial-division modulus
+    st.tuples(st.integers(0, 10**12), st.sampled_from([30030, 7429, 33263, 82861, 53, 59, 61]),
+              st.integers(-2, 2)).map(lambda t: max(t[0] * t[1] + t[2], 0)),
+    st.tuples(st.sampled_from(TRIAL_PRIMES), st.sampled_from([67, 65537, 4294967311])
+              ).map(lambda t: t[0] * t[1])),
+    max_size=80))
+def test_prime_mask_trial_division_matches_per_prime_loop(vals):
+    survivors = np.array([v for v in vals if v > 61], dtype=np.int64)
+    for p in TRIAL_PRIMES:
+        survivors = survivors[survivors % p != 0]
+    low = [v for v in survivors.tolist() if v < 2**32]
+    tested = []
+
+    def batch(v):
+        tested.extend(v.tolist())
+        return is_prime_batch(v)
+
+    with mock.patch.object(primes, "is_prime_batch", batch):
+        mask, tally = prime_mask(np.array(vals, dtype=np.int64))
+    assert tested == low
+    assert tally == (sum(v > 61 for v in vals) - survivors.size, len(low),
+                     survivors.size - len(low))
+    assert mask.tolist() == [is_prime_certified(v)[0] for v in vals]
 
 
 def test_mersenne_and_carmichael():

@@ -6,6 +6,7 @@ import math
 import mpmath as mp
 import pytest
 
+from normform import series
 from normform.fields import make_context
 from normform.localdata import gamma_estimate, local_data, squarefree_ideal_symbols
 from normform.primes import primes_in
@@ -83,6 +84,28 @@ class TestSingularSeries:
     def test_pcut_guard(self):
         with pytest.raises(ValueError):
             singular_series(CTX3, 50)
+
+    @pytest.mark.parametrize("fc, k", [([1, 0], 0), ([-2, 0, 0], 1), ([-1, -1, 0], 1),
+                                       ([-2, 0, 0, 0], 2), ([-2, 0, 0, 0, 0], 1)])
+    @pytest.mark.parametrize("p_cut", [100, 10_000])
+    def test_product_matches_log_sum_oracle(self, fc, k, p_cut):
+        ctx = make_context(fc, k)
+        for tilde in (False, True):
+            assert series._euler_product(ctx, p_cut, tilde)[0] == log_sum_product(
+                ctx, p_cut, tilde)
+        rows = per_prime_factor_table(ctx, p_cut)
+        assert rows[-1]["running_product"] == singular_series(ctx, p_cut).value
+
+
+def log_sum_product(ctx, p_cut, tilde):
+    """exp of the summed log local factors at the same 34 digits: the
+    oracle for the multiplied-out Euler product."""
+    with decimal.localcontext(series._CONTEXT):
+        acc = decimal.Decimal(0)
+        for p, nu, nu2, _degs, _nu_p in series._local_factors(ctx, p_cut):
+            b = decimal.Decimal(nu2) / p**ctx.n if tilde else decimal.Decimal(1) / p
+            acc += (1 - decimal.Decimal(nu) / p**ctx.m).ln() - (1 - b).ln()
+        return float(acc.exp())
 
 
 def sieve_weights(R, ctx):
