@@ -187,6 +187,26 @@ def observed_prime_count(cfg: ExperimentConfig):
 # --- predicted side -------------------------------------------------------------
 
 
+def _poly_values(poly: dict, pts: np.ndarray) -> np.ndarray:
+    """Float values of poly at the rows of pts, summed term by term in key order.
+
+    Each power pts[:, var] ** e is computed once and shared by the
+    monomials that use it; every term is still c * x_1^e_1 * ... formed
+    left to right, so the floats equal those of a per-monomial evaluation.
+    """
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    vals = np.zeros(pts.shape[0])
+    for ex, c in poly.items():
+        term = np.full(pts.shape[0], float(c))
+        for var, e in enumerate(ex):
+            if e:
+                if (var, e) not in powers:
+                    powers[var, e] = pts[:, var] ** e
+                term = term * powers[var, e]
+        vals += term
+    return vals
+
+
 def log_norm_integral(cfg: ExperimentConfig) -> tuple[float, float]:
     """Integral of 1/log N_K(t) over the box restricted to N_K >= 2.
 
@@ -197,13 +217,7 @@ def log_norm_integral(cfg: ExperimentConfig) -> tuple[float, float]:
     m = cfg.ctx.m
 
     def f(pts: np.ndarray) -> np.ndarray:
-        vals = np.zeros(pts.shape[0])
-        for ex, c in poly.items():
-            term = np.full(pts.shape[0], float(c))
-            for var, e in enumerate(ex):
-                if e:
-                    term = term * pts[:, var] ** e
-            vals += term
+        vals = _poly_values(poly, pts)
         out = np.zeros(pts.shape[0])
         ok = vals >= 2.0
         out[ok] = 1.0 / np.log(vals[ok])

@@ -93,33 +93,75 @@ def is_prime_certified(n: int) -> tuple[bool, bool]:
     return True, False
 
 
-def _powmod_batch(a, d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a^d mod n elementwise, for d >= 0 and 0 <= a < n of one integer dtype.
+# Largest n for which _powmod_batch's products of two residues are exact:
+# (n-1)^2 < 2^64 for n < 2^32 in uint64, n^2 < 2^63 up to isqrt(2^63) in int64.
+_POWMOD_NMAX = {np.dtype(np.uint64): 2**32 - 1, np.dtype(np.int64): 3_037_000_499}
 
-    a is a scalar or an array shaped like n.  Every product of two
-    residues must be exact in that dtype: n < 2^32 for uint64, n^2 < 2^63
-    for int64.
+
+def _powmod_batch(a, d: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a^d mod n elementwise, for d >= 0 and 0 <= a < n, n a uint64 or int64 array.
+
+    a is a scalar or an array shaped like n; d is cast to n's dtype.  A
+    left-to-right ladder over the bits of d.max(): each step squares and
+    reduces, then multiplies by a^bit = 1 + (a - 1)*bit and reduces, an
+    arithmetic select with no masked copy (in uint64, a - 1 wraps for a = 0
+    and the product wraps back).  For the scalar base 2 in uint64 the
+    multiply is x << bit, reduced by min(x, x - n), as x - n wraps above x
+    unless x >= n: no division.  The ladder starts from a^(top w bits): a
+    scalar a takes the largest w <= 6 with a^(2^w - 1) < 2^63, the exact
+    integer powers, and one reduction; an array a takes its top bit.
+    Raises ValueError unless every product of two residues is exact, that
+    is n.max() <= _POWMOD_NMAX of the dtype (2^32 - 1 in uint64,
+    3,037,000,499 in int64).
     """
-    x = np.ones_like(n)
-    base = np.empty_like(n)
-    base[...] = a
+    nmax = _POWMOD_NMAX[n.dtype]
+    if n.size and int(n.max()) > nmax:
+        raise ValueError(f"_powmod_batch needs n <= {nmax} in {n.dtype}, got {int(n.max())}")
+    d = d.astype(n.dtype, copy=False)
+    bits = int(d.max(initial=0)).bit_length()
+    one = n.dtype.type(1)
+    am1 = np.asarray(a, dtype=n.dtype) - one
+    w = min(bits, 1)
+    if np.ndim(a) == 0:
+        while w < min(bits, 6) and int(a) ** (2 ** (w + 1) - 1) < 2**63:
+            w += 1
+        powers = np.array([int(a) ** j for j in range(2**w)], dtype=n.dtype)
+        x = powers[d >> n.dtype.type(bits - w)]
+    else:
+        x = d >> n.dtype.type(bits - w)
+        x *= am1
+        x += one
+    np.remainder(x, n, out=x)
     t = np.empty_like(n)
-    one = d.dtype.type(1)
-    for i in range(int(d.max()).bit_length()):
-        bit = ((d >> d.dtype.type(i)) & one).astype(bool)
-        np.multiply(x, base, out=t)
-        np.remainder(t, n, out=t)
-        np.copyto(x, t, where=bit)
-        np.multiply(base, base, out=base)
-        np.remainder(base, n, out=base)
+    shift = n.dtype == np.uint64 and np.ndim(a) == 0 and int(a) == 2
+    for i in reversed(range(bits - w)):
+        np.multiply(x, x, out=x)
+        np.remainder(x, n, out=x)
+        np.right_shift(d, n.dtype.type(i), out=t)
+        np.bitwise_and(t, one, out=t)
+        if shift:
+            np.left_shift(x, t, out=x)
+            np.subtract(x, n, out=t)
+            np.minimum(x, t, out=x)
+        else:
+            np.multiply(t, am1, out=t)
+            np.add(t, one, out=t)
+            np.multiply(x, t, out=x)
+            np.remainder(x, n, out=x)
     return x
 
 
 def is_prime_batch(n: np.ndarray) -> np.ndarray:
     """Deterministic Miller-Rabin on a 1-D array of odd BATCH_LO < n < BATCH_HI.
 
-    Uses the first regime of _MR_REGIMES; every residue is below 2^32, so
-    each product is exact in uint64.  Returns a bool array.
+    The bases of the first regime of _MR_REGIMES run in turn, each on the
+    entries no earlier base rejected; every residue is below 2^32, so each
+    product is exact in uint64.  With n - 1 = d 2^s, x = a^d comes from
+    _powmod_batch, and n passes the base if x is 1 or n - 1.  The squaring
+    tail runs only over the undecided entries: the r-th squaring, giving
+    a^(d 2^r), reaches only entries with s > r, and an entry leaves once
+    x == n - 1 (it passes) or x == 1 (a nontrivial square root of 1 came
+    before, so n is composite).  Returns a bool array.
     """
     n = np.asarray(n, dtype=np.uint64)
     if n.size and (int(n.min()) <= BATCH_LO or int(n.max()) >= BATCH_HI
@@ -127,21 +169,37 @@ def is_prime_batch(n: np.ndarray) -> np.ndarray:
         raise ValueError(f"is_prime_batch needs odd n in ({BATCH_LO}, {BATCH_HI})")
     nm1 = n - np.uint64(1)
     # n - 1 = d 2^s: its lowest set bit is a power of two, exact in float64
-    s = np.log2((nm1 & (~nm1 + np.uint64(1))).astype(np.float64)).astype(np.uint64)
-    d = nm1 >> s
-    prime = np.ones(n.shape, dtype=bool)
+    s = np.log2((nm1 & (~nm1 + np.uint64(1))).astype(np.float64)).astype(np.uint8)
+    del nm1
+    size = n.size
+    pos = np.arange(size)  # the entries no base has rejected yet
     for a in _MR_REGIMES[0][1]:
-        idx = np.flatnonzero(prime)
-        if idx.size == 0:
-            break
-        nn, dd, ss, m1 = n[idx], d[idx], s[idx], nm1[idx]
-        x = _powmod_batch(a, dd, nn)
-        ok = (x == 1) | (x == m1)
-        for r in range(1, int(ss.max())):
-            np.multiply(x, x, out=x)
-            np.remainder(x, nn, out=x)
-            ok |= (x == m1) & (ss > r)
-        prime[idx[~ok]] = False
+        # d = (n - 1) >> s is rebuilt for each base, not kept beside the tail
+        x = _powmod_batch(a, (n - np.uint64(1)) >> s, n)
+        ok = (x == 1) | (x == n - np.uint64(1))
+        # the undecided with an r = 1 squaring to go, compacted in place
+        # into the first k entries after each squaring
+        live = np.flatnonzero(~ok & (s > 1))
+        x = x[live]
+        tail = [live, x, n[live], s[live]]
+        k, r = live.size, 1
+        while k:
+            live, xl, nl, sl = (t[:k] for t in tail)
+            np.multiply(xl, xl, out=xl)
+            np.remainder(xl, nl, out=xl)
+            xl += np.uint64(1)  # x == n - 1 with no temporary n - 1
+            hit = xl == nl
+            xl -= np.uint64(1)
+            ok[live[hit]] = True
+            r += 1
+            keep = np.flatnonzero(~hit & (xl != 1) & (sl > r))
+            k = keep.size
+            for t in tail:
+                t[:k] = t[keep]
+        keep = np.flatnonzero(ok)
+        pos, n, s = pos[keep], n[keep], s[keep]
+    prime = np.zeros(size, dtype=bool)
+    prime[pos] = True
     return prime
 
 

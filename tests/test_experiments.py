@@ -215,6 +215,30 @@ class TestPredictedMainTerm:
         cfg = ExperimentConfig(ctx=CTX4, X=30, seed=11)
         assert log_norm_integral(cfg) == log_norm_integral(cfg)
 
+    @staticmethod
+    def per_monomial_values(poly, pts):
+        """Oracle: each monomial with its own fresh powers, in key order."""
+        vals = np.zeros(pts.shape[0])
+        for ex, c in poly.items():
+            term = np.full(pts.shape[0], float(c))
+            for var, e in enumerate(ex):
+                if e:
+                    term = term * pts[:, var] ** e
+            vals += term
+        return vals
+
+    def test_power_table_matches_per_monomial_oracle(self, monkeypatch):
+        # x^8 - 3x + 3, k = 2: m = 6, a Monte Carlo integral over 534 monomials
+        ctx = make_context([3, -3, 0, 0, 0, 0, 0, 0], 2)
+        poly = norm_form_polynomial(ctx)
+        pts = np.random.default_rng(5).random((3125, ctx.m)) * 4
+        assert experiments._poly_values(poly, pts).tolist() == \
+            self.per_monomial_values(poly, pts).tolist()
+        cfg = ExperimentConfig(ctx=ctx, X=4, seed=3, mc_samples=16_384)
+        got = log_norm_integral(cfg)
+        monkeypatch.setattr(experiments, "_poly_values", self.per_monomial_values)
+        assert got == log_norm_integral(cfg)
+
 
 class TestTheoremCheck:
     def test_small_scale_ratio(self):

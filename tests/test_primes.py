@@ -13,6 +13,7 @@ from normform import primes
 from normform.errors import FactorizationBudget
 from normform.primes import (
     _mr_witness,
+    _powmod_batch,
     factorize,
     is_prime,
     is_prime_batch,
@@ -109,6 +110,68 @@ def test_batch_agrees_with_scalar(halves):
     n = np.array([2 * h + 1 for h in halves], dtype=np.uint64)  # odd, in (61, 2^32)
     got = is_prime_batch(n).tolist()
     assert got == [is_prime_certified(int(v))[0] for v in n]
+
+
+# 3*2^30 + 1 (prime, s = 30), 65537 (prime, s = 16), 2^32 - 5 (prime, s = 1)
+# and 3215031751, a strong pseudoprime to 2 and 7 that only base 61 rejects
+MIXED_S = [3 * 2**30 + 1, 65537, 2**32 - 5, 3215031751]
+
+
+def test_batch_mixed_s_alone_and_together():
+    assert not _witnessed(3215031751, (2, 7)) and _witnessed(3215031751, (61,))
+    want = [is_prime_certified(v)[0] for v in MIXED_S]
+    assert want == [True, True, True, False]
+    assert [is_prime_batch(np.array([v]))[0] for v in MIXED_S] == want
+    assert is_prime_batch(np.array(MIXED_S)).tolist() == want
+
+
+# The largest n whose residue products are exact, per dtype
+POWMOD_NMAX = {np.uint64: 2**32 - 1, np.int64: 3_037_000_499}
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64], ids=["uint64", "int64"])
+def test_powmod_guard_boundary(dtype):
+    top = POWMOD_NMAX[dtype]
+    n = np.array([top - 2, top - 1, top], dtype=dtype)
+    d = np.array([top - 1, 2**40 + 3, 0], dtype=dtype)
+    for a in (2, top - 3, np.array([top - 3, top - 2, top - 1], dtype=dtype)):
+        got = _powmod_batch(a, d, n).tolist()
+        base = np.broadcast_to(a, n.shape).tolist()
+        assert got == [pow(b, e, m) for b, e, m in zip(base, d.tolist(), n.tolist())]
+    with pytest.raises(ValueError, match="_powmod_batch needs n <="):
+        _powmod_batch(2, d, np.array([5, top + 1, 7], dtype=dtype))
+
+
+@st.composite
+def powmod_cases(draw):
+    """(dtype, a, d, n): mixed moduli and exponent bit lengths, d = 0 and
+    the bases 0, 1, 2 and n - 1 among them."""
+    dtype = draw(st.sampled_from([np.uint64, np.int64]))
+    top = POWMOD_NMAX[dtype]
+    size = draw(st.integers(1, 24))
+    moduli = st.one_of(st.integers(2, 200), st.integers(2, top), st.integers(top - 50, top))
+    ns = draw(st.lists(moduli, min_size=size, max_size=size))
+    exps = st.integers(0, 62).flatmap(lambda b: st.integers(0, 2**b - 1))
+    ds = draw(st.lists(exps, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        lim = min(ns)
+        a = draw(st.one_of(st.sampled_from([0, 1, min(2, lim - 1), lim - 1]),
+                           st.integers(0, lim - 1)))
+    else:
+        a = [draw(st.one_of(st.sampled_from([0, 1, n - 1]), st.integers(0, n - 1)))
+             for n in ns]
+    return dtype, a, ds, ns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(powmod_cases())
+def test_powmod_batch_matches_pow(case):
+    dtype, a, ds, ns = case
+    base = np.array(a, dtype=dtype) if isinstance(a, list) else a
+    got = _powmod_batch(base, np.array(ds, dtype=dtype), np.array(ns, dtype=dtype))
+    bases = a if isinstance(a, list) else [a] * len(ns)
+    assert got.dtype == dtype
+    assert got.tolist() == [pow(b, e, m) for b, e, m in zip(bases, ds, ns)]
 
 
 # primes above the trial-division bound 61 whose squares straddle 2^32
