@@ -3,8 +3,9 @@ ideal-symbol enumeration with Weber-style counting.
 
 Ideals of Z[omega] are handled through splitting symbols at good primes
 (p not dividing disc f); bad primes are flagged and excluded from ideal
-enumeration, with local factors of Euler products computed by brute force
-instead.  Reports carry the exclusion explicitly.
+enumeration, and reports carry the exclusion explicitly.  The local
+densities need no such exclusion: they follow from the factor degrees of
+f mod p at every prime, bad or good (see local_data).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .fields import (
     FieldSpec,
     embed,
     eval_norm_poly_grid,
-    norm,
     norm_form,
     norm_form_polynomial,
 )
@@ -32,11 +32,9 @@ from .primes import factorize, is_prime, sieve_primes
 from .splitting import (
     batch_degree_patterns,
     batch_root_counts,
-    degree_pattern_mod_p,
     hensel_lift_factor,
     lift_root,
     monic_factors_mod_p,
-    roots_mod_p,
 )
 
 
@@ -155,12 +153,11 @@ class PrimeLocalData:
     """Per-prime splitting and density data."""
 
     p: int
-    degree_pattern: tuple[int, ...]
-    nu_p: int            # number of degree-1 primes above p (distinct roots)
-    nu: int | None       # zeros of the incomplete norm form on (Z/p)^(n-k)
-    nu2: int | None      # zeros of the full norm form on (Z/p)^n
+    degree_pattern: tuple[int, ...]  # factor degrees of f mod p, with multiplicity
+    nu_p: int            # distinct roots of f mod p (degree-1 primes above good p)
+    nu: int              # zeros of the incomplete norm form on (Z/p)^(n-k)
+    nu2: int             # zeros of the full norm form on (Z/p)^n
     is_bad: bool
-    exact: bool          # False only for bad p beyond the brute-force budget
 
 
 def nu_brute(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
@@ -175,18 +172,6 @@ def nu_brute(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     count = 0
     for a in itertools.product(range(p), repeat=m):
         if norm_form(a, ctx) % p == 0:
-            count += 1
-    return count
-
-
-def nu2_brute(p: int, ctx: FieldSpec, budget: int = 10**7) -> int:
-    """#{a in [1,p]^n : N(a) = 0 mod p} by exhaustive evaluation."""
-    n = ctx.n
-    if p**n > budget:
-        raise BudgetExceeded(f"p^n = {p**n} exceeds budget")
-    count = 0
-    for a in itertools.product(range(p), repeat=n):
-        if norm(a, ctx) % p == 0:
             count += 1
     return count
 
@@ -215,45 +200,35 @@ def _nu_from_degrees(degs: list[int], p: int, m: int) -> int:
 
 
 def nu2_from_degrees(degs: list[int], p: int, n: int) -> int:
-    """nu_2(p) = p^n (1 - prod (1 - p^-d)) for good p (CRT on F_p[X]/(f)),
-    in integers: p^n - p^(n - sum d) prod (p^d - 1), with sum d <= n."""
+    """nu_2(p) = p^n (1 - prod (1 - p^-d)) over the distinct factor degrees d
+    of f mod p: p^n less the units of F_p[X]/(f), which CRT counts, in
+    integers: p^n - p^(n - sum d) prod (p^d - 1), with sum d <= n."""
     assert sum(degs) <= n
     return p**n - p ** (n - sum(degs)) * math.prod(p**d - 1 for d in degs)
 
 
-def local_data(p: int, ctx: FieldSpec, budget: int = 10**7) -> PrimeLocalData:
-    """Splitting pattern and the densities nu, nu_2 at p.
+def local_data(p: int, ctx: FieldSpec) -> PrimeLocalData:
+    """Splitting pattern and the densities nu, nu_2 at p, bad p included.
 
-    Good p: exact from the splitting formulas.  Bad p: brute force within
-    budget, otherwise the fields are None with exact=False.
+    For monic f, N(A) = Res(f, A), and reduction mod p keeps deg f, so
+    N(A) = 0 mod p exactly when A mod p shares an irreducible factor with
+    f mod p (Cohen, A Course in Computational Algebraic Number Theory,
+    3.3.2).  So nu and nu_2 depend only on the degrees of the distinct
+    factors of f mod p; their multiplicities play no part.
     """
     if not is_prime(p):
         raise CompositeP(f"{p} is not prime")
-    if not is_bad_prime(p, ctx):
-        pattern = sorted(pi.degree for pi in prime_ideals_above(p, ctx))
-        return PrimeLocalData(
-            p=p,
-            degree_pattern=tuple(pattern),
-            nu_p=pattern.count(1),
-            nu=_nu_from_degrees(pattern, p, ctx.m),
-            nu2=nu2_from_degrees(pattern, p, ctx.n),
-            is_bad=False,
-            exact=True,
-        )
-    degs, _sqfree = degree_pattern_mod_p(list(ctx.f_coeffs), p)
-    nu_p = len(roots_mod_p(list(ctx.f_coeffs), p))
-    nu = nu2 = None
-    exact = True
-    try:
-        nu = nu_brute(p, ctx, budget=budget)
-    except BudgetExceeded:
-        exact = False
-    try:
-        nu2 = nu2_brute(p, ctx, budget=budget)
-    except BudgetExceeded:
-        exact = False
-    return PrimeLocalData(p=p, degree_pattern=tuple(degs), nu_p=nu_p,
-                          nu=nu, nu2=nu2, is_bad=True, exact=exact)
+    facs = monic_factors_mod_p(list(ctx.f_coeffs), p)
+    distinct = [len(g) - 1 for g, _mult in facs]
+    return PrimeLocalData(
+        p=p,
+        degree_pattern=tuple(sorted(len(g) - 1 for g, mult in facs
+                                    for _ in range(mult))),
+        nu_p=distinct.count(1),
+        nu=_nu_from_degrees(distinct, p, ctx.m),
+        nu2=nu2_from_degrees(distinct, p, ctx.n),
+        is_bad=is_bad_prime(p, ctx),
+    )
 
 
 # --- rho ---------------------------------------------------------------------

@@ -73,8 +73,8 @@ class SeriesEstimate:
 
 
 def _local_factor_data(ctx: FieldSpec, p_cut: int) -> tuple:
-    """(p, nu, nu2, degs, nu_p) for all p <= p_cut: batch formulas at good p,
-    brute force at bad p."""
+    """(p, nu, nu2, degs, nu_p) for all p <= p_cut: batch splitting at good p,
+    local_data's factorization mod p at bad p; the same closed forms at both."""
     bad = set(bad_primes(ctx))
     good = np.array([p for p in sieve_primes(p_cut).tolist() if p not in bad], dtype=np.int64)
     pats = batch_degree_patterns(list(ctx.f_coeffs), good)
@@ -86,9 +86,7 @@ def _local_factor_data(ctx: FieldSpec, p_cut: int) -> tuple:
                     nu2_from_degrees(degs, p, ctx.n), degs, nu_p))
     for p in sorted(q for q in bad if q <= p_cut):
         ld = local_data(p, ctx)
-        if ld.nu is None or ld.nu2 is None:
-            raise BudgetExceeded(f"bad prime {p} too large for brute force")
-        out.append((p, ld.nu, ld.nu2, tuple(ld.degree_pattern), ld.nu_p))
+        out.append((p, ld.nu, ld.nu2, ld.degree_pattern, ld.nu_p))
     out.sort()
     return tuple(out)
 

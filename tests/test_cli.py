@@ -479,6 +479,47 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+QUARTIC_229 = {"f": [1, 1, 0, 0, 1], "k": 1}  # disc 229, a large bad prime
+SEPTIC_K2 = {"f": [-2, 0, 0, 0, 0, 0, 0, 1], "k": 2}
+
+
+class TestLargeBadPrime:
+    @pytest.mark.parametrize("command, cfg", [
+        ("theorem", {"field": QUARTIC_229, "X": 20, "p_cut": 1000}),
+        ("sseries", {"field": QUARTIC_229, "p_cut": 1000}),
+    ])
+    def test_runs(self, tmp_path, command, cfg):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+class TestSepticK2:
+    """The paper's smallest k = 2 case: x^7 - 2, where 7 * 7 = 49 >= 22 * 2
+    puts the pure septic in the lower-bound regime."""
+
+    def test_theorem_lower_bound(self, tmp_path):
+        path = write_cfg(tmp_path, "c.json", {"field": SEPTIC_K2, "X": 8})
+        out = tmp_path / "out"
+        assert run(["theorem", "--config", path, "--out", str(out),
+                    "--threads", "2"]) == 0
+        report = json.loads((out / "theorem.json").read_text())
+        assert report["details"]["regime"] == "lower_bound"
+        assert report["observed"] == 2408
+
+    def test_sseries_sha256(self, tmp_path):
+        # the bytes the brute-force local factors at the bad primes 2 and 7
+        # produced, before the closed form served them
+        path = write_cfg(tmp_path, "c.json", {"field": SEPTIC_K2, "p_cut": 10_000})
+        out = tmp_path / "out"
+        assert run(["sseries", "--config", path, "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+        assert got == {
+            "sseries.csv": "8856b9fd35ab43bb40381f499d067f644bdbb34e1d390a37f6cfb516a43b99ab",
+            "sseries.json": "32b592e01009a126be85c76872806325ef0e29e63b3dd42d8c9674aaa336f943",
+        }
+
+
 class TestShippedConfigBytes:
     """Report bytes of the shipped configs match the pinned sha256 values."""
 

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normform import localdata
@@ -23,7 +23,6 @@ from normform.localdata import (
     ideal_tau,
     ideal_valuations,
     local_data,
-    nu2_brute,
     nu2_from_degrees,
     nu_brute,
     nu_fast,
@@ -34,12 +33,20 @@ from normform.localdata import (
     squarefree_ideal_symbols,
 )
 from normform.primes import factorize, primes_in
-from normform.splitting import hensel_lift_factor
+from normform.splitting import degree_pattern_mod_p, hensel_lift_factor
 
 CTX3 = make_context([-2, 0, 0], 1)       # X^3 - 2, k=1, disc -108
 CTX4 = make_context([-2, 0, 0, 0], 1)    # X^4 - 2, k=1
 CTXQ = make_context([1, 1, 0, 0], 1)     # X^4 + X + 1, k=1
 CTXG = make_context([1, 0], 0)           # X^2 + 1, k=0 (Gaussian)
+
+
+def nu2_brute(p, ctx):
+    """Oracle for nu_2: #{a in [0,p)^n : N(a) = 0 mod p} by exhaustive
+    evaluation, no factoring.  That is nu_brute on the full norm form
+    (k = 0): N(a) point by point up to 4096 points, on the norm-form
+    polynomial over a numpy grid beyond."""
+    return nu_brute(p, make_context(list(ctx.f_coeffs[:-1]), 0))
 
 
 def materialize_symbol(factors, ctx):
@@ -109,9 +116,69 @@ class TestLocalData:
 
     def test_bad_prime_brute_forced(self):
         ld = local_data(2, CTX3)
-        assert ld.is_bad and ld.exact
+        assert ld.is_bad
         assert ld.nu == nu_brute(2, CTX3) == 2
         assert ld.nu2 == nu2_brute(2, CTX3) == 4
+
+
+# --- the closed form at bad primes against the brute-force oracles ----------
+
+BAD_PRIME_GRID = 2 * 10**5  # largest p^n counted by the oracles
+
+
+@st.composite
+def irreducible_monic(draw):
+    """Low coefficients of a monic f of degree 3-5 that is irreducible mod
+    some prime q < 50, hence irreducible (and squarefree) over Q."""
+    n = draw(st.integers(3, 5))
+    low = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    f = low + [1]
+    assume(any(degree_pattern_mod_p(f, q) == ([n], True) for q in primes_in(2, 50)))
+    return low
+
+
+class TestBadPrimeClosedForm:
+    """local_data reads nu and nu_2 off the distinct factor degrees of
+    f mod p at bad p too; the oracles count the zeros on the whole grid."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(irreducible_monic())
+    def test_matches_brute_oracles(self, low):
+        n = len(low)
+        full = make_context(low, 0)
+        for p in bad_primes(full):
+            if p**n > BAD_PRIME_GRID:
+                continue
+            want2 = nu2_brute(p, full)
+            for k in range(n):
+                ctx = make_context(low, k)
+                ld = local_data(p, ctx)
+                assert ld.is_bad
+                assert (ld.nu, ld.nu2) == (nu_brute(p, ctx), want2), (low, k, p)
+
+    def test_repeated_quadratic_factor(self):
+        # x^4 + 2x^2 + 4 = (x^2 + 1)^2 mod 3
+        ctx = make_context([4, 0, 2, 0], 1)
+        ld = local_data(3, ctx)
+        assert ld.is_bad and ld.degree_pattern == (2, 2) and ld.nu_p == 0
+        assert ld.nu == nu_brute(3, ctx) == 3
+        assert ld.nu2 == nu2_brute(3, ctx) == 9
+
+    def test_pure_septic_at_7(self):
+        # x^7 - 2 = (x - 2)^7 mod 7, so N(A) = A(2)^7 mod 7: one linear
+        # condition on the n - k = 5 or n = 7 coordinates
+        ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
+        ld = local_data(7, ctx)
+        assert ld.is_bad and ld.degree_pattern == (1,) * 7 and ld.nu_p == 1
+        assert ld.nu == nu_brute(7, ctx) == 7**4
+        assert ld.nu2 == 7**6
+
+    def test_large_bad_prime(self):
+        # disc(x^4 + x + 1) = 229, where f has a double root
+        ld = local_data(229, CTXQ)
+        assert ld.is_bad and ld.degree_pattern == (1, 1, 2) and ld.nu_p == 1
+        assert ld.nu == nu_brute(229, CTXQ) == 52_669
+        assert ld.nu2 == 12_061_201
 
 
 class TestNuFast:

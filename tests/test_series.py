@@ -51,6 +51,11 @@ class TestSingularSeries:
         for p in primes_in(2, 50):
             assert local_data(p, ctx).nu < p**ctx.m
 
+    def test_large_bad_prime(self):
+        # disc(x^4 + x + 1) = 229: its local factor comes in closed form
+        S = singular_series(make_context([1, 1, 0, 0], 1), 10_000)
+        assert S.value == 2.2108686200568717
+
     def test_tilde_cauchy_within_certified_tail(self):
         a = singular_series_tilde(CTX4, 1000)
         b = singular_series_tilde(CTX4, 10000)
