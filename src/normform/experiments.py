@@ -472,9 +472,13 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
 def _omega_rows(facs: WindowFactors, ell: int) -> np.ndarray:
     """(S, ell) int64 array of the primes, with multiplicity and ascending,
     of the integers in the window table facs that have Omega = ell.
+
+    Reads the table in sieve order and puts only the entries it keeps in
+    position order, so the table's full position order is never built.
     """
-    keep = (facs.omega() == ell)[facs.pos]
-    return np.repeat(facs.primes[keep], facs.exps[keep]).reshape(-1, ell)
+    pos, primes, exps = facs.sieved
+    keep = facs.by_position(np.flatnonzero((facs.omega() == ell)[pos]))
+    return np.repeat(primes[keep], exps[keep]).reshape(-1, ell)
 
 
 def _count_ordered_tuples(rows: np.ndarray, intervals, logX: float) -> int:

@@ -470,7 +470,6 @@ def ideal_valuations(x, ctx: FieldSpec, fac: dict[int, int]) -> dict | None:
     add up to v_p, or the result is None.
     """
     A = list(embed(x, ctx))
-    f = list(ctx.f_coeffs)
     disc = discriminant(ctx)
     out: dict[PrimeIdeal, int] = {}
     for p, vp in fac.items():
@@ -481,7 +480,7 @@ def ideal_valuations(x, ctx: FieldSpec, fac: dict[int, int]) -> dict | None:
         assigned = 0
         for pi in _candidate_ideals(A, p, ctx.f_coeffs):
             if pi.degree == 1:
-                root = lift_root(f, pi.label, p, prec)
+                root = _lifted_root(ctx.f_coeffs, pi.label, p, prec)
                 r = 0
                 for c in reversed(A):
                     r = (r * root + c) % q
@@ -520,6 +519,12 @@ def _candidate_ideals(A: list[int], p: int,
     if fr:
         return ()
     return (PrimeIdeal(p, 1, r, ((-r) % p, 1)),)
+
+
+@lru_cache(maxsize=2**16)
+def _lifted_root(f_coeffs: tuple[int, ...], r: int, p: int, prec: int) -> int:
+    """lift_root of f; the same root lift recurs across points."""
+    return lift_root(list(f_coeffs), r, p, prec)
 
 
 @lru_cache(maxsize=2**16)

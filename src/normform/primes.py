@@ -6,7 +6,7 @@ import math
 import operator
 import random
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -359,19 +359,53 @@ def _divide_out(remain: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
 class WindowFactors(Sequence):
     """Factorizations of the integers lo, ..., hi - 1 as one flat table.
 
-    Entry j says that primes[j] ** exps[j] exactly divides lo + pos[j].
-    The entries are ordered by position and, within a position, by prime.
+    Entry j of sieved = (pos, primes, exps) says that primes[j] ** exps[j]
+    exactly divides lo + pos[j].  Those arrays are in the order the sieve
+    emits them: the primes up to _STRIDED_MAX, each with its multiples in
+    ascending position, then the larger sieving primes the same way, then
+    the cofactors, each above every sieving prime.  So each integer's
+    entries come with ascending primes, and by_position keeps them so.
+    omega() was counted by the sieve itself.  The attributes pos, primes
+    and exps hold the same entries ordered by position and, within a
+    position, by prime; they and the item offsets are built on first use.
     Item i is the {prime: exponent} dict of lo + i, built on access.
     """
 
     def __init__(self, size: int, pos: np.ndarray, primes: np.ndarray,
-                 exps: np.ndarray):
-        self.pos, self.primes, self.exps = pos, primes, exps
-        self._starts = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(pos, minlength=size), out=self._starts[1:])
+                 exps: np.ndarray, omega: np.ndarray):
+        self.sieved = (pos, primes, exps)
+        self._size = size
+        self._omega = omega
+
+    def by_position(self, idx: np.ndarray) -> np.ndarray:
+        """The entry indices idx (into sieved) stably sorted by position."""
+        # positions below 2^16 sort by radix
+        key = self.sieved[0][idx].astype(np.min_scalar_type(max(self._size - 1, 0)))
+        return idx[np.argsort(key, kind="stable")]
+
+    @cached_property
+    def _ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(pos, primes, exps, starts) by position; starts[i] is item i's first entry."""
+        pos, primes, exps = self.sieved
+        order = self.by_position(np.arange(len(pos)))
+        starts = np.zeros(self._size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pos, minlength=self._size), out=starts[1:])
+        return pos[order], primes[order], exps[order], starts
+
+    @property
+    def pos(self) -> np.ndarray:
+        return self._ordered[0]
+
+    @property
+    def primes(self) -> np.ndarray:
+        return self._ordered[1]
+
+    @property
+    def exps(self) -> np.ndarray:
+        return self._ordered[2]
 
     def __len__(self) -> int:
-        return len(self._starts) - 1
+        return self._size
 
     def __getitem__(self, i: int) -> dict[int, int]:
         i = operator.index(i)
@@ -379,8 +413,9 @@ class WindowFactors(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("window index out of range")
-        a, b = self._starts[i], self._starts[i + 1]
-        return dict(zip(self.primes[a:b].tolist(), self.exps[a:b].tolist()))
+        _, primes, exps, starts = self._ordered
+        a, b = starts[i], starts[i + 1]
+        return dict(zip(primes[a:b].tolist(), exps[a:b].tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -389,7 +424,7 @@ class WindowFactors(Sequence):
 
     def omega(self) -> np.ndarray:
         """Omega (prime factors with multiplicity) of every integer, int64."""
-        return np.bincount(np.repeat(self.pos, self.exps), minlength=len(self))
+        return self._omega
 
 
 _STRIDED_MAX = 256  # a larger prime has few multiples in a 2^16 block: batch them
@@ -403,22 +438,28 @@ def window_factorizations(lo: int, hi: int) -> WindowFactors:
     prime) pairs in one pass with one m % p^k test per k, and m over the
     prime powers found is 1 or its one prime factor above sqrt(hi).
 
-    Returns a WindowFactors table: flat (position, prime, exponent) arrays,
-    one entry per prime power exactly dividing some m, and item m - lo is
-    the {prime: exponent} dict of m.  lo must be at least 1: zero has no
-    factorization.
+    Omega(m) is counted as the sieve goes: one per prime power marked, the
+    exponent of each batched pair, one for a cofactor above 1.
+
+    Returns a WindowFactors table: flat (position, prime, exponent) arrays
+    in sieve order, one entry per prime power exactly dividing some m, with
+    Omega per position; the position order and the items, item m - lo
+    being the {prime: exponent} dict of m, are built only when read.  lo
+    must be at least 1: zero has no factorization.
     """
     if lo < 1:
         raise ValueError(f"window_factorizations needs lo >= 1, got {lo}")
     size = max(hi - lo, 0)
     sieve = sieve_primes(math.isqrt(hi - 1))
     prod = np.ones(size, dtype=np.int64)  # the sieved part of each m
+    omega = np.zeros(size, dtype=np.int64)
     pos, ps, es = [], [], []
     for p in sieve[sieve <= _STRIDED_MAX].tolist():
         pos.append(np.arange((-lo) % p, size, p))
         e, pk = np.zeros(len(pos[-1]), dtype=np.int64), p
         while (sk := (-lo) % pk) < size:  # every m = 0 mod p^k from sk on
             prod[sk::pk] *= p
+            omega[sk::pk] += 1
             e[sk // p::pk // p] += 1  # e[i] belongs to position (-lo) % p + i p
             pk *= p
         ps.append(np.full(len(e), p, dtype=np.int64))
@@ -435,12 +476,12 @@ def window_factorizations(lo: int, hi: int) -> WindowFactors:
         live = live[(lo + at[live]) % p[live] ** (e[live] + 1) == 0]
         e[live] += 1
     np.multiply.at(prod, at, p ** e)
+    np.add.at(omega, at, e)
     cof = np.arange(lo, hi, dtype=np.int64) // prod
     # cofactor < sqrt(hi)^2 and unfactored => prime, above every sieving prime
     left = np.flatnonzero(cof > 1)
-    pos = np.concatenate(pos + [at, left])
-    # stable keeps each m's primes ascending; positions below 2^16 sort by radix
-    order = np.argsort(pos.astype(np.min_scalar_type(max(size - 1, 0))), kind="stable")
-    ps = np.concatenate(ps + [p, cof[left]])
-    es = np.concatenate(es + [e, np.ones(len(left), dtype=np.int64)])
-    return WindowFactors(size, pos[order], ps[order], es[order])
+    omega[left] += 1
+    return WindowFactors(size, np.concatenate(pos + [at, left]),
+                         np.concatenate(ps + [p, cof[left]]),
+                         np.concatenate(es + [e, np.ones(len(left), dtype=np.int64)]),
+                         omega)

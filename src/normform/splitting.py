@@ -236,8 +236,17 @@ def batch_root_counts(f: list[int], primes: np.ndarray) -> np.ndarray:
 
 
 def _binomial_root_counts(n: int, c: int, p: np.ndarray) -> np.ndarray:
-    """Distinct roots of X^n + c mod each prime p, by the criterion above."""
+    """Distinct roots of X^n + c mod each prime p, by the criterion above.
+
+    When 0 < theta = -c < every p, theta is one residue for all p: it goes
+    to _powmod_batch as a scalar base over uint64 moduli, which for
+    theta = 2 multiplies by shifts.  uint64 takes p < 2^32, which the
+    deg f * p^2 < 2^63 guard of batch_root_counts implies.
+    """
     g = np.gcd(n, p - 1)
+    if 0 < -c < int(p.min()):
+        residue = _powmod_batch(-c, (p - 1) // g, p.astype(np.uint64)) == 1
+        return np.where(residue, g, 0)
     t = (p - np.int64(c) % p) % p  # theta = -c mod p
     residue = _powmod_batch(t, (p - 1) // g, p) == 1
     return np.where(t == 0, 1, np.where(residue, g, 0))

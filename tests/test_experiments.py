@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normform import experiments
@@ -32,6 +32,7 @@ from normform.fields import eval_norm_poly_grid, make_context, norm_form_polynom
 from normform.integrals import PolytopeSpec
 from normform.localdata import bad_primes, resultant
 from normform.primes import (
+    WindowFactors,
     factorize,
     is_prime_certified,
     primes_in,
@@ -39,6 +40,7 @@ from normform.primes import (
     window_factorizations,
 )
 from normform.primes import tau as tau_oracle
+from test_primes import FIRST_BATCHED, LAST_STRIDED, windows
 
 CTX3 = make_context([-2, 0, 0], 1)
 CTX4 = make_context([-2, 0, 0, 0], 1)
@@ -380,6 +382,35 @@ class TestTypeIIOracle:
         assert len(rows) > 0
         assert np.array_equal(rows, oracle)
         assert (np.diff(rows, axis=1) >= 0).all()  # ascending along each row
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(windows())
+    @example((1, 300))
+    @example((LAST_STRIDED**2 - 1500, LAST_STRIDED**2 + 1500))
+    @example((FIRST_BATCHED**2 - 1500, FIRST_BATCHED**2 + 1500))
+    @example((LAST_STRIDED**2 - 299, LAST_STRIDED**2 + 1))  # hi - 1 is a prime square ...
+    @example((FIRST_BATCHED**2 - 299, FIRST_BATCHED**2 + 1))  # ... of the one batched prime
+    @example((FIRST_BATCHED**3 - 1500, FIRST_BATCHED**3 + 1500))
+    def test_window_omega_rows_match_dict_oracle(self, window):
+        # the oracle reads factorize's dicts, not the window table; it
+        # skips m = 1, whose Omega is 0 (and which would leave it no entry)
+        lo, hi = window
+        facs = window_factorizations(lo, hi)
+        items = [factorize(m) for m in range(max(lo, 2), hi)]
+        for ell in (1, 2, 3):
+            rows = experiments._omega_rows(facs, ell)
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, omega_rows_oracle(items, ell))
+
+    def test_window_never_ordered_by_typeii(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the window table was put in position order")
+        monkeypatch.setattr(WindowFactors, "_ordered", property(refuse))
+        with pytest.raises(AssertionError, match="position order"):
+            window_factorizations(10, 20)[0]  # the spy is in place
+        for intervals in ([(0.3, 0.6), (0.3, 0.75)], [(0.05, 1.0)] * 3):
+            rep = typeii_density_check(PolytopeSpec.make(intervals), 10**4, 0.5)
+            assert rep.observed == typeii_oracle(intervals, 10**4, 0.5) > 0
 
     @pytest.mark.parametrize("intervals", [
         [(log_ratio(23, 10**4),) * 2] * 3,  # only 23^3 = 12167, at exact endpoints

@@ -1,5 +1,6 @@
 """Polynomial splitting mod p: patterns, roots, batch routines, Hensel."""
 
+import math
 import random
 
 import numpy as np
@@ -242,6 +243,46 @@ class TestBinomialRootCounts:
             batch_root_counts(f, ps)
         with pytest.raises(AssertionError, match="powering ran"):
             batch_root_counts([7, 0, 0, -3, 0, 0, 0, 1], ps)
+
+
+class TestBinomialScalarBase:
+    """_binomial_root_counts passes theta = -c as one scalar base when
+    0 < theta < every prime, and an array of residues otherwise."""
+
+    @pytest.mark.parametrize("c", [-2, -3, 5])
+    @pytest.mark.parametrize("lo", [2, 3, 5])
+    def test_both_bases_match_degree_patterns(self, c, lo, monkeypatch):
+        bases = []
+        powmod = splitting._powmod_batch
+
+        def spy(a, d, n):
+            bases.append(np.ndim(a) == 0)
+            return powmod(a, d, n)
+        monkeypatch.setattr(splitting, "_powmod_batch", spy)
+        ps = sieve_primes(3000)
+        ps = ps[ps >= lo]
+        for n in range(2, 9):
+            f = [c] + [0] * (n - 1) + [1]  # X^n + c
+            bases.clear()
+            got = batch_root_counts(f, ps)
+            assert bases == [0 < -c < lo]
+            good = (n * c) % ps != 0
+            assert got[good].tolist() == batch_degree_patterns(f, ps[good])[:, 0].tolist()
+            assert got[~good].tolist() == [len(roots_mod_p(f, p)) for p in ps[~good].tolist()]
+
+    def test_scalar_base_up_to_2_to_the_32(self):
+        # the largest prime below 2^32 takes the scalar base in uint64 (the
+        # int64 array path stops at 3,037,000,499); above 2^32 uint64
+        # products would wrap, and _powmod_batch refuses
+        below, above = 4294967291, 4294967311
+        for n in (2, 3, 4, 5):
+            g = math.gcd(n, below - 1)
+            want = g if pow(2, (below - 1) // g, below) == 1 else 0
+            ps = np.array([3, below], dtype=np.int64)
+            assert splitting._binomial_root_counts(n, -2, ps).tolist() == [
+                len(roots_mod_p([-2] + [0] * (n - 1) + [1], 3)), want]
+            with pytest.raises(ValueError, match="_powmod_batch needs"):
+                splitting._binomial_root_counts(n, -2, np.array([3, above], dtype=np.int64))
 
 
 class TestHensel:
