@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .errors import (  # noqa: F401
     BadPrime,
     BudgetExceeded,
-    CompositeP,
     DegenerateDegree,
     DegeneratePair,
     DependentRows,
@@ -16,7 +15,6 @@ from .errors import (  # noqa: F401
     NotSquarefree,
     RankTooLarge,
     ReducibleDetected,
-    SearchExhausted,
     Unbounded,
     ZeroVector,
     ZeroWedge,
@@ -38,7 +36,6 @@ from .lattices import (  # noqa: F401
     lambda_pair,
     lambda_v,
     lattice_det_sq,
-    nice_basis,
     reduced_basis,
     wedge,
     wedge_pair,
@@ -55,10 +52,8 @@ from .census import CensusReport, fp_wedge_census, fp_wedge_census_report, skew_
 from .localdata import (  # noqa: F401
     IdealSym,
     PrimeIdeal,
-    PrimeLocalData,
     gamma_estimate,
     ideal_count,
-    local_data,
     nu_brute,
     nu_fast,
     prime_ideals_above,

@@ -52,19 +52,11 @@ class Unbounded(ValidationError):
     pass
 
 
-class CompositeP(ValidationError):
-    pass
-
-
 class BadPrime(ValidationError):
     pass
 
 
 class NotSquarefree(ValidationError):
-    pass
-
-
-class SearchExhausted(NormformError):
     pass
 
 

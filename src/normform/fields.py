@@ -165,10 +165,6 @@ def diamond(a, b, ctx: FieldSpec) -> Vec:
     return tuple(prod[:n])
 
 
-def one(ctx: FieldSpec) -> Vec:
-    return (1,) + (0,) * (ctx.n - 1)
-
-
 def embed(x, ctx: FieldSpec) -> Vec:
     """Zero-pad an incomplete vector (length n-k) to a full order element."""
     x = tuple(int(t) for t in x)

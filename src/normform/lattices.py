@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneratePair, RankTooLarge, SearchExhausted, ZeroVector, ZeroWedge
+from .errors import DegeneratePair, RankTooLarge, ZeroVector, ZeroWedge
 from .fields import FieldSpec, constraint_rows
 from .intlinalg import (
     det_bareiss,
@@ -164,46 +164,3 @@ def reduced_basis(lat: IntLattice, enum_limit: int = 10**7) -> ReducedBasis:
         minima_vectors=tuple(tuple(v) for v in vecs),
         near_orthogonality=c,
     )
-
-
-def nice_basis(v, ctx: FieldSpec, search_bound: int = 2) -> ReducedBasis:
-    """Basis of lambda_v(v) meeting the nice-basis contract.
-
-    Starts from the LLL basis (lengths within a dimension factor of the
-    exact minima), then replaces the target vector z_t by
-    z_t + sum(l_i z_i) over the earlier vectors with bounded |l_i| until
-    wedge_pair(z_1, z_t) != 0.  The target index t is k+1 in the pure case
-    and 2k for general fields, matching the respective subspace-dimension
-    bounds (k and 2k-1) that guarantee a bounded choice exists when
-    n > 3k; the bound doubles once before SearchExhausted.
-    """
-    if all(t == 0 for t in v):
-        raise ZeroVector("nice_basis of the zero vector")
-    k = ctx.k
-    target = k if ctx.pure_theta is not None else 2 * k - 1  # 0-based index
-    lat = lambda_v(v, ctx)
-    rb = reduced_basis(lat)
-    if lat.rank < target + 1:
-        raise RankTooLarge(f"lattice rank {lat.rank} < {target + 1}")
-    # the sorted LLL rows are a genuine basis with ||z_i|| within a
-    # dimension factor of Z_i; minima vectors alone need not be a basis
-    base = [list(b) for b in rb.basis]
-    z1 = base[0]
-    zt = base[target]
-    for bound in (search_bound, 2 * search_bound):
-        for lams in itertools.product(range(-bound, bound + 1), repeat=target):
-            cand = [zt[j] + sum(l * base[i][j] for i, l in enumerate(lams))
-                    for j in range(ctx.n)]
-            if all(c == 0 for c in cand):
-                continue
-            if not wedge_pair(z1, cand, ctx).is_zero():
-                new_basis = [row[:] for row in base]
-                new_basis[target] = cand
-                return ReducedBasis(
-                    lattice=lat,
-                    basis=tuple(tuple(r) for r in new_basis),
-                    minima_sq=rb.minima_sq,
-                    minima_vectors=rb.minima_vectors,
-                    near_orthogonality=near_orthogonality(new_basis),
-                )
-    raise SearchExhausted("no bounded combination makes the target wedge pair nonzero")

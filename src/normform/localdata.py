@@ -4,8 +4,8 @@ ideal-symbol enumeration with Weber-style counting.
 Ideals of Z[omega] are handled through splitting symbols at good primes
 (p not dividing disc f); bad primes are flagged and excluded from ideal
 enumeration, and reports carry the exclusion explicitly.  The local
-densities need no such exclusion: they follow from the factor degrees of
-f mod p at every prime, bad or good (see local_data).
+densities need no such exclusion: they follow from the degrees of the
+distinct factors of f mod p at every prime, bad or good.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BadPrime, BudgetExceeded, CompositeP, NotSquarefree
+from .errors import BadPrime, BudgetExceeded, NotSquarefree
 from .fields import (
     FieldSpec,
     embed,
@@ -28,7 +28,7 @@ from .fields import (
     norm_form_polynomial,
 )
 from .intlinalg import det_bareiss, rank_mod_p
-from .primes import factorize, is_prime, sieve_primes
+from .primes import factorize, sieve_primes
 from .splitting import (
     batch_degree_patterns,
     batch_root_counts,
@@ -148,18 +148,6 @@ def degree1_prime_ideals(p: int, ctx: FieldSpec) -> list[PrimeIdeal]:
     return [pi for pi in prime_ideals_above(p, ctx) if pi.degree == 1]
 
 
-@dataclass(frozen=True)
-class PrimeLocalData:
-    """Per-prime splitting and density data."""
-
-    p: int
-    degree_pattern: tuple[int, ...]  # factor degrees of f mod p, with multiplicity
-    nu_p: int            # distinct roots of f mod p (degree-1 primes above good p)
-    nu: int              # zeros of the incomplete norm form on (Z/p)^(n-k)
-    nu2: int             # zeros of the full norm form on (Z/p)^n
-    is_bad: bool
-
-
 def nu_brute(p: int, ctx: FieldSpec, budget: int = 10**8) -> int:
     """#{a in [1,p]^(n-k) : N_K(a) = 0 mod p} by exhaustive evaluation."""
     m = ctx.m
@@ -187,10 +175,12 @@ def nu_fast(p: int, ctx: FieldSpec) -> int:
     if is_bad_prime(p, ctx):
         raise BadPrime(f"{p} divides disc(f)")
     degs = [pi.degree for pi in prime_ideals_above(p, ctx)]
-    return _nu_from_degrees(degs, p, ctx.m)
+    return nu_from_degrees(degs, p, ctx.m)
 
 
-def _nu_from_degrees(degs: list[int], p: int, m: int) -> int:
+def nu_from_degrees(degs: list[int], p: int, m: int) -> int:
+    """nu(p) from the distinct factor degrees of f mod p, by the
+    inclusion-exclusion of nu_fast; m = n - k."""
     total = 0
     for size in range(1, len(degs) + 1):
         for S in itertools.combinations(degs, size):
@@ -205,30 +195,6 @@ def nu2_from_degrees(degs: list[int], p: int, n: int) -> int:
     integers: p^n - p^(n - sum d) prod (p^d - 1), with sum d <= n."""
     assert sum(degs) <= n
     return p**n - p ** (n - sum(degs)) * math.prod(p**d - 1 for d in degs)
-
-
-def local_data(p: int, ctx: FieldSpec) -> PrimeLocalData:
-    """Splitting pattern and the densities nu, nu_2 at p, bad p included.
-
-    For monic f, N(A) = Res(f, A), and reduction mod p keeps deg f, so
-    N(A) = 0 mod p exactly when A mod p shares an irreducible factor with
-    f mod p (Cohen, A Course in Computational Algebraic Number Theory,
-    3.3.2).  So nu and nu_2 depend only on the degrees of the distinct
-    factors of f mod p; their multiplicities play no part.
-    """
-    if not is_prime(p):
-        raise CompositeP(f"{p} is not prime")
-    facs = monic_factors_mod_p(list(ctx.f_coeffs), p)
-    distinct = [len(g) - 1 for g, _mult in facs]
-    return PrimeLocalData(
-        p=p,
-        degree_pattern=tuple(sorted(len(g) - 1 for g, mult in facs
-                                    for _ in range(mult))),
-        nu_p=distinct.count(1),
-        nu=_nu_from_degrees(distinct, p, ctx.m),
-        nu2=nu2_from_degrees(distinct, p, ctx.n),
-        is_bad=is_bad_prime(p, ctx),
-    )
 
 
 # --- rho ---------------------------------------------------------------------

@@ -19,19 +19,16 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import BudgetExceeded
 from .fields import FieldSpec
 from .localdata import (
     bad_primes,
-    local_data,
     nu2_from_degrees,
-    _nu_from_degrees,
+    nu_from_degrees,
     squarefree_ideal_symbols,
 )
 from .primes import sieve_primes
-from .splitting import batch_degree_patterns
+from .splitting import batch_degree_patterns, degree_pattern_mod_p
 
 # Products run in a copy of this context, so no caller's decimal settings
 # reach a report; Context() copies unnamed fields from DefaultContext.
@@ -73,21 +70,25 @@ class SeriesEstimate:
 
 
 def _local_factor_data(ctx: FieldSpec, p_cut: int) -> tuple:
-    """(p, nu, nu2, degs, nu_p) for all p <= p_cut: batch splitting at good p,
-    local_data's factorization mod p at bad p; the same closed forms at both."""
+    """(p, nu, nu2, degs, nu_p) for all p <= p_cut, from one batched call.
+
+    For monic f, N(A) = Res(f, A), and reduction mod p keeps deg f, so
+    N(A) = 0 mod p exactly when A mod p shares an irreducible factor with
+    f mod p (Cohen, A Course in Computational Algebraic Number Theory,
+    3.3.2).  So nu, nu_2 and nu_p depend only on the degrees of the
+    distinct factors of f mod p, which batch_degree_patterns gives at every
+    prime, bad ones included.  degs, the CSV's degree pattern, keeps
+    multiplicities: at the few bad primes it comes from a full factorization.
+    """
+    f = list(ctx.f_coeffs)
     bad = set(bad_primes(ctx))
-    good = np.array([p for p in sieve_primes(p_cut).tolist() if p not in bad], dtype=np.int64)
-    pats = batch_degree_patterns(list(ctx.f_coeffs), good)
+    ps = sieve_primes(p_cut)
     out = []
-    for i, p in enumerate(good.tolist()):
-        degs = tuple(d for d in range(1, ctx.n + 1) for _ in range(int(pats[i, d - 1])))
-        nu_p = int(pats[i, 0])
-        out.append((p, _nu_from_degrees(degs, p, ctx.m),
-                    nu2_from_degrees(degs, p, ctx.n), degs, nu_p))
-    for p in sorted(q for q in bad if q <= p_cut):
-        ld = local_data(p, ctx)
-        out.append((p, ld.nu, ld.nu2, ld.degree_pattern, ld.nu_p))
-    out.sort()
+    for p, row in zip(ps.tolist(), batch_degree_patterns(f, ps).tolist()):
+        distinct = tuple(d for d, c in enumerate(row, 1) for _ in range(c))
+        degs = tuple(degree_pattern_mod_p(f, p)[0]) if p in bad else distinct
+        out.append((p, nu_from_degrees(distinct, p, ctx.m),
+                    nu2_from_degrees(distinct, p, ctx.n), degs, row[0]))
     return tuple(out)
 
 

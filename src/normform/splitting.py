@@ -16,7 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .primes import _powmod_batch
+from .primes import _powmod_batch, is_prime
 
 # --- single-prime polynomial arithmetic over F_p ----------------------------
 
@@ -116,8 +116,10 @@ def degree_pattern_mod_p(f: list[int], p: int) -> tuple[list[int], bool]:
     """Degrees (with multiplicity) of the irreducible factors of f mod p.
 
     Returns (sorted degree list, squarefree flag), both read off
-    monic_factors_mod_p.
+    monic_factors_mod_p.  ValueError unless p is prime and f monic.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if len(_pmod(f, p)) != len(f):
         raise ValueError("leading coefficient vanishes mod p; f must be monic")
     facs = monic_factors_mod_p(f, p)
@@ -359,9 +361,11 @@ def batch_degree_patterns(f: list[int], primes: np.ndarray) -> np.ndarray:
     """Factor-degree counts of f mod p for many primes at once.
 
     Returns an (N, n) int64 array A with A[i, d-1] = number of degree-d
-    irreducible factors of f mod primes[i].  Valid for primes where f is
-    squarefree mod p (good primes); computed from the root counts of f in
-    F_{p^j} for j = 1..n via Moebius-style inversion.  X^(p^j) comes from
+    irreducible factors of f mod primes[i], each distinct factor counted
+    once.  Computed from counts[j-1] = deg gcd(X^(p^j) - X, f), the sum of
+    the degrees of the distinct factors whose degree divides j, via
+    Moebius-style inversion.  X^(p^j) - X is squarefree, so this holds at
+    every prime, where f mod p has repeated factors too.  X^(p^j) comes from
     the Frobenius matrix, whose column i is X^(ip) mod (f, p): h -> h^p is
     F_p-linear, so X^(p^(j+1)) is that matrix times X^(p^j).  Requires
     deg f >= 2 and primes with deg f * p^2 < 2^63 (ValueError otherwise).

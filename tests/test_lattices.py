@@ -33,7 +33,6 @@ from normform.lattices import (
     lambda_pair,
     lambda_v,
     lattice_det_sq,
-    nice_basis,
     reduced_basis,
     wedge,
     wedge_pair,
@@ -288,52 +287,6 @@ class TestReducedBasis:
             r = len(rb.basis)
             for b, m in zip(rb.basis, rb.minima_sq):
                 assert sum(x * x for x in b) <= 2 ** (r - 1) * m
-
-
-class TestNiceBasis:
-    def test_k1_succeeds(self):
-        rng = random.Random(55)
-        ctx = make_context([-2, 0, 0, 0], 1)
-        for _ in range(15):
-            v = [rng.randint(-9, 9) for _ in range(4)]
-            if all(t == 0 for t in v):
-                v[0] = 1
-            nb = nice_basis(v, ctx)
-            assert not wedge_pair(list(nb.basis[0]), list(nb.basis[ctx.k]),
-                                  ctx).is_zero()
-
-    def test_k2_pure(self):
-        rng = random.Random(56)
-        ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
-        for _ in range(6):
-            v = [rng.randint(-6, 6) for _ in range(7)]
-            if all(t == 0 for t in v):
-                v[0] = 1
-            nb = nice_basis(v, ctx)
-            assert not wedge_pair(list(nb.basis[0]), list(nb.basis[2]), ctx).is_zero()
-            # z1 achieves the exact first minimum
-            assert sum(x * x for x in nb.basis[0]) == nb.minima_sq[0]
-            assert nb.near_orthogonality > 0
-
-    def test_basis_is_still_a_basis(self):
-        ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
-        v = [1, 2, 0, -1, 3, 0, 2]
-        lat = lambda_v(v, ctx)
-        nb = nice_basis(v, ctx)
-        assert lattice_det_sq(IntLattice(7, nb.basis)) == lattice_det_sq(lat)
-        assert all(lat.contains(b) for b in nb.basis)
-
-    def test_general_field_targets_index_2k(self):
-        # non-pure fields pair z_1 with z_{2k} (subspace bound 2k-1)
-        rng = random.Random(57)
-        ctx = make_context([-1, -1, 0, 0, 0, 0, 0], 2)  # X^7 - X - 1, k=2
-        for _ in range(5):
-            v = [rng.randint(-5, 5) for _ in range(7)]
-            if all(t == 0 for t in v):
-                v[0] = 1
-            nb = nice_basis(v, ctx)
-            assert not wedge_pair(list(nb.basis[0]), list(nb.basis[3]),
-                                  ctx).is_zero()
 
 
 def degenerate_directions(v, ctx):

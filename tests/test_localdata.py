@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from normform import localdata
-from normform.errors import BadPrime, CompositeP, NotSquarefree
+from normform import localdata, series
+from normform.errors import BadPrime, NotSquarefree
 from normform.fields import embed, make_context, norm_form
 from normform.localdata import (
     IdealSym,
@@ -22,7 +22,6 @@ from normform.localdata import (
     ideal_count,
     ideal_tau,
     ideal_valuations,
-    local_data,
     nu2_from_degrees,
     nu_brute,
     nu_fast,
@@ -33,7 +32,13 @@ from normform.localdata import (
     squarefree_ideal_symbols,
 )
 from normform.primes import factorize, primes_in
-from normform.splitting import degree_pattern_mod_p, hensel_lift_factor
+from normform.series import per_prime_factor_table
+from normform.splitting import (
+    batch_degree_patterns,
+    degree_pattern_mod_p,
+    hensel_lift_factor,
+    monic_factors_mod_p,
+)
 
 CTX3 = make_context([-2, 0, 0], 1)       # X^3 - 2, k=1, disc -108
 CTX4 = make_context([-2, 0, 0, 0], 1)    # X^4 - 2, k=1
@@ -47,6 +52,12 @@ def nu2_brute(p, ctx):
     (k = 0): N(a) point by point up to 4096 points, on the norm-form
     polynomial over a numpy grid beyond."""
     return nu_brute(p, make_context(list(ctx.f_coeffs[:-1]), 0))
+
+
+def local_rows(ctx, p_cut):
+    """{p: (p, nu, nu2, degs, nu_p)} for p <= p_cut: the rows the Euler
+    products and the sseries CSV read, from series._local_factor_data."""
+    return {row[0]: row for row in series._local_factor_data(ctx, p_cut)}
 
 
 def materialize_symbol(factors, ctx):
@@ -65,31 +76,31 @@ class TestLocalData:
         assert bad_primes(CTX3) == [2, 3]
 
     def test_composite_rejected(self):
-        with pytest.raises(CompositeP):
-            local_data(10, CTX3)
+        # the bad-prime rows factor f mod p in full, for prime p only
+        with pytest.raises(ValueError, match="not prime"):
+            degree_pattern_mod_p(list(CTX3.f_coeffs), 10)
 
     def test_nu5_is_5(self):
-        ld = local_data(5, CTX3)
-        assert ld.nu == 5 and ld.nu_p == 1 and not ld.is_bad
+        _, nu, _, _, nu_p = local_rows(CTX3, 5)[5]
+        assert nu == 5 and nu_p == 1 and 5 not in bad_primes(CTX3)
         assert nu_brute(5, CTX3) == 5  # cubing is a bijection mod 5
 
     def test_nu31_cubic_residue(self):
-        ld = local_data(31, CTX3)
-        assert ld.nu_p in (0, 3)
-        assert ld.nu_p == 3  # 2 = 4^3 mod 31
-        assert sum(ld.degree_pattern) == 3
+        _, _, _, degs, nu_p = local_rows(CTX3, 31)[31]
+        assert nu_p in (0, 3)
+        assert nu_p == 3  # 2 = 4^3 mod 31
+        assert sum(degs) == 3
 
     def test_nu_is_brute_force(self):
+        rows = local_rows(CTX3, 60)
         for p in primes_in(5, 60):
-            if p in (2, 3):
-                continue
-            assert local_data(p, CTX3).nu == nu_brute(p, CTX3)
+            assert rows[p][1] == nu_brute(p, CTX3)
 
     def test_nu2_formula_vs_brute(self):
         for ctx, ps in ((CTX3, (5, 7, 11)), (CTX4, (3, 5, 7))):
+            rows = local_rows(ctx, max(ps))
             for p in ps:
-                ld = local_data(p, ctx)
-                assert ld.nu2 == nu2_brute(p, ctx)
+                assert rows[p][2] == nu2_brute(p, ctx)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.integers(1, 6), max_size=5), st.sampled_from((2, 3, 5, 7, 101)),
@@ -115,10 +126,10 @@ class TestLocalData:
         assert nu_brute(7, ctx) == want[7] == nu_fast(7, ctx)
 
     def test_bad_prime_brute_forced(self):
-        ld = local_data(2, CTX3)
-        assert ld.is_bad
-        assert ld.nu == nu_brute(2, CTX3) == 2
-        assert ld.nu2 == nu2_brute(2, CTX3) == 4
+        _, nu, nu2, _, _ = local_rows(CTX3, 2)[2]
+        assert 2 in bad_primes(CTX3)
+        assert nu == nu_brute(2, CTX3) == 2
+        assert nu2 == nu2_brute(2, CTX3) == 4
 
 
 # --- the closed form at bad primes against the brute-force oracles ----------
@@ -127,58 +138,84 @@ BAD_PRIME_GRID = 2 * 10**5  # largest p^n counted by the oracles
 
 
 @st.composite
-def irreducible_monic(draw):
-    """Low coefficients of a monic f of degree 3-5 that is irreducible mod
-    some prime q < 50, hence irreducible (and squarefree) over Q."""
-    n = draw(st.integers(3, 5))
+def irreducible_monic(draw, max_degree=5):
+    """Low coefficients of a monic f of degree 3 to max_degree that is
+    irreducible mod some prime q < 50, hence irreducible (and squarefree)
+    over Q."""
+    n = draw(st.integers(3, max_degree))
     low = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
     f = low + [1]
     assume(any(degree_pattern_mod_p(f, q) == ([n], True) for q in primes_in(2, 50)))
     return low
 
 
+def csv_pattern(ctx, p):
+    """The sseries CSV's degree_pattern at p <= 100, multiplicities kept."""
+    return next(row["degree_pattern"] for row in per_prime_factor_table(ctx, 100)
+                if row["p"] == p)
+
+
 class TestBadPrimeClosedForm:
-    """local_data reads nu and nu_2 off the distinct factor degrees of
-    f mod p at bad p too; the oracles count the zeros on the whole grid."""
+    """The Euler-product rows read nu and nu_2 off the distinct factor
+    degrees of f mod p at bad p too, from the one batched call; the oracles
+    count the zeros on the whole grid."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(irreducible_monic())
     def test_matches_brute_oracles(self, low):
         n = len(low)
         full = make_context(low, 0)
-        for p in bad_primes(full):
-            if p**n > BAD_PRIME_GRID:
-                continue
-            want2 = nu2_brute(p, full)
-            for k in range(n):
-                ctx = make_context(low, k)
-                ld = local_data(p, ctx)
-                assert ld.is_bad
-                assert (ld.nu, ld.nu2) == (nu_brute(p, ctx), want2), (low, k, p)
+        ps = [p for p in bad_primes(full) if p**n <= BAD_PRIME_GRID]
+        if not ps:
+            return
+        for k in range(n):
+            ctx = make_context(low, k)
+            rows = local_rows(ctx, max(ps))
+            for p in ps:
+                _, nu, nu2, _, _ = rows[p]
+                assert (nu, nu2) == (nu_brute(p, ctx), nu2_brute(p, full)), (low, k, p)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(irreducible_monic(max_degree=7))
+    def test_batch_patterns_at_bad_primes(self, low):
+        # f mod p has repeated factors here; batch_degree_patterns counts
+        # each distinct irreducible factor once
+        f = low + [1]
+        ps = [p for p in bad_primes(make_context(low, 0)) if p <= 10**6]
+        if not ps:
+            return
+        pats = batch_degree_patterns(f, ps)
+        for p, row in zip(ps, pats.tolist()):
+            want = [0] * len(low)
+            for g, _mult in monic_factors_mod_p(f, p):
+                want[len(g) - 2] += 1
+            assert row == want, (low, p)
 
     def test_repeated_quadratic_factor(self):
         # x^4 + 2x^2 + 4 = (x^2 + 1)^2 mod 3
         ctx = make_context([4, 0, 2, 0], 1)
-        ld = local_data(3, ctx)
-        assert ld.is_bad and ld.degree_pattern == (2, 2) and ld.nu_p == 0
-        assert ld.nu == nu_brute(3, ctx) == 3
-        assert ld.nu2 == nu2_brute(3, ctx) == 9
+        _, nu, nu2, degs, nu_p = local_rows(ctx, 3)[3]
+        assert 3 in bad_primes(ctx) and degs == (2, 2) and nu_p == 0
+        assert csv_pattern(ctx, 3) == "2+2"
+        assert nu == nu_brute(3, ctx) == 3
+        assert nu2 == nu2_brute(3, ctx) == 9
 
     def test_pure_septic_at_7(self):
         # x^7 - 2 = (x - 2)^7 mod 7, so N(A) = A(2)^7 mod 7: one linear
         # condition on the n - k = 5 or n = 7 coordinates
         ctx = make_context([-2, 0, 0, 0, 0, 0, 0], 2)
-        ld = local_data(7, ctx)
-        assert ld.is_bad and ld.degree_pattern == (1,) * 7 and ld.nu_p == 1
-        assert ld.nu == nu_brute(7, ctx) == 7**4
-        assert ld.nu2 == 7**6
+        _, nu, nu2, degs, nu_p = local_rows(ctx, 7)[7]
+        assert 7 in bad_primes(ctx) and degs == (1,) * 7 and nu_p == 1
+        assert csv_pattern(ctx, 7) == "+".join("1" * 7)
+        assert nu == nu_brute(7, ctx) == 7**4
+        assert nu2 == 7**6
 
     def test_large_bad_prime(self):
         # disc(x^4 + x + 1) = 229, where f has a double root
-        ld = local_data(229, CTXQ)
-        assert ld.is_bad and ld.degree_pattern == (1, 1, 2) and ld.nu_p == 1
-        assert ld.nu == nu_brute(229, CTXQ) == 52_669
-        assert ld.nu2 == 12_061_201
+        _, nu, nu2, degs, nu_p = local_rows(CTXQ, 229)[229]
+        assert 229 in bad_primes(CTXQ) and degs == (1, 1, 2) and nu_p == 1
+        assert nu == nu_brute(229, CTXQ) == 52_669
+        assert nu2 == 12_061_201
 
 
 class TestNuFast:
@@ -202,21 +239,20 @@ class TestNuFast:
         # observed values must also respect that a-priori bound.
         for ctx in (CTX3, CTX4, CTXQ):
             bad = set(bad_primes(ctx))
+            rows = local_rows(ctx, 200)
             fit: dict[tuple, float] = {}
             for p in primes_in(2, 50):
                 if p in bad:
                     continue
-                ld = local_data(p, ctx)
-                val = abs(ld.nu / p**ctx.m - ld.nu_p / p) * p * p
-                key = tuple(ld.degree_pattern)
+                _, nu, _, key, nu_p = rows[p]
+                val = abs(nu / p**ctx.m - nu_p / p) * p * p
                 fit[key] = max(fit.get(key, 0.0), val)
             apriori = float(2**ctx.n)
             for p in primes_in(50, 200):
                 if p in bad:
                     continue
-                ld = local_data(p, ctx)
-                val = abs(ld.nu / p**ctx.m - ld.nu_p / p) * p * p
-                key = tuple(ld.degree_pattern)
+                _, nu, _, key, nu_p = rows[p]
+                val = abs(nu / p**ctx.m - nu_p / p) * p * p
                 cap = fit.get(key, apriori)
                 # 10% headroom for the O(1/p) approach to the per-type limit
                 assert val <= 1.1 * cap + 1e-9, (ctx.f_coeffs, p, val, cap)
@@ -224,10 +260,11 @@ class TestNuFast:
 
     def test_inert_prime_counts_only_zero(self):
         # an inert prime (single degree-n factor with n > n-k) forces a = 0
+        rows = local_rows(CTX4, 80)
         for p in primes_in(5, 80):
-            ld = local_data(p, CTX4)
-            if ld.degree_pattern == (4,):
-                assert ld.nu == 1
+            _, nu, _, degs, _ = rows[p]
+            if degs == (4,):
+                assert nu == 1
                 break
         else:
             pytest.skip("no inert prime below 80")

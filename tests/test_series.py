@@ -8,7 +8,7 @@ import pytest
 
 from normform import series
 from normform.fields import make_context
-from normform.localdata import gamma_estimate, local_data, squarefree_ideal_symbols
+from normform.localdata import bad_primes, gamma_estimate, squarefree_ideal_symbols
 from normform.primes import primes_in
 from normform.series import (
     per_prime_factor_table,
@@ -47,9 +47,24 @@ class TestSingularSeries:
     def test_local_density_below_one(self, ctx):
         # N(1, 0, ..., 0) = 1, so nu(p) < p^(n-k) at bad primes too: no
         # local factor of either series vanishes
-        assert any(local_data(p, ctx).is_bad for p in primes_in(2, 50))
-        for p in primes_in(2, 50):
-            assert local_data(p, ctx).nu < p**ctx.m
+        rows = series._local_factor_data(ctx, 50)
+        assert any(p in bad_primes(ctx) for p, *_ in rows)
+        for p, nu, *_ in rows:
+            assert nu < p**ctx.m
+
+    def test_one_batched_call_at_every_prime(self, monkeypatch):
+        # every row comes from one batch_degree_patterns call over all
+        # p <= p_cut, bad primes included; only the CSV pattern at a bad p
+        # factors f mod p in full
+        batches, singles = [], []
+        batch, single = series.batch_degree_patterns, series.degree_pattern_mod_p
+        monkeypatch.setattr(series, "batch_degree_patterns",
+                            lambda f, ps: batches.append(ps.tolist()) or batch(f, ps))
+        monkeypatch.setattr(series, "degree_pattern_mod_p",
+                            lambda f, p: singles.append(p) or single(f, p))
+        rows = series._local_factor_data(CTX3, 300)
+        assert batches == [primes_in(2, 300)] == [[p for p, *_ in rows]]
+        assert singles == bad_primes(CTX3) == [2, 3]
 
     def test_large_bad_prime(self):
         # disc(x^4 + x + 1) = 229: its local factor comes in closed form

@@ -97,9 +97,18 @@ class TestBatch:
             for i, p in enumerate(ps.tolist()):
                 degs, sqfree = degree_pattern_mod_p(f, p)
                 if not sqfree:
-                    continue  # batch output is contractually good-p only
+                    continue  # repeated factors count once, checked below
                 expect = [degs.count(d) for d in range(1, n + 1)]
                 assert pats[i].tolist() == expect
+
+    @pytest.mark.parametrize("f, p, want", [
+        ([4, 0, 2, 0, 1], 3, [0, 1, 0, 0]),  # (x^2 + 1)^2
+        ([-2, 0, 0, 0, 0, 0, 0, 1], 7, [1, 0, 0, 0, 0, 0, 0]),  # (x - 2)^7
+        ([1, 1, 0, 0, 1], 229, [1, 1, 0, 0]),  # a double root and a quadratic
+    ])
+    def test_patterns_at_bad_primes_count_distinct_factors(self, f, p, want):
+        assert batch_degree_patterns(f, [p]).tolist() == [want]
+        assert not degree_pattern_mod_p(f, p)[1]
 
     def test_linear_f_rejected(self):
         ps = np.array([5, 7], dtype=np.int64)
