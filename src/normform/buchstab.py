@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .primes import factorize, primes_in
 
 
@@ -37,9 +38,11 @@ def buchstab_report(values, z1, z2) -> BuchstabReport:
 
     residual = S(A, z2) - [S(A, z1) - sum_(z1 < p <= z2) S_>=(A_p, p)].
     Factorization failures (a composite cofactor above factorize's default
-    size limit, 2^64) raise FactorizationBudget.
+    size limit, 2^64) raise FactorizationBudget, a value 0 ValidationError.
     """
     vals = [abs(int(v)) for v in values]
+    if 0 in vals:
+        raise ValidationError("0 has no least prime factor")
     facs = [factorize(v) for v in vals]
     s2 = sum(1 for f in facs if _lpf(f) > z2)
     s1 = sum(1 for f in facs if _lpf(f) > z1)
@@ -60,7 +63,4 @@ def buchstab_report(values, z1, z2) -> BuchstabReport:
 
 def buchstab_residual(values, z1, z2) -> int:
     """The residual of buchstab_report for nonzero integer values."""
-    vals = [abs(int(v)) for v in values]
-    if 0 in vals:
-        raise ValueError("0 has no least prime factor")
-    return buchstab_report(vals, z1, z2).residual
+    return buchstab_report(values, z1, z2).residual

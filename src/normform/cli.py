@@ -72,13 +72,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _field_from(cfg: dict) -> FieldSpec:
-    field = cfg.get("field")
-    if not (isinstance(field, dict) and "f" in field and "k" in field):
-        raise ValidationError("config needs a 'field' object {f: [...], k: int}")
-    return FieldSpec.from_json_dict(field)
-
-
 def _reject_unknown(cfg: dict, allowed: set[str], where: str = "config") -> None:
     unknown = set(cfg) - allowed
     if unknown:
@@ -160,7 +153,7 @@ def _run_theorem(cfg: dict, args, outdir: Path) -> dict:
 
 def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "p_cut"})
-    ctx = _field_from(cfg)
+    ctx = FieldSpec.from_json_dict(cfg.get("field"))
     p_cut = (_int(cfg.get("p_cut", 10_000), "'p_cut'", 100) if args.pcut is None
              else _int(args.pcut, "--pcut", 100))
     S = singular_series(ctx, p_cut)
@@ -183,7 +176,7 @@ def _run_sseries(cfg: dict, args, outdir: Path) -> dict:
 
 def _run_lattice(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "v"})
-    ctx = _field_from(cfg)
+    ctx = FieldSpec.from_json_dict(cfg.get("field"))
     v = _list(cfg.get("v"), "'v'")
     w = wedge(v, ctx)
     lat = lambda_v(v, ctx)
@@ -211,7 +204,7 @@ def _run_lattice(cfg: dict, args, outdir: Path) -> dict:
 def _run_census(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "census", "primes", "B", "samples",
                           "kappas", "seed"})
-    ctx = _field_from(cfg)
+    ctx = FieldSpec.from_json_dict(cfg.get("field"))
     kind = cfg.get("census", "fp_wedge")
     if kind == "fp_wedge":
         primes = _list(cfg.get("primes", [3, 5, 7]), "'primes'")
@@ -235,7 +228,7 @@ def _run_census(cfg: dict, args, outdir: Path) -> dict:
 
 
 def _run_typei(cfg: dict, args, outdir: Path) -> dict:
-    d_lo = _int(cfg.pop("d_lo", 16), "'d_lo'")
+    d_lo = _int(cfg.pop("d_lo", 16), "'d_lo'", 1)
     d_hi = _int(cfg.pop("d_hi", 128), "'d_hi'")
     ecfg = _experiment_config(cfg, args)
     rep = typei_discrepancy(ecfg, d_lo, d_hi)
@@ -268,11 +261,14 @@ def _typeii_window(t2cfg) -> tuple[int, float]:
 
 def _run_integral(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"intervals", "target_sum", "typeii", "field"})
-    if "intervals" not in cfg:
+    intervals = cfg.get("intervals")
+    if not (isinstance(intervals, list)
+            and all(isinstance(iv, list) and len(iv) == 2 for iv in intervals)):
         raise ValidationError("integral config needs 'intervals': [[lo, hi], ...]")
-    spec = PolytopeSpec.make([tuple(iv) for iv in cfg["intervals"]])
+    spec = PolytopeSpec.make([[_finite(e, "'intervals' entry") for e in iv]
+                              for iv in intervals])
     window = _typeii_window(cfg["typeii"]) if "typeii" in cfg else None
-    ctx = _field_from(cfg) if "field" in cfg else None
+    ctx = FieldSpec.from_json_dict(cfg["field"]) if "field" in cfg else None
     if "target_sum" not in cfg:
         raise ValidationError("integral config needs 'target_sum': a number")
     target = _finite(cfg["target_sum"], "'target_sum'")
@@ -308,7 +304,7 @@ def _run_buchstab(cfg: dict, args, outdir: Path) -> dict:
             raise ValidationError(f"'range' must be [lo, hi] with lo <= hi, not {bounds}")
         values = list(range(bounds[0], bounds[1] + 1))
     elif "field" in cfg and "box" in cfg:
-        ctx = _field_from(cfg)
+        ctx = FieldSpec.from_json_dict(cfg.get("field"))
         ranges = [range(lo, hi + 1) for lo, hi in _box(cfg["box"])]
         values = [norm_form(x, ctx) for x in itertools.product(*ranges)]
         values = [v for v in values if v != 0]
@@ -322,7 +318,7 @@ def _run_buchstab(cfg: dict, args, outdir: Path) -> dict:
 
 def _run_divisor(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "X", "e"})
-    ctx = _field_from(cfg)
+    ctx = FieldSpec.from_json_dict(cfg.get("field"))
     if ctx.m != 2:
         raise ValidationError(f"divisor runs on n - k = 2 boxes, not {ctx.m}")
     X = cfg.get("X")
@@ -348,7 +344,7 @@ def _run_divisor(cfg: dict, args, outdir: Path) -> dict:
 
 def _run_norms(cfg: dict, args, outdir: Path) -> dict:
     _reject_unknown(cfg, {"field", "box", "X", "max_rows"})
-    ctx = _field_from(cfg)
+    ctx = FieldSpec.from_json_dict(cfg.get("field"))
     if "box" in cfg:
         box = _box(cfg["box"])
     else:
@@ -433,7 +429,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, ValueError, KeyError, TypeError) as exc:
+    except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except NormformError as exc:

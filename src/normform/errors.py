@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Validation errors map to CLI exit code 2, budget errors to exit code 3.
+Validation errors map to CLI exit code 2, budget errors to exit code 3;
+any other exception is a bug and exits 1 with a traceback.
 """
 
 
@@ -8,8 +9,8 @@ class NormformError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(NormformError):
-    """Bad input data or unsatisfied precondition."""
+class ValidationError(NormformError, ValueError):
+    """Bad input data or unsatisfied precondition (also a ValueError)."""
 
 
 class NonMonic(ValidationError):

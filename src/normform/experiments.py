@@ -63,16 +63,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.X < 2:
-            raise ValueError("X must be at least 2")
+            raise ValidationError("X must be at least 2")
         if not self.box:
             self.box = tuple((1, self.X) for _ in range(self.ctx.m))
         if len(self.box) != self.ctx.m:
-            raise ValueError("box dimension must equal n - k")
+            raise ValidationError("box dimension must equal n - k")
         if not (0 < self.eta1 < 1 and 0 < self.eta2 < 1):
-            raise ValueError("eta parameters must lie in (0, 1)")
+            raise ValidationError("eta parameters must lie in (0, 1)")
         if self.mc_samples < MC_SLABS * MC_MIN_PER_SLAB:
-            raise ValueError(f"mc_samples must be at least "
-                             f"{MC_SLABS * MC_MIN_PER_SLAB}, got {self.mc_samples}")
+            raise ValidationError(f"mc_samples must be at least "
+                                  f"{MC_SLABS * MC_MIN_PER_SLAB}, got {self.mc_samples}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,8 +94,10 @@ class ExperimentConfig:
                  "threads", "point_budget", "mc_samples"}
         unknown = set(d) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        ctx = FieldSpec.from_json_dict(d["field"])
+            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        if "X" not in d:
+            raise ValidationError("config needs 'X': an integer >= 2")
+        ctx = FieldSpec.from_json_dict(d.get("field"))
         kw = {k: d[k] for k in known - {"field", "box"} if k in d}
         box = tuple(tuple(b) for b in d.get("box", ()))
         return cls(ctx=ctx, box=box, **kw)
@@ -424,11 +426,11 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     surrogate for the ideal count, labelled as such.  When ctx is given
     and X <= IDEAL_WINDOW_BUDGET, the l = 2 ideal-level analogue runs too.
     The window is factored TYPEII_BLOCK integers at a time.
-    The window needs X >= 2 (log X > 0) and eta > 0 (ValueError otherwise).
+    The window needs X >= 2 (log X > 0) and eta > 0 (ValidationError otherwise).
     """
     if not (X >= 2 and eta > 0):
-        raise ValueError(f"Type II window needs X >= 2 and eta > 0, "
-                         f"got X={X}, eta={eta}")
+        raise ValidationError(f"Type II window needs X >= 2 and eta > 0, "
+                              f"got X={X}, eta={eta}")
     if X > 10**8:
         raise BudgetExceeded("X exceeds 1e8")
     if spec.ell > 3:

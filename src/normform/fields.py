@@ -21,6 +21,7 @@ from .errors import (
     DegenerateDegree,
     NonMonic,
     ReducibleDetected,
+    ValidationError,
     ZeroVector,
 )
 from .intlinalg import det_bareiss
@@ -50,11 +51,14 @@ class FieldSpec:
         return {"f": list(self.f_coeffs), "k": self.k}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "FieldSpec":
-        f = list(d["f"])
+    def from_json_dict(cls, d) -> "FieldSpec":
+        f, k = (d.get("f"), d.get("k")) if isinstance(d, dict) else (None, None)
+        if not (isinstance(f, (list, tuple)) and all(type(c) is int for c in f)
+                and type(k) is int):
+            raise ValidationError("config needs a 'field' object {f: [...], k: int}")
         if not f or f[-1] != 1:
             raise NonMonic("serialized f must end with the leading 1")
-        return make_context(f[:-1], int(d["k"]))
+        return make_context(f[:-1], k)
 
 
 def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
@@ -148,7 +152,7 @@ def diamond(a, b, ctx: FieldSpec) -> Vec:
     """
     n = ctx.n
     if len(a) != n or len(b) != n:
-        raise ValueError(f"operands must have length {n}")
+        raise ValidationError(f"operands must have length {n}")
     prod = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -169,7 +173,7 @@ def embed(x, ctx: FieldSpec) -> Vec:
     """Zero-pad an incomplete vector (length n-k) to a full order element."""
     x = tuple(int(t) for t in x)
     if len(x) != ctx.m:
-        raise ValueError(f"incomplete vector must have length {ctx.m}")
+        raise ValidationError(f"incomplete vector must have length {ctx.m}")
     return x + (0,) * ctx.k
 
 
@@ -282,7 +286,7 @@ def eval_norm_poly_grid(coeffs: Mapping[tuple[int, ...], int], grids,
     Without p the values are exact: BudgetExceeded unless
     sum |c| * max|x|^deg < 2^62, which bounds every term, partial sum and
     Horner step.  With p every step is reduced mod p, exact for
-    1 < p < 2^31 (ValueError otherwise), and the values lie in [0, p).
+    1 < p < 2^31 (ValidationError otherwise), and the values lie in [0, p).
     """
     grids = [np.asarray(g, dtype=np.int64) for g in grids]
     shape = np.broadcast_shapes(*(g.shape for g in grids))
@@ -293,7 +297,7 @@ def eval_norm_poly_grid(coeffs: Mapping[tuple[int, ...], int], grids,
         if sum(abs(c) for c in coeffs.values()) * big**deg >= 2**62:
             raise BudgetExceeded("norm values overflow the vectorized int64 path")
     elif not 1 < p < 2**31:
-        raise ValueError(f"modulus {p} is outside (1, 2^31)")
+        raise ValidationError(f"modulus {p} is outside (1, 2^31)")
     else:
         grids = [g % p for g in grids]
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import BudgetExceeded, RankTooLarge, Unbounded
+from .errors import BudgetExceeded, RankTooLarge, Unbounded, ValidationError
 from .intlinalg import (
     _dot,
     _leaf_intervals,
@@ -38,9 +38,9 @@ class AxisBox:
 
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
-            raise ValueError("lo/hi length mismatch")
+            raise ValidationError("lo/hi length mismatch")
         if any(a > b for a, b in zip(self.lo, self.hi)):
-            raise ValueError("interval with lo > hi")
+            raise ValidationError("interval with lo > hi")
 
     @classmethod
     def make(cls, lo, hi) -> "AxisBox":

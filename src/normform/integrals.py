@@ -19,6 +19,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .errors import ValidationError
+
 log = logging.getLogger("normform")
 
 
@@ -35,7 +37,7 @@ class PolytopeSpec:
     def __post_init__(self):
         for lo, hi in self.intervals:
             if not (0 < lo <= hi):
-                raise ValueError("exponent intervals must satisfy 0 < lo <= hi")
+                raise ValidationError("exponent intervals must satisfy 0 < lo <= hi")
 
     @property
     def ell(self) -> int:
@@ -226,5 +228,5 @@ def closed_form_l2(a: float, b: float, s: float = 1.0) -> float:
     which is log(e1/(s-e1))/s evaluated at the ends.
     """
     if not 0 < a <= b < s:
-        raise ValueError("need 0 < a <= b < s")
+        raise ValidationError("need 0 < a <= b < s")
     return (math.log(b / (s - b)) - math.log(a / (s - a))) / s

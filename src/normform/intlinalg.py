@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import BudgetExceeded, DependentRows, RankTooLarge
 
@@ -201,67 +202,71 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _gram_schmidt(basis) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact Gram-Schmidt data of the rows from their Gram matrix.
+def _gram_schmidt(basis) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of the rows (Cohen, Alg. 2.6.7, step 2).
 
-    Returns (mu, norms): b_i = b_i* + sum_{j<i} mu[i][j] b_j* and
-    norms[i] = ||b_i*||^2.
+    Returns (d, lam): d[0] = 1 and d[i + 1] is the Gram determinant of rows
+    0..i, so ||b_i*||^2 = d[i + 1] / d[i]; lam[i][j] = d[j + 1] * mu_ij for
+    j < i, where b_i = b_i* + sum_{j<i} mu_ij b_j*, and 0 elsewhere.  All
+    are integers and every division is exact.  Raises DependentRows once
+    some d[i + 1] is 0, i.e. exactly when the rows are dependent.
     """
     r = len(basis)
-    mu = [[Fraction(0)] * r for _ in range(r)]
-    norms: list[Fraction] = []
-    for i in range(r):
-        for j in range(i):
-            s = _dot(basis[i], basis[j]) - sum(mu[j][t] * mu[i][t] * norms[t]
-                                               for t in range(j))
-            mu[i][j] = s / norms[j] if norms[j] else Fraction(0)
-        norms.append(Fraction(_dot(basis[i], basis[i]))
-                     - sum(mu[i][t] ** 2 * norms[t] for t in range(i)))
-    return mu, norms
-
-
-LLL_DELTA = Fraction(99, 100)
+    d = [1]
+    lam = [[0] * r for _ in range(r)]
+    for i, (bi, li) in enumerate(zip(basis, lam)):
+        for j in range(i + 1):
+            lj = lam[j]
+            u = _dot(bi, basis[j])
+            for t in range(j):
+                u = (d[t + 1] * u - li[t] * lj[t]) // d[t]
+            if j < i:
+                li[j] = u
+            elif u:
+                d.append(u)
+            else:
+                raise DependentRows(f"row {i} dependent on earlier rows")
+    return d, lam
 
 
 def lll_reduce(basis: Matrix) -> Matrix:
-    """LLL reduction over exact rationals; rows span the same lattice.
+    """LLL reduction on integer Gram data; rows span the same lattice.
 
-    Size-reduces b_k against b_{k-1}, ..., b_0, then runs the Lovasz test
-    with LLL_DELTA; mu and the Gram-Schmidt norms are updated in place after
-    each step (Cohen, Alg. 2.6.3).  Raises DependentRows when the rows are
-    linearly dependent.
+    Cohen's integral LLL (Alg. 2.6.7; de Weger 1987) on the d and lam of
+    _gram_schmidt, updated in place by exact divisions: size-reduces b_k
+    against b_{k-1}, ..., b_0 (mu rounded, halves up), then runs the Lovasz
+    test with delta = 99/100.  Each test is the rational algorithm's cleared
+    of denominators, so the decisions are the same.  Raises DependentRows
+    when the rows are linearly dependent.
     """
     b = [list(map(int, row)) for row in basis]
-    mu, norms = _gram_schmidt(b)
-    if not all(norms):
-        raise DependentRows("LLL basis rows not independent")
-    half = Fraction(1, 2)
+    d, lam = _gram_schmidt(b)
     k = 1
     while k < len(b):
-        mk = mu[k]
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mk[j]) > half:
-                q = _round_frac(mk[j])
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                q = (2 * lk[j] + dj) // (2 * dj)
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mj = mu[j]
-                mk[j] -= q
+                lj = lam[j]
+                lk[j] -= q * dj
                 for i in range(j):
-                    mk[i] -= q * mj[i]
-        m = mk[k - 1]
-        if norms[k] >= (LLL_DELTA - m * m) * norms[k - 1]:
+                    lk[i] -= q * lj[i]
+        m = lk[k - 1]
+        # B_k >= (99/100 - mu^2) B_{k-1}, times 100 d[k] d[k-1]
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] * d[k] - 100 * m * m:
             k += 1
             continue
         b[k], b[k - 1] = b[k - 1], b[k]
-        mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
-        B = norms[k] + m * m * norms[k - 1]
-        mu[k][k - 1] = m * norms[k - 1] / B
-        norms[k] = norms[k - 1] * norms[k] / B
-        norms[k - 1] = B
+        lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+        B = (d[k - 1] * d[k + 1] + m * m) // d[k]
         for i in range(k + 1, len(b)):
-            mi = mu[i]
-            t = mi[k]
-            mi[k] = mi[k - 1] - m * t
-            mi[k - 1] = t + mu[k][k - 1] * mi[k]
+            li = lam[i]
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+            li[k - 1] = (B * t + m * li[k]) // d[k + 1]
+        d[k] = B
         k = max(k - 1, 1)
     return b
 
@@ -270,27 +275,24 @@ def near_orthogonality(basis) -> float:
     """c such that ||sum l_i z_i|| >= c sum ||l_i z_i|| for all real l.
 
     ||sum l_i z_i|| >= |l_i| ||z_i*|| for each i, so c = min_i(||z_i*||/||z_i||)/r
-    works; this is the constant we report.
+    works; this is the constant we report.  Raises DependentRows when the
+    rows are linearly dependent.
     """
-    _, norms = _gram_schmidt(basis)
-    ratios = [math.sqrt(float(ns / _dot(z, z))) for z, ns in zip(basis, norms)]
+    d, _ = _gram_schmidt(basis)
+    ratios = [math.sqrt(float(Fraction(d[i + 1], d[i] * _dot(z, z))))
+              for i, z in enumerate(basis)]
     return min(ratios) / len(ratios) if ratios else 1.0
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _round_frac(x: Fraction) -> int:
-    # nearest integer, halves rounded up; fine for LLL size reduction
-    return math.floor(x + Fraction(1, 2))
+    return sum(map(mul, u, v))
 
 
 def enumerate_short_vectors(basis: Matrix, radius2: Fraction, limit: int = 10**7):
     """Yield all nonzero lattice vectors v with ||v||^2 <= radius2.
 
-    Fincke-Pohst on the Gram matrix of an (ideally reduced) basis: an exact
-    rational LDL^T decomposition, then integer arithmetic only.  Yields
+    Fincke-Pohst on an (ideally reduced) basis, in integer arithmetic only:
+    the set-up reads the integral Gram-Schmidt data of _gram_schmidt.  Yields
     (coefficients, vector) pairs, each +-v pair once: the one whose last
     nonzero coefficient is positive.  Raises RankTooLarge beyond rank 10 and
     BudgetExceeded once more than limit coefficient choices have been made.
@@ -304,35 +306,26 @@ def _leaf_intervals(basis: Matrix, radius2: Fraction, limit: int):
     """The walk of enumerate_short_vectors, one leaf at a time: (coefficients
     above level 0, their vector v, [lo, stop)) stands for v + x * basis[0],
     lo <= x < stop.  Leaves count whole against limit; past it, the
-    truncated leaf is yielded, then BudgetExceeded raised."""
+    truncated leaf is yielded, then BudgetExceeded raised.  The set-up reads
+    the integral Gram-Schmidt data (Cohen, Alg. 2.6.7), and each interval test
+    is the rational one cleared of denominators, so the leaves, their order
+    and the limit accounting are those of the rational algorithm."""
     r = len(basis)
     if r == 0:
         return
     if r > 10:
         raise RankTooLarge(f"enumeration limited to rank 10, got {r}")
-    G = [[Fraction(x) for x in row] for row in gram_matrix(basis)]
-    # Cholesky-like decomposition: G = R^T diag(d) R with R unit upper triangular
-    d = [Fraction(0)] * r
-    R = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        R[i][i] = Fraction(1)
-        s = G[i][i] - sum(d[j] * R[j][i] ** 2 for j in range(i))
-        d[i] = s
-        if s <= 0:
-            raise DependentRows("basis rows not independent")
-        for j in range(i + 1, r):
-            R[i][j] = (G[i][j] - sum(d[t] * R[t][i] * R[t][j] for t in range(i))) / s
+    d, lam = _gram_schmidt(basis)
     if radius2 < 0:
         return
-    # row i of R over one integer denominator: R[i][j] == num[i][j] / den[i]
-    den = [math.lcm(*(x.denominator for x in row)) for row in R]
-    num = [[int(x * dn) for x in row] for row, dn in zip(R, den)]
-    # squared lengths as integers over one denominator M: coefficient x at
-    # level i with center c/den[i] uses w[i] * (x*den[i] - c)**2 of the budget
+    # level i: x_i + sum_{j>i} mu_ji x_j = (x_i*den[i] - c) / den[i] with
+    # den[i] = d[i+1], c = -sum_{j>i} lam[j][i] x_j and ||b_i*||^2 = d[i+1] / d[i];
+    # over one denominator M, x at level i uses w[i] * (x*den[i] - c)**2 of the budget
     radius2 = Fraction(radius2)
-    scale = [di.denominator * dn * dn for di, dn in zip(d, den)]
-    M = math.lcm(radius2.denominator, *scale)
-    w = [di.numerator * (M // sc) for di, sc in zip(d, scale)]
+    den = d[1:]
+    num = list(zip(*lam))
+    M = math.lcm(radius2.denominator, *(a * b for a, b in zip(d, den)))
+    w = [M // (a * b) for a, b in zip(d, den)]
     coeffs = [0] * r
     count = 0
 
@@ -384,9 +377,9 @@ def successive_minima(basis: Matrix, limit: int = 10**7) -> tuple[list[int], Mat
     """
     red = lll_reduce(basis)
     r = len(red)
-    radius2 = max(sum(x * x for x in row) for row in red)
+    radius2 = max(_dot(row, row) for row in red)
     n = len(red[0])
-    cands = [(sum(x * x for x in v), v) for _, v in
+    cands = [(_dot(v, v), v) for _, v in
              enumerate_short_vectors(red, Fraction(radius2), limit=limit)]
     cands.sort(key=lambda t: (t[0], t[1]))
     minima: list[int] = []

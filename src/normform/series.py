@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ValidationError
 from .fields import FieldSpec
 from .localdata import (
     bad_primes,
@@ -96,7 +96,7 @@ def _local_factor_data(ctx: FieldSpec, p_cut: int) -> tuple:
 def _local_factors(ctx: FieldSpec, p_cut: int) -> tuple:
     """_local_factor_data once per (ctx, p_cut), shared by every product below."""
     if p_cut < 100:
-        raise ValueError("p_cut must be at least 100")
+        raise ValidationError("p_cut must be at least 100")
     return _local_factor_data(ctx, p_cut)
 
 

@@ -5,7 +5,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -295,6 +298,52 @@ class TestExitCodes:
         assert run([command, "--config", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    # checks inside the library raise ValidationError, so these exit 2 too
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("theorem", {"field": FIELD3, "p_cut": 300}, "config needs 'X'"),
+        ("theorem", {"X": 20}, "config needs a 'field' object"),
+        ("theorem", {"field": {"f": [-2, 0, 0, 1], "k": "1"}, "X": 20},
+         "config needs a 'field' object"),
+        ("theorem", {"field": FIELD3, "X": 20, "p_cut": 50}, "p_cut must be at least 100"),
+        ("typei", {"field": FIELD3, "X": 25, "d_lo": 0}, "'d_lo' must be at least 1, not 0"),
+        ("lattice", {"field": FIELD3, "v": [1, 2]}, "operands must have length 3"),
+        ("integral", {"intervals": 5, "target_sum": 1.0}, "integral config needs 'intervals'"),
+        ("integral", {"intervals": [[0.4]], "target_sum": 1.0},
+         "integral config needs 'intervals'"),
+        ("integral", {"intervals": [["a", 0.5]], "target_sum": 1.0},
+         "'intervals' entry must be a finite number, not 'a'"),
+        ("integral", {"intervals": [[0.5, 0.4]], "target_sum": 1.0},
+         "exponent intervals must satisfy 0 < lo <= hi"),
+        ("buchstab", {"values": [0, 5], "z1": 2, "z2": 5}, "0 has no least prime factor"),
+    ], ids=["theorem-X-missing", "theorem-field-missing", "theorem-k-string",
+            "theorem-pcut-floor", "typei-dlo-zero", "lattice-v-short",
+            "integral-intervals-scalar", "integral-interval-single",
+            "integral-interval-string", "integral-interval-inverted", "buchstab-zero"])
+    def test_library_checks_are_invalid_input(self, tmp_path, capsys, command, cfg,
+                                              message):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert run([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_internal_error_exits_1_with_traceback(self, tmp_path):
+        # sitecustomize runs before the CLI module and plants a bug in the work
+        (tmp_path / "sitecustomize.py").write_text(
+            "import normform.experiments\n"
+            "def theorem_check(cfg):\n"
+            "    raise TypeError('planted internal bug')\n"
+            "normform.experiments.theorem_check = theorem_check\n")
+        cfg = write_cfg(tmp_path, "c.json", self.THEOREM_CFG)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(tmp_path), str(ROOT / "src")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "normform.cli", "theorem", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr
+        assert "TypeError: planted internal bug" in proc.stderr
+        assert "invalid input" not in proc.stderr
 
     # an explicit 0 is read, never replaced by the default or the config
     def test_census_seed_zero_is_kept(self, tmp_path):

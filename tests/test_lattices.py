@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from normform.errors import BudgetExceeded, DegeneratePair, DependentRows, ZeroWedge
 from normform.fields import constraint_rows, diamond, make_context
 from normform.intlinalg import (
+    _gram_schmidt,
     det_bareiss,
     enumerate_short_vectors,
     gram_det,
@@ -20,6 +21,7 @@ from normform.intlinalg import (
     kernel_oracle,
     kernel_sequential,
     lll_reduce,
+    near_orthogonality,
     rank_mod_p,
     rank_rational,
     solve_rational,
@@ -504,36 +506,37 @@ def test_enumeration_of_a_negative_radius_is_empty():
     assert list(enumerate_short_vectors([[1, 0], [0, 1]], Fraction(-1))) == []
 
 
+def gram_schmidt_reference(b):
+    """(mu, norms) of the rows by the textbook recurrence over Fractions."""
+    r = len(b)
+    mu = [[Fraction(0)] * r for _ in range(r)]
+    norms = []
+    for i in range(r):
+        for j in range(i):
+            s = (sum(x * y for x, y in zip(b[i], b[j]))
+                 - sum(mu[j][t] * mu[i][t] * norms[t] for t in range(j)))
+            mu[i][j] = s / norms[j]
+        norms.append(Fraction(sum(x * x for x in b[i]))
+                     - sum(mu[i][t] ** 2 * norms[t] for t in range(i)))
+    return mu, norms
+
+
 def lll_reference(basis, delta=Fraction(99, 100)):
     """LLL that recomputes Gram-Schmidt from scratch after every step."""
-
-    def gram_schmidt(b):
-        r = len(b)
-        mu = [[Fraction(0)] * r for _ in range(r)]
-        norms = []
-        for i in range(r):
-            for j in range(i):
-                s = (sum(x * y for x, y in zip(b[i], b[j]))
-                     - sum(mu[j][t] * mu[i][t] * norms[t] for t in range(j)))
-                mu[i][j] = s / norms[j]
-            norms.append(sum(x * x for x in b[i])
-                         - sum(mu[i][t] ** 2 * norms[t] for t in range(i)))
-        return mu, norms
-
     b = [list(row) for row in basis]
-    mu, norms = gram_schmidt(b)
+    mu, norms = gram_schmidt_reference(b)
     k = 1
     while k < len(b):
         for j in range(k - 1, -1, -1):
             if abs(mu[k][j]) > Fraction(1, 2):
                 q = math.floor(mu[k][j] + Fraction(1, 2))
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, norms = gram_schmidt(b)
+                mu, norms = gram_schmidt_reference(b)
         if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = gram_schmidt(b)
+            mu, norms = gram_schmidt_reference(b)
             k = max(k - 1, 1)
     return b
 
@@ -552,6 +555,95 @@ def test_lll_matches_full_recompute_reference(B):
 def test_dependent_rows_rejected_by_lll():
     with pytest.raises(DependentRows):
         lll_reduce([[1, 2], [2, 4]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(full_rank_bases)
+def test_integral_gram_schmidt_matches_fraction_recurrence(B):
+    d, lam = _gram_schmidt(B)
+    mu, norms = gram_schmidt_reference(B)
+    assert d == [1] + [gram_det(B[:i + 1]) for i in range(len(B))]
+    assert all(Fraction(d[i + 1], d[i]) == norms[i] for i in range(len(B)))
+    assert all(lam[i][j] == d[j + 1] * mu[i][j] for i in range(len(B)) for j in range(i))
+
+
+class TestIntegralLLLBoundaries:
+    """Each decision of the integer LLL at its boundary, against lll_reference."""
+
+    @pytest.mark.parametrize("basis, expected", [
+        ([[2, 0], [1, 5]], [[2, 0], [1, 5]]),
+        ([[2, 0], [-1, 5]], [[2, 0], [-1, 5]]),
+        ([[2, 0], [3, 5]], [[2, 0], [-1, 5]]),
+        ([[2, 0], [-3, 5]], [[2, 0], [-1, 5]]),
+        ([[10, 0, 0], [5, 7, 5]], [[10, 0, 0], [5, 7, 5]]),
+        ([[10, 0, 0], [1, 7, 7]], [[10, 0, 0], [1, 7, 7]]),
+        ([[10, 0, 0], [5, 7, 4]], [[5, 7, 4], [5, -7, -4]]),
+        ([], []),
+        ([[3, -4]], [[3, -4]]),
+    ], ids=["mu-half", "mu-minus-half", "mu-three-halves-q2", "mu-minus-three-halves-q-1",
+            "lovasz-equality-mu-half", "lovasz-equality-mu-tenth", "lovasz-just-fails",
+            "rank-0", "rank-1"])
+    def test_boundary(self, basis, expected):
+        # mu = +-1/2 is not reduced; q rounds halves up: 3/2 -> 2, -3/2 -> -1.
+        # Against b_0 = (10, 0, 0): B_1 = 74 = (99/100 - 1/4) * 100 and
+        # B_1 = 98 = (99/100 - 1/100) * 100 keep the order, B_1 = 65 swaps
+        assert lll_reduce(basis) == expected == lll_reference(basis)
+
+    @pytest.mark.parametrize("basis", [
+        [[0, 0, 0]],
+        [[1, 2, 3], [0, 0, 0]],
+        [[0, 0], [1, 0]],
+        [[1, 2], [2, 4]],
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+    ], ids=["zero-row", "zero-second-row", "zero-first-row", "multiple", "sum"])
+    def test_dependent_rows(self, basis):
+        with pytest.raises(DependentRows):
+            lll_reduce(basis)
+        with pytest.raises(DependentRows):
+            near_orthogonality(basis)
+
+    def test_entries_near_1e12(self):
+        rng = random.Random(12)
+        for r, n in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 5)] * 4:
+            B = [[rng.randint(-10**12, 10**12) for _ in range(n)] for _ in range(r)]
+            assert lll_reduce(B) == lll_reference(B)
+        skew = [[1, 10**12, 3], [1, 10**12 + 1, 5], [2, 3, 10**12]]
+        assert lll_reduce(skew) == lll_reference(skew)
+
+
+SKEWED_K2_FIELDS = [make_context([-2] + [0] * 7, 2), make_context([-2] + [0] * 6, 2)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(SKEWED_K2_FIELDS), st.lists(st.integers(-30, 30), min_size=8,
+                                                   max_size=8))
+def test_lll_matches_reference_on_skewed_lambda_v_bases(ctx, v):
+    v = v[:ctx.n]
+    assume(any(v))
+    basis = [list(b) for b in lambda_v(v, ctx).basis]
+    assert lll_reduce(basis) == lll_reference(basis)
+
+
+def near_orthogonality_reference(basis):
+    """min_i ||z_i*|| / ||z_i|| over the rank, from the Fraction recurrence."""
+    _, norms = gram_schmidt_reference(basis)
+    return min(math.sqrt(float(ns / sum(x * x for x in z)))
+               for z, ns in zip(basis, norms)) / len(basis)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(
+    lambda r: st.integers(r, 7).flatmap(lambda n: int_matrices(r, n, bound=40))))
+def test_near_orthogonality_matches_fraction_gram_schmidt(B):
+    if rank_rational(B) < len(B):
+        with pytest.raises(DependentRows):
+            near_orthogonality(B)
+        return
+    assert near_orthogonality(B).hex() == near_orthogonality_reference(B).hex()
+
+
+def test_near_orthogonality_of_rank_0_is_1():
+    assert near_orthogonality([]) == 1.0
 
 
 def minima_reference(basis):
