@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ValidationError
 from .fields import FieldSpec, mul_matrix
 from .intlinalg import rank_mod_p
 from .lattices import wedge_pair
@@ -126,6 +126,8 @@ def skew_census(ctx: FieldSpec, B: int, samples: int, kappas: list[float],
     fraction with wedge identically zero (degenerate pairs), against the
     kappa^{1/k} reference shape.
     """
+    if ctx.k < 1:
+        raise ValidationError("the skew census needs k >= 1: its reference is kappa^(1/k)")
     rng = random.Random(seed)
     n, k = ctx.n, ctx.k
     lo2, hi2 = B * B, 4 * B * B

@@ -14,7 +14,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -75,32 +75,8 @@ class ExperimentConfig:
                                   f"{MC_SLABS * MC_MIN_PER_SLAB}, got {self.mc_samples}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "field": self.ctx.to_json_dict(),
-            "X": self.X,
-            "box": [list(b) for b in self.box],
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "p_cut": self.p_cut,
-            "seed": self.seed,
-            "threads": self.threads,
-            "point_budget": self.point_budget,
-            "mc_samples": self.mc_samples,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"field", "X", "box", "eta1", "eta2", "p_cut", "seed",
-                 "threads", "point_budget", "mc_samples"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        if "X" not in d:
-            raise ValidationError("config needs 'X': an integer >= 2")
-        ctx = FieldSpec.from_json_dict(d.get("field"))
-        kw = {k: d[k] for k in known - {"field", "box"} if k in d}
-        box = tuple(tuple(b) for b in d.get("box", ()))
-        return cls(ctx=ctx, box=box, **kw)
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ctx"}
+        return {**d, "field": self.ctx.to_json_dict(), "box": [list(b) for b in self.box]}
 
 
 @dataclass
@@ -298,6 +274,8 @@ LOWER_BOUND_C0 = 0.5
 
 def theorem_check(cfg: ExperimentConfig) -> RunReport:
     """Observed vs predicted prime counts; flags the applicable claim regime."""
+    if cfg.p_cut < 100:  # the series' own floor, checked before the box is counted
+        raise ValidationError("p_cut must be at least 100")
     pos, neg, slabs = observed_prime_count(cfg)
     pred, err, S = predicted_main_term(cfg)
     ratio = pos / pred if pred > 0 else math.inf
@@ -356,8 +334,10 @@ def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
     """
     ctx = cfg.ctx
     m = ctx.m
-    bad = set(bad_primes(ctx))
     total_points = math.prod(hi - lo + 1 for lo, hi in cfg.box)
+    if total_points > cfg.point_budget:
+        raise BudgetExceeded(f"{total_points} box points exceed budget {cfg.point_budget}")
+    bad = set(bad_primes(ctx))
     side = max(hi - lo + 1 for lo, hi in cfg.box)
     other = total_points // (cfg.box[0][1] - cfg.box[0][0] + 1)
     blocks = []
@@ -415,6 +395,8 @@ def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
 IDEAL_WINDOW_BUDGET = 2 * 10**6
 # integers factored at a time in the Type II window
 TYPEII_BLOCK = 2**16
+# longest Type II window X * eta, in integers factored
+TYPEII_WINDOW_CAP = 10**8
 
 
 def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
@@ -433,6 +415,8 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
                               f"got X={X}, eta={eta}")
     if X > 10**8:
         raise BudgetExceeded("X exceeds 1e8")
+    if X * eta > TYPEII_WINDOW_CAP:
+        raise BudgetExceeded(f"window X * eta = {X * eta:.6g} exceeds {TYPEII_WINDOW_CAP}")
     if spec.ell > 3:
         raise BudgetExceeded("l > 3 not supported at desk scale")
     lo, hi = X, int(X * (1 + eta))

@@ -53,6 +53,8 @@ class FieldSpec:
     @classmethod
     def from_json_dict(cls, d) -> "FieldSpec":
         f, k = (d.get("f"), d.get("k")) if isinstance(d, dict) else (None, None)
+        if isinstance(d, dict) and set(d) - {"f", "k"}:
+            raise ValidationError(f"unknown field keys: {sorted(set(d) - {'f', 'k'})}")
         if not (isinstance(f, (list, tuple)) and all(type(c) is int for c in f)
                 and type(k) is int):
             raise ValidationError("config needs a 'field' object {f: [...], k: int}")

@@ -34,6 +34,8 @@ from .splitting import batch_degree_patterns, degree_pattern_mod_p
 # reach a report; Context() copies unnamed fields from DefaultContext.
 _DIGITS = 34
 _CONTEXT = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+# largest Euler-product cutoff
+P_CUT_CAP = 10**8
 
 
 @dataclass
@@ -97,6 +99,8 @@ def _local_factors(ctx: FieldSpec, p_cut: int) -> tuple:
     """_local_factor_data once per (ctx, p_cut), shared by every product below."""
     if p_cut < 100:
         raise ValidationError("p_cut must be at least 100")
+    if p_cut > P_CUT_CAP:  # sieve_primes holds p_cut + 1 bytes
+        raise BudgetExceeded(f"p_cut {p_cut} exceeds the cap {P_CUT_CAP}")
     return _local_factor_data(ctx, p_cut)
 
 

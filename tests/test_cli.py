@@ -193,8 +193,10 @@ class TestExitCodes:
         ({"box": [[1, 20.5], [1, 20]]}, "'box' must be a list of [lo, hi] integer pairs"),
         ({"box": [[False, 20], [1, 20]]}, "'box' must be a list of [lo, hi] integer pairs"),
         ({"box": [[1, 20, 3], [1, 20]]}, "'box' must be a list of [lo, hi] integer pairs"),
+        ({"p_cut": 50}, "p_cut must be at least 100"),
     ], ids=["x4-4", "X-float", "X-nan", "X-string", "X-bool", "pcut-float", "seed-string",
-            "mc-float", "eta1-nan", "eta2-string", "box-float", "box-bool", "box-triple"])
+            "mc-float", "eta1-nan", "eta2-string", "box-float", "box-bool", "box-triple",
+            "pcut-floor-before-count"])
     def test_theorem_bad_input(self, tmp_path, capsys, monkeypatch, change, message):
         self._forbid_count(monkeypatch)
         cfg = write_cfg(tmp_path, "c.json", {**self.THEOREM_CFG, **change})
@@ -279,18 +281,37 @@ class TestExitCodes:
          "'range' must be [lo, hi] with lo <= hi, not [150, 50]"),
         ("buchstab", {"field": FIELD3, "box": [[1, 20], [20, 1]], "z1": 3, "z2": 11},
          "'box' must be a list of [lo, hi] integer pairs, lo <= hi"),
+        ("theorem", {"field": FIELD3, "X": 20, "threads": 0},
+         "'threads' must be at least 1, not 0"),
+        ("typei", {"field": FIELD3, "X": 25, "d_lo": 64, "d_hi": 32},
+         "'d_hi' must be at least 'd_lo' = 64, not 32"),
+        ("buchstab", {"range": [50, 150], "z1": 11, "z2": 3},
+         "'z2' must be at least 'z1' = 11.0, not 3.0"),
+        ("integral", {"intervals": [], "target_sum": 1.0}, "integral config needs 'intervals'"),
+        ("census", {"field": FIELD3, "primes": []}, "'primes' entries must be primes"),
+        ("census", {"field": FIELD3, "census": "skew", "kappas": [0.5, -1]},
+         "'kappas' entry must be at least 0, not -1.0"),
+        ("theorem", {"field": {"f": [-2, 0, 0, 0, 1], "k": 1}, "X": 6, "seed": -1},
+         "'seed' must be at least 0, not -1"),
+        ("theorem", {"field": FIELD3, "X": 20, "seed": 2**128},
+         f"'seed' must be at most {2**128 - 1}, not {2**128}"),
+        ("census", {"field": FIELD3, "census": "skew", "seed": -5},
+         "'seed' must be at least 0, not -5"),
     ], ids=["norms-box-inverted", "norms-X-negative", "norms-X-zero", "norms-max-rows",
             "theorem-box-inverted", "lattice-v-float", "lattice-v-missing",
             "census-composite", "census-prime-float", "census-B-float", "census-B-zero",
             "census-samples-string", "census-samples-zero", "census-seed-float",
             "census-kappa-inf", "census-kappas-scalar", "buchstab-z2-1e400",
             "buchstab-z1-string", "buchstab-z1-missing", "buchstab-values-float",
-            "buchstab-range-string", "buchstab-range-inverted", "buchstab-box-inverted"])
+            "buchstab-range-string", "buchstab-range-inverted", "buchstab-box-inverted",
+            "theorem-threads-zero", "typei-dlo-above-dhi", "buchstab-z1-above-z2",
+            "integral-intervals-empty", "census-primes-empty", "census-kappa-negative",
+            "theorem-mc-seed-negative", "theorem-seed-2-128", "census-seed-negative"])
     def test_config_values_typed(self, tmp_path, capsys, monkeypatch, command, cfg, message):
         def work(*args, **kwargs):
             raise AssertionError(f"{command} work ran before validation")
         for name in ("theorem_check", "wedge", "fp_wedge_census_report", "skew_census",
-                     "buchstab_report", "norm_form"):
+                     "buchstab_report", "norm_form", "typei_discrepancy", "polytope_integral"):
             monkeypatch.setattr(cli, name, work)
         path = tmp_path / "c.json"
         path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
@@ -316,15 +337,55 @@ class TestExitCodes:
         ("integral", {"intervals": [[0.5, 0.4]], "target_sum": 1.0},
          "exponent intervals must satisfy 0 < lo <= hi"),
         ("buchstab", {"values": [0, 5], "z1": 2, "z2": 5}, "0 has no least prime factor"),
+        ("sseries", {"field": {**FIELD3, "zz": 1}}, "unknown field keys: ['zz']"),
+        ("census", {"field": {"f": [-2, 0, 0, 1], "k": 0}, "census": "skew"},
+         "the skew census needs k >= 1"),
     ], ids=["theorem-X-missing", "theorem-field-missing", "theorem-k-string",
             "theorem-pcut-floor", "typei-dlo-zero", "lattice-v-short",
             "integral-intervals-scalar", "integral-interval-single",
-            "integral-interval-string", "integral-interval-inverted", "buchstab-zero"])
+            "integral-interval-string", "integral-interval-inverted", "buchstab-zero",
+            "field-unknown-key", "skew-census-k-zero"])
     def test_library_checks_are_invalid_input(self, tmp_path, capsys, command, cfg,
                                               message):
         path = write_cfg(tmp_path, "c.json", cfg)
         assert run([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
+
+    # each cap reaches the (stubbed) work at the cap itself and exits 3 one past it
+    @pytest.mark.parametrize("command, make, cap, work", [
+        ("theorem", lambda c: {"field": FIELD3, "X": 20, "p_cut": c}, series.P_CUT_CAP,
+         (cli, "theorem_check")),
+        ("sseries", lambda c: {"field": FIELD3, "p_cut": c}, series.P_CUT_CAP,
+         (cli, "singular_series")),
+        ("theorem", lambda c: {"field": FIELD3, "X": 20, "mc_samples": c},
+         cli.MC_SAMPLES_CAP, (cli, "theorem_check")),
+        ("typei", lambda c: {"field": FIELD3, "X": 25, "box": [[1, c], [1, 1]],
+                             "point_budget": 100}, 100, (experiments, "bad_primes")),
+        ("typei", lambda c: {"field": FIELD3, "X": 25, "d_hi": c}, cli.TYPEI_D_CAP,
+         (cli, "typei_discrepancy")),
+        ("buchstab", lambda c: {"range": [1, c], "z1": 3, "z2": 11},
+         cli.BUCHSTAB_VALUES_CAP, (cli, "buchstab_report")),
+        ("buchstab", lambda c: {"field": FIELD3, "box": [[1, c], [1, 1]], "z1": 3, "z2": 11},
+         cli.BUCHSTAB_VALUES_CAP, (cli, "buchstab_report")),
+        ("buchstab", lambda c: {"range": [50, 150], "z1": 3, "z2": c},
+         cli.BUCHSTAB_Z2_CAP, (cli, "buchstab_report")),
+        ("census", lambda c: {"field": FIELD3, "census": "skew", "samples": c},
+         cli.SKEW_SAMPLES_CAP, (cli, "skew_census")),
+        ("integral", lambda c: {"intervals": [[0.4, 0.5], [0.3, 0.7]], "target_sum": 1.0,
+                                "typeii": {"X": 2, "eta": c / 2}},
+         experiments.TYPEII_WINDOW_CAP, (experiments, "window_factorizations")),
+    ], ids=["theorem-pcut", "sseries-pcut", "mc-samples", "typei-box-points", "typei-dhi",
+            "buchstab-range", "buchstab-box", "buchstab-z2", "skew-samples", "typeii-window"])
+    def test_cap_boundary(self, tmp_path, capsys, monkeypatch, command, make, cap, work):
+        def stub(*args, **kwargs):
+            raise AssertionError("work ran")
+        monkeypatch.setattr(*work, stub)
+        out = str(tmp_path / "out")
+        with pytest.raises(AssertionError, match="work ran"):
+            run([command, "--config", write_cfg(tmp_path, "c.json", make(cap)), "--out", out])
+        path = write_cfg(tmp_path, "c.json", make(cap + 1))
+        assert run([command, "--config", path, "--out", out]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
 
     def test_internal_error_exits_1_with_traceback(self, tmp_path):
         # sitecustomize runs before the CLI module and plants a bug in the work
@@ -476,6 +537,25 @@ class TestSubcommands:
         pairs = data["details"]["ideal_level"]["observed_ordered_pairs"]
         assert f"{pairs} ordered prime-ideal pairs" in lines[2]
 
+    def test_log_level_per_call_root_untouched(self, tmp_path, monkeypatch, caplog):
+        # each call reads its own NORMFORM_LOG; the root logger keeps its handlers
+        logger = logging.getLogger("normform")
+        saved = logger.level, logger.handlers[:]
+        root_handlers = logging.getLogger().handlers[:]
+        cfg = write_cfg(tmp_path, "c.json", {"intervals": [[2.5, 3.5]], "target_sum": 3.0})
+        try:
+            for level, logged in (("WARNING", False), ("INFO", True), ("warning", False)):
+                monkeypatch.setenv("NORMFORM_LOG", level)
+                caplog.clear()
+                assert run(["integral", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+                assert [r.getMessage().startswith("slice integral")
+                        for r in caplog.records] == [True] * logged
+            assert logging.getLogger().handlers == root_handlers
+            assert len(logger.handlers) == 1
+        finally:
+            logger.setLevel(saved[0])
+            logger.handlers[:] = saved[1]
+
     def test_buchstab(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         {"range": [100, 200], "z1": 5, "z2": 13})
@@ -616,3 +696,118 @@ class TestCompensatedSum:
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}
         assert got == ref["sha256"]
+
+
+def readme_key_tables() -> dict:
+    """{subcommand: {key: row cells}} of the README's config-key tables."""
+    text = (ROOT / "README.md").read_text()
+    tables, command = {}, None
+    for line in text[text.index("### Config keys"):].splitlines():
+        if m := re.match(r"`(\w+)`( takes|:| \()", line):
+            command = m.group(1)
+        elif line.startswith("| `"):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            tables.setdefault(command, {})[re.match(r"`(\w+)`", cells[0])[1]] = cells
+    return tables
+
+
+def shown(value) -> str:
+    """A declared value as the README writes it: 10^4 and 2·10^5 for round ints."""
+    digits = str(value)
+    zeros = len(digits) - len(digits.rstrip("0"))
+    if type(value) is not int or zeros < 4:
+        return json.dumps(value)
+    return f"10^{zeros}" if value == 10**zeros else f"{value // 10**zeros}·10^{zeros}"
+
+
+def test_readme_tables_match_declarations():
+    tables = readme_key_tables()
+    assert set(tables) == set(cli._COMMANDS)
+    for command, (keys, _run) in cli._COMMANDS.items():
+        rows = {**(tables["theorem"] if command == "typei" else {}), **tables[command]}
+        assert list(rows) == list(keys), command
+        for k, key in keys.items():
+            name, _type, _range, default, cap, flag = rows[k]
+            assert ("(flag only)" in name) == key.flag_only, (command, k)
+            assert flag == (f"`--{key.flag}`" if key.flag else "—"), (command, k)
+            assert key.cap is None or cap == shown(key.cap), (command, k)
+            if key.default is ...:
+                assert default == "required", (command, k)
+            elif key.default not in (None, ()):
+                assert default == shown(key.default), (command, k)
+
+
+# --- config fuzzer ----------------------------------------------------------------
+
+# the small runs, with the integral run given TYPEII_CFG's typeii block and field
+FUZZ_RUNS = [(c, TestExitCodes.TYPEII_CFG if c == "integral" else cfg) for c, cfg in RUNS]
+DROP = object()
+# written into the JSON text as NaN, 1e400 and -1e400
+NAN, INF, NEG_INF = "@nan@", "@inf@", "@-inf@"
+MUTATIONS = [DROP, None, True, "1", 1.5, NAN, INF, NEG_INF, -1, 0, 10**30, [], {}]
+
+
+def key_paths(cfg: dict, prefix=()) -> list[tuple]:
+    """Every key path of cfg, nested objects (field, typeii) included."""
+    paths = []
+    for k, v in cfg.items():
+        paths.append(prefix + (k,))
+        if isinstance(v, dict):
+            paths += key_paths(v, prefix + (k,))
+    return paths
+
+
+def mutated_json(cfg: dict, path: tuple, value) -> str:
+    cfg = json.loads(json.dumps(cfg))
+    inner = cfg
+    for k in path[:-1]:
+        inner = inner[k]
+    if value is DROP:
+        del inner[path[-1]]
+    else:
+        inner[path[-1]] = value
+    text = json.dumps(cfg)
+    for mark, literal in ((NAN, "NaN"), (INF, "1e400"), (NEG_INF, "-1e400")):
+        text = text.replace(json.dumps(mark), literal)
+    return text
+
+
+FUZZ_CASES = [(command, cfg, path) for command, cfg in FUZZ_RUNS for path in key_paths(cfg)]
+
+
+def fuzz_child(tmp: str) -> None:
+    """cli.main on fuzzed configs, in a process capped at 2 GB of address
+    space: each exits 0, 2 or 3, and never with an exception.  With more
+    examples than FUZZ_CASES x MUTATIONS, hypothesis runs each pair once."""
+    import contextlib
+    import io
+    import resource
+
+    from hypothesis import Phase, given, settings
+    from hypothesis import strategies as st
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    path = Path(tmp) / "c.json"
+
+    @settings(derandomize=True, max_examples=1000, deadline=None, database=None,
+              phases=[Phase.generate])
+    @given(st.sampled_from(FUZZ_CASES), st.sampled_from(MUTATIONS))
+    def fuzz(case, value):
+        command, cfg, key = case
+        path.write_text(mutated_json(cfg, key, value))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3), (command, key, value, code)
+
+    fuzz()
+
+
+def test_config_fuzz_exits_0_2_or_3(tmp_path):
+    # one child runs every example; a missed cap fails it by MemoryError or timeout
+    assert len(FUZZ_CASES) * len(MUTATIONS) == 624 < 1000
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "tests"), str(ROOT / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import test_cli; test_cli.fuzz_child({str(tmp_path)!r})"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]

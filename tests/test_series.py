@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 
 from normform import series
+from normform.errors import BudgetExceeded
 from normform.fields import make_context
 from normform.localdata import bad_primes, gamma_estimate, squarefree_ideal_symbols
 from normform.primes import primes_in
@@ -38,6 +39,15 @@ class TestSingularSeries:
             assert decimal.getcontext() is ctx
             assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
             assert not any(ctx.flags.values())
+
+    def test_p_cut_cap(self, monkeypatch):
+        # the cap itself reaches the (stubbed) local factors; one past it
+        # exceeds the budget before the sieve is allocated
+        monkeypatch.setattr(series, "_local_factor_data", lambda ctx, p_cut: p_cut)
+        uncached = series._local_factors.__wrapped__
+        assert uncached(CTX3, series.P_CUT_CAP) == series.P_CUT_CAP
+        with pytest.raises(BudgetExceeded):
+            uncached(CTX3, series.P_CUT_CAP + 1)
 
     def test_positive_no_fixed_divisor(self):
         S = singular_series(CTX3, 2000)
