@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .primes import factorize, primes_in
+from .primes import factorize
 
 
 def _lpf(fac: dict[int, int]) -> float:
@@ -46,12 +46,14 @@ def buchstab_report(values, z1, z2) -> BuchstabReport:
     facs = [factorize(v) for v in vals]
     s2 = sum(1 for f in facs if _lpf(f) > z2)
     s1 = sum(1 for f in facs if _lpf(f) > z1)
+    lo, hi = max(2, int(z1) + 1), int(z2)
     middle = 0
-    for p in primes_in(max(2, int(z1) + 1), int(z2)):
-        for f in facs:
-            if p in f:
+    # each value meets only its own primes in (z1, z2]: no sieve up to z2
+    for f in facs:
+        for p, e in f.items():
+            if lo <= p <= hi:
                 g = dict(f)
-                if g[p] == 1:
+                if e == 1:
                     del g[p]
                 else:
                     g[p] -= 1

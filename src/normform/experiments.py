@@ -546,6 +546,14 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     checked at the corner (X, X) alone.  The exact ideal-level tau runs
     when the box is inside ideal_points_budget, skipping the points it
     cannot resolve, counted by reason.
+
+    At the ideal level a point with gcd(x1, x2) = 1 takes tau_K(alpha) =
+    tau(|N(alpha)|) straight from the sieve: a good p dividing N(alpha)
+    does not divide x2 (else it divides x1), so alpha lies in the one
+    prime (p, omega - r), r = -x1/x2 mod p, of degree 1, whose valuation
+    is therefore v_p(N).  Only the points with a common factor, where
+    every prime above p is a candidate, go through ideal_tau and its
+    Hensel lifts.
     """
     if ctx.m != 2:
         raise ValidationError(f"divisor_sum_check supports n - k = 2 boxes, not {ctx.m}")
@@ -563,8 +571,11 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     ax = np.arange(1, X + 1, dtype=np.int64)
     vals = np.abs(eval_norm_poly_grid(poly, np.ix_(ax, ax)))
     with_factors = X * X <= ideal_points_budget
+    badset = set(bad_primes(ctx)) if with_factors else set()
+    content = np.gcd.outer(ax, ax) > 1 if with_factors else None
     t1 = time.perf_counter()
-    tau_int, fac_store, nprimes = _tau_sieve(vals, list(ctx.f_coeffs), with_factors)
+    tau_int, bad, semi, fac_store, nprimes = _tau_sieve(
+        vals, list(ctx.f_coeffs), badset, content)
     log.info("x-space sieve: %d values, %d primes sieved, %.3f s",
              vals.size, nprimes, time.perf_counter() - t1)
     tau_e = tau_int if e == 1 else tau_int * tau_int
@@ -572,32 +583,27 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     details: dict = {"surrogate_sum_tau_int_pow_e": surrogate}
     if with_factors:
         t1 = time.perf_counter()
-        badset = set(bad_primes(ctx))
-        ideal_total = 0
-        ideal_points = 0
-        # first reason that applies, in this order
-        skipped = {"bad_prime": 0, "semiprime_leftover": 0,
-                   "unresolved_valuation": 0}
-        for (i, j), fac in fac_store.items():
-            if any(p in badset for p in fac):
-                skipped["bad_prime"] += 1
-                continue
-            if any(p < 0 for p in fac):
-                skipped["semiprime_leftover"] += 1
-                continue
-            ti = ideal_tau((i + 1, j + 1), ctx, fac)
+        eligible = ~(bad | semi)
+        coprime = eligible & ~content  # the units too, with tau 1
+        ideal_total = int(tau_e[coprime].sum())
+        from_sieve = int(np.count_nonzero(coprime))
+        by_ideal_tau = unresolved = 0
+        for i, j in zip(*(a.tolist() for a in np.nonzero(eligible & content))):
+            ti = ideal_tau((i + 1, j + 1), ctx, fac_store[i, j])
             if ti is None:
-                skipped["unresolved_valuation"] += 1
+                unresolved += 1
                 continue
             ideal_total += ti**e
-            ideal_points += 1
-        log.info("ideal tau: %d points resolved, skipped %d bad prime, "
-                 "%d semiprime leftover, %d unresolved valuation, %.3f s",
-                 ideal_points, *skipped.values(), time.perf_counter() - t1)
-        # points with no stored factors have |N| = 1 (units): tau_K = 1
-        units = X * X - len(fac_store)
-        ideal_total += units
-        ideal_points += units
+            by_ideal_tau += 1
+        ideal_points = from_sieve + by_ideal_tau
+        # first reason that applies, in this order
+        skipped = {"bad_prime": int(np.count_nonzero(bad)),
+                   "semiprime_leftover": int(np.count_nonzero(semi & ~bad)),
+                   "unresolved_valuation": unresolved}
+        log.info("ideal tau: %d points resolved (%d from the sieve, %d by "
+                 "ideal_tau), skipped %d bad prime, %d semiprime leftover, "
+                 "%d unresolved valuation, %.3f s", ideal_points, from_sieve,
+                 by_ideal_tau, *skipped.values(), time.perf_counter() - t1)
         details.update({
             "ideal_sum": ideal_total,
             "ideal_points": ideal_points,
@@ -616,7 +622,8 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
     )
 
 
-def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
+def _tau_sieve(vals: np.ndarray, f: list[int], bad_set: set[int],
+               store: np.ndarray | None):
     """tau of every |N(x1, x2)| on the box [1, X]^2, sieved in x-space.
 
     vals[i, j] = |N((i + 1) + (j + 1) w)| with w a root of the monic f.  Since
@@ -629,14 +636,21 @@ def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
     leftovers are classified at once, by one primes.prime_mask call and
     a vectorized square test.
 
-    Returns (tau array, factor map, number of primes sieved).  The factor
-    map {(i, j): {p: e}} is filled only when with_factors is set; a
-    semiprime leftover L is stored as {-L: 1}, since tau does not need it
-    split.
+    Returns (tau array, bad mask, semiprime mask, factor map, number of
+    primes sieved), the arrays shaped like vals.  The bad mask marks the
+    points that a sieved prime of bad_set divides or whose leftover, or
+    its square root, is in bad_set; the semiprime mask marks the leftovers
+    that are neither prime nor square.  The factor map {(i, j): {p: e}} is
+    filled only at the points where the boolean array store is set (none
+    when store is None); a semiprime leftover L is stored as {-L: 1},
+    since tau does not need it split.
     """
     X = vals.shape[0]
     remain = vals.flatten()
     tau_int = np.ones(vals.size, dtype=np.int64)
+    bad = np.zeros(vals.size, dtype=bool)
+    semi = np.zeros(vals.size, dtype=bool)
+    keep = None if store is None else store.ravel()
     fac_store: dict[tuple[int, int], dict[int, int]] = {}
     vmax = int(vals.max())
     plimit = int(round(vmax ** (1 / 3))) + 2
@@ -655,8 +669,11 @@ def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
         idx = np.flatnonzero(zero[np.ix_(res, res)])
         ecount = _divide_out(remain, idx, p)
         tau_int[idx] *= ecount + 1
-        if with_factors:  # f has no rational root, so every marked N is nonzero
-            for k, ee in zip(idx.tolist(), ecount.tolist()):
+        if p in bad_set:
+            bad[idx] = True
+        if keep is not None:  # f has no rational root, so every marked N is nonzero
+            sel = keep[idx]
+            for k, ee in zip(idx[sel].tolist(), ecount[sel].tolist()):
                 fac_store.setdefault(divmod(k, X), {})[p] = ee
     left = np.flatnonzero(remain > 1)
     L = remain[left]
@@ -664,9 +681,15 @@ def _tau_sieve(vals: np.ndarray, f: list[int], with_factors: bool):
     s = np.rint(np.sqrt(L)).astype(np.int64)  # exact below the 2^62 guard
     square = s * s == L
     tau_int[left] *= np.where(prime, 2, np.where(square, 3, 4))
-    if with_factors:
-        # a semiprime leftover with distinct factors is stored as -L
-        key = np.where(square, s, np.where(prime, L, -L))
-        for k, kk, ee in zip(left.tolist(), key.tolist(), (square + 1).tolist()):
+    semi[left] = ~(prime | square)
+    # a semiprime leftover with distinct factors is stored as -L
+    key = np.where(square, s, np.where(prime, L, -L))
+    bad[left] |= np.isin(key, list(bad_set))
+    if keep is not None:
+        sel = keep[left]
+        for k, kk, ee in zip(left[sel].tolist(), key[sel].tolist(),
+                             (square[sel] + 1).tolist()):
             fac_store.setdefault(divmod(k, X), {})[kk] = ee
-    return tau_int.reshape(vals.shape), fac_store, len(primes)
+    shape = vals.shape
+    return (tau_int.reshape(shape), bad.reshape(shape), semi.reshape(shape),
+            fac_store, len(primes))

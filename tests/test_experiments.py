@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from normform import experiments
@@ -30,7 +30,7 @@ from normform.experiments import (
 )
 from normform.fields import eval_norm_poly_grid, make_context, norm_form_polynomial
 from normform.integrals import PolytopeSpec
-from normform.localdata import bad_primes, resultant
+from normform.localdata import bad_primes, ideal_tau, resultant
 from normform.primes import (
     WindowFactors,
     factorize,
@@ -40,6 +40,7 @@ from normform.primes import (
     window_factorizations,
 )
 from normform.primes import tau as tau_oracle
+from normform.splitting import degree_pattern_mod_p
 from test_primes import FIRST_BATCHED, LAST_STRIDED, windows
 
 CTX3 = make_context([-2, 0, 0], 1)
@@ -591,17 +592,24 @@ def oracle_factorization(x1: int, x2: int, ctx) -> dict:
     return factorize(oracle_norm((x1, x2), ctx))
 
 
+def sieve_box(X: int, ctx):
+    """|N| on the box [1, X]^2, the axis and the gcd(x1, x2) > 1 mask."""
+    ax = np.arange(1, X + 1, dtype=np.int64)
+    vals = np.abs(eval_norm_poly_grid(norm_form_polynomial(ctx), np.ix_(ax, ax)))
+    return vals, np.gcd.outer(ax, ax) > 1
+
+
 class TestTauSieve:
     @pytest.mark.parametrize("ctx", SIEVE_FIELDS, ids=lambda c: str(c.f_coeffs))
     @settings(max_examples=4, deadline=None, derandomize=True)
     # X >= 21: there x^3 - x - 1's bad prime 23 is among the sieved primes
     @given(X=st.integers(min_value=21, max_value=40))
     def test_tau_and_factors_match_factorize(self, ctx, X):
-        ax = np.arange(1, X + 1, dtype=np.int64)
-        vals = np.abs(eval_norm_poly_grid(norm_form_polynomial(ctx), np.ix_(ax, ax)))
-        tau_arr, facs, nprimes = _tau_sieve(vals, list(ctx.f_coeffs), True)
-        top = int(sieve_primes(10**4)[nprimes - 1])
+        vals, content = sieve_box(X, ctx)
         bad = set(bad_primes(ctx))
+        tau_arr, bad_mask, semi_mask, facs, nprimes = _tau_sieve(
+            vals, list(ctx.f_coeffs), bad, np.ones(vals.shape, dtype=bool))
+        top = int(sieve_primes(10**4)[nprimes - 1])
         seen_gcd = seen_bad = False
         for i, j in itertools.product(range(X), repeat=2):
             want = oracle_factorization(i + 1, j + 1, ctx)
@@ -615,7 +623,93 @@ class TestTauSieve:
                 assert list(rest.values()) == [1, 1] and semi == [-math.prod(rest)]
             else:
                 assert not rest
+            # the leftover is the part of N above the sieve; a bad prime in a
+            # semiprime leftover stays unseen, as the leftover is not split
+            big = [q for q in want if q > top]
+            assert semi_mask[i, j] == (len(big) == 2)
+            assert bad_mask[i, j] == any(q in bad and (q <= top or len(big) < 2)
+                                         for q in want)
             sieved = [q for q in got if 0 < q <= top]
             seen_gcd |= any((i + 1) % q == 0 and (j + 1) % q == 0 for q in sieved)
             seen_bad |= any(q in bad for q in sieved)
         assert seen_gcd and seen_bad
+        # the factor map holds the points it is given, and only those
+        *masks, part, _ = _tau_sieve(vals, list(ctx.f_coeffs), bad, content)
+        assert sorted(part) == sorted(zip(*(a.tolist() for a in np.nonzero(content))))
+        assert part == {ij: facs[ij] for ij in part}
+        assert all((m == old).all() for m, old in zip(masks, (tau_arr, bad_mask, semi_mask)))
+
+
+def ideal_level_oracle(X: int, e: int, ctx) -> dict:
+    """The ideal level point by point: ideal_tau on every stored point, the
+    first skip reason that applies counted, the unstored points (|N| = 1)
+    counted as units with tau_K = 1."""
+    vals, _ = sieve_box(X, ctx)
+    facs = _tau_sieve(vals, list(ctx.f_coeffs), frozenset(),
+                      np.ones(vals.shape, dtype=bool))[3]
+    badset = set(bad_primes(ctx))
+    total = points = 0
+    skipped = {"bad_prime": 0, "semiprime_leftover": 0, "unresolved_valuation": 0}
+    for (i, j), fac in facs.items():
+        if any(p in badset for p in fac):
+            skipped["bad_prime"] += 1
+            continue
+        if any(p < 0 for p in fac):
+            skipped["semiprime_leftover"] += 1
+            continue
+        ti = ideal_tau((i + 1, j + 1), ctx, fac)
+        if ti is None:
+            skipped["unresolved_valuation"] += 1
+            continue
+        total += ti**e
+        points += 1
+    units = X * X - len(facs)
+    return {"ideal_sum": total + units, "ideal_points": points + units,
+            "points_skipped_by_reason": skipped}
+
+
+@st.composite
+def n_minus_k_2_fields(draw, n):
+    """A random monic f of degree n, irreducible mod some prime q < 50,
+    hence over Q, with k = n - 2."""
+    low = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    assume(any(degree_pattern_mod_p(low + [1], q) == ([n], True)
+               for q in primes_in(2, 50)))
+    return make_context(low, n - 2)
+
+
+class TestIdealLevelOracle:
+    """The sieve's coprime points and the ideal_tau loop over the points
+    with a common factor give the report of the point-by-point loop."""
+
+    @staticmethod
+    def check(X, e, ctx):
+        d = divisor_sum_check(X, e, ctx).details
+        want = ideal_level_oracle(X, e, ctx)
+        assert {k: d[k] for k in want} == want
+        return want
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), X=st.integers(10, 40), e=st.sampled_from([1, 2]))
+    @pytest.mark.parametrize("n", [3, 4], ids=["cubic_k1", "quartic_k2"])
+    def test_matches_point_by_point_loop(self, n, data, X, e):
+        self.check(X, e, data.draw(n_minus_k_2_fields(n)))
+
+    @pytest.mark.parametrize("e", [1, 2])
+    @pytest.mark.parametrize("X", [3, 7, 12, 20])
+    def test_bad_prime_in_leftover(self, X, e):
+        # x^3 - x - 1 has the one bad prime 23, not sieved below X = 21
+        ctx = SIEVE_FIELDS[1]
+        assert bad_primes(ctx) == [23]
+        vals, _ = sieve_box(X, ctx)
+        assert sieve_primes(10**4)[_tau_sieve(vals, list(ctx.f_coeffs), set(), None)[4] - 1] < 23
+        assert self.check(X, e, ctx)["points_skipped_by_reason"]["bad_prime"] > 0
+
+    def test_content_points_alone_reach_ideal_tau(self, monkeypatch):
+        calls = []
+        real = experiments.ideal_tau
+        monkeypatch.setattr(experiments, "ideal_tau",
+                            lambda x, *a: calls.append(x) or real(x, *a))
+        d = divisor_sum_check(96, 1, CTX3).details
+        assert len(calls) == 261 and all(math.gcd(*x) > 1 for x in calls)
+        assert d["ideal_points"] == REFERENCES["divisor_sum"]["ideal_points"]
