@@ -41,13 +41,7 @@ from .lattices import (  # noqa: F401
     wedge_pair,
 )
 from .intlinalg import gram_det, kernel_oracle  # noqa: F401
-from .geometry import (  # noqa: F401
-    AxisBox,
-    LinearRegion,
-    davenport_estimate,
-    points_in_region,
-    region_volume,
-)
+from .geometry import AxisBox, LinearRegion, points_in_region  # noqa: F401
 from .census import CensusReport, fp_wedge_census, fp_wedge_census_report, skew_census  # noqa: F401
 from .localdata import (  # noqa: F401
     IdealSym,

@@ -47,7 +47,6 @@ log = logging.getLogger("normform")
 MC_SAMPLES_CAP = 10**8
 TYPEI_D_CAP = 10**6
 BUCHSTAB_VALUES_CAP = 10**6
-BUCHSTAB_Z2_CAP = 10**8
 SKEW_SAMPLES_CAP = 10**6
 
 
@@ -359,7 +358,7 @@ def _run_integral(p: dict) -> tuple:
     return payload, None, None
 
 
-@_subcommand(z1=Key(_finite), z2=Key(_finite, lo="z1", cap=BUCHSTAB_Z2_CAP),
+@_subcommand(z1=Key(_finite), z2=Key(_finite, lo="z1"),
              values=Key(_list(_int), None), range=Key(_range, None),
              field=Key(_field, None), box=Key(_box, None))
 def _run_buchstab(p: dict) -> tuple:

@@ -367,15 +367,13 @@ class TestExitCodes:
          cli.BUCHSTAB_VALUES_CAP, (cli, "buchstab_report")),
         ("buchstab", lambda c: {"field": FIELD3, "box": [[1, c], [1, 1]], "z1": 3, "z2": 11},
          cli.BUCHSTAB_VALUES_CAP, (cli, "buchstab_report")),
-        ("buchstab", lambda c: {"range": [50, 150], "z1": 3, "z2": c},
-         cli.BUCHSTAB_Z2_CAP, (cli, "buchstab_report")),
         ("census", lambda c: {"field": FIELD3, "census": "skew", "samples": c},
          cli.SKEW_SAMPLES_CAP, (cli, "skew_census")),
         ("integral", lambda c: {"intervals": [[0.4, 0.5], [0.3, 0.7]], "target_sum": 1.0,
                                 "typeii": {"X": 2, "eta": c / 2}},
          experiments.TYPEII_WINDOW_CAP, (experiments, "window_factorizations")),
     ], ids=["theorem-pcut", "sseries-pcut", "mc-samples", "typei-box-points", "typei-dhi",
-            "buchstab-range", "buchstab-box", "buchstab-z2", "skew-samples", "typeii-window"])
+            "buchstab-range", "buchstab-box", "skew-samples", "typeii-window"])
     def test_cap_boundary(self, tmp_path, capsys, monkeypatch, command, make, cap, work):
         def stub(*args, **kwargs):
             raise AssertionError("work ran")
@@ -563,6 +561,18 @@ class TestSubcommands:
         assert run(["buchstab", "--config", cfg, "--out", str(out)]) == 0
         data = json.loads((out / "buchstab.json").read_text())
         assert data["residual"] == 0
+
+    def test_buchstab_z2_has_no_cap(self, tmp_path):
+        # the middle sum meets only each value's own primes, so a z2 far past
+        # the values runs and agrees with z2 = the largest value
+        reports = []
+        for z2 in (10**30, 150):
+            cfg = write_cfg(tmp_path, "c.json", {"range": [50, 150], "z1": 3, "z2": z2})
+            out = tmp_path / f"out{z2}"
+            assert run(["buchstab", "--config", cfg, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "buchstab.json").read_text()))
+        keys = ("s_z2", "middle_sum", "residual")
+        assert [reports[0][k] for k in keys] == [reports[1][k] for k in keys]
 
     def test_divisor(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 40, "e": 1})

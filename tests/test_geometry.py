@@ -1,4 +1,4 @@
-"""Point counting, Davenport estimates, volumes, censuses."""
+"""Exact lattice point counts and F_p wedge censuses."""
 
 import itertools
 import math
@@ -16,18 +16,11 @@ from normform.census import (
     fp_wedge_census_report,
     skew_census,
 )
-from normform.errors import BudgetExceeded, DependentRows, Unbounded
+from normform.errors import BudgetExceeded, DependentRows, Unbounded, ValidationError
 from normform.fields import make_context
-from normform.geometry import (
-    AxisBox,
-    LinearRegion,
-    davenport_estimate,
-    points_in_region,
-    polytope_volume_exact,
-    region_volume,
-)
+from normform.geometry import AxisBox, LinearRegion, points_in_region
 from normform.intlinalg import gram_det, lll_reduce, rank_mod_p, rank_rational
-from normform.lattices import IntLattice
+from normform.lattices import IntLattice, lambda_v
 from normform.primes import primes_in
 from normform.splitting import degree_pattern_mod_p
 from test_lattices import coefficient_bounds, depth_first_reference
@@ -86,6 +79,26 @@ class TestPointsInRegion:
         lat = IntLattice(2, ((1, 2), (2, 4)))
         with pytest.raises(DependentRows):
             points_in_region(lat, LinearRegion.from_box(AxisBox.cube(2, -3, 3)))
+
+    # a region must have the lattice's ambient dimension, or zip would cut
+    # the longer of a point and a box or functional short
+    @pytest.mark.parametrize("region", [
+        LinearRegion.from_box(AxisBox.cube(2, -2, 2)),
+        LinearRegion.from_box(AxisBox.cube(4, -2, 2)),
+        LinearRegion.make(AxisBox.cube(3, -2, 2), [((0, 0), 0, 0)]),
+    ], ids=["box-2d", "box-4d", "constraint-length-2"])
+    def test_region_of_another_dimension_rejected(self, region):
+        lat = IntLattice(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        with pytest.raises(ValidationError, match="ambient dimension 3"):
+            points_in_region(lat, region)
+
+    @pytest.mark.parametrize("v", [(1, 0, 0, 0), (1, 2, 0, -1)])
+    def test_rank3_lambda_v_in_a_4_box(self, v):
+        # the shape the benchmark counts: Lambda_v of x^4 - 2, k = 1, in [-h, h]^4
+        lat = lambda_v(v, make_context([-2, 0, 0, 0], 1))
+        assert (lat.rank, lat.ambient_dim) == (3, 4)
+        region = LinearRegion.from_box(AxisBox.cube(4, -3, 3))
+        assert points_in_region(lat, region) == brute_force_count(lat, region)
 
 
 # integers, halves, thirds and quarters, negative ones included
@@ -232,93 +245,6 @@ class TestLeafIntervalClipping:
                 == coefficient_scan_count(lat, region))
         with pytest.raises(BudgetExceeded):
             points_in_region(lat, region, budget=nodes - 1)
-
-
-class TestDavenport:
-    def test_z2_box_error_shape(self):
-        lat = IntLattice(2, ((1, 0), (0, 1)))
-        for N in (10, 25, 50):
-            reg = LinearRegion.from_box(AxisBox.cube(2, 0, N))
-            est = davenport_estimate(lat, reg)
-            exact = (N + 1) ** 2
-            assert est.main_term == pytest.approx(N**2)
-            assert abs(exact - est.main_term) <= 3 * (1 + N)
-
-    def test_det_scaling(self):
-        reg = LinearRegion.from_box(AxisBox.cube(2, 0, 40))
-        m1 = davenport_estimate(IntLattice(2, ((1, 0), (0, 1))), reg).main_term
-        m2 = davenport_estimate(IntLattice(2, ((2, 0), (0, 1))), reg).main_term
-        assert m1 == pytest.approx(2 * m2)
-
-    def test_unimodular_and_translation_invariance(self):
-        lat1 = IntLattice(2, ((2, 1), (1, 1)))
-        lat2 = IntLattice(2, ((3, 2), (1, 1)))  # row op applied
-        reg = LinearRegion.from_box(AxisBox.cube(2, 0, 30))
-        reg2 = LinearRegion.from_box(AxisBox.make([5, -3], [35, 27]))  # moved by (5, -3)
-        a = davenport_estimate(lat1, reg)
-        b = davenport_estimate(lat2, reg)
-        c = davenport_estimate(lat1, reg2)
-        assert a.main_term == pytest.approx(b.main_term)
-        assert a.main_term == pytest.approx(c.main_term)
-
-    def test_fitted_constant_random(self):
-        rng = random.Random(101)
-        worst = 0.0
-        done = 0
-        while done < 50:
-            b1 = [rng.randint(-3, 3), rng.randint(-3, 3)]
-            b2 = [rng.randint(-3, 3), rng.randint(-3, 3)]
-            if rank_rational([b1, b2]) < 2:
-                continue
-            lat = IntLattice(2, (tuple(b1), tuple(b2)))
-            N = rng.randint(10, 40)
-            reg = LinearRegion.from_box(AxisBox.cube(2, -N, N))
-            est = davenport_estimate(lat, reg)
-            exact = points_in_region(lat, reg)
-            dev = abs(exact - est.main_term) / est.error_bound
-            worst = max(worst, dev)
-            done += 1
-        # fitted constant: deviations stay within a uniform multiple
-        print(f"davenport fitted constant over 50 pairs: {worst:.3f}")
-        assert worst < 10.0
-
-
-class TestVolumes:
-    def test_box(self):
-        reg = LinearRegion.from_box(AxisBox.make([0, 0, 0], [2, 3, 4]))
-        v, se = region_volume(reg)
-        assert v == 24 and se == 0
-
-    def test_simplex_3d(self):
-        reg = LinearRegion.make(AxisBox.cube(3, 0, 1),
-                                [((1, 1, 1), Fraction(0), Fraction(1))])
-        assert polytope_volume_exact(reg) == Fraction(1, 6)
-
-    def test_simplex_4d(self):
-        reg = LinearRegion.make(AxisBox.cube(4, 0, 1),
-                                [((1, 1, 1, 1), Fraction(0), Fraction(1))])
-        assert polytope_volume_exact(reg) == Fraction(1, 24)
-
-    def test_slab_of_cube(self):
-        reg = LinearRegion.make(AxisBox.cube(2, 0, 2),
-                                [((1, -1), Fraction(-1), Fraction(1))])
-        # area between the diagonals y = x -/+ 1 inside [0,2]^2: 4 - 2*(1/2) = 3
-        assert polytope_volume_exact(reg) == 3
-
-    def test_monte_carlo_matches_exact(self):
-        box = AxisBox.cube(5, 0, 1)
-        reg = LinearRegion.make(box, [((1, 1, 1, 1, 1), Fraction(0), Fraction(2))])
-        v, se = region_volume(reg, mc_samples=200_000, seed=5)
-        # exact: P(sum of 5 uniforms <= 2) = 1 - comb: Irwin-Hall CDF
-        exact = (2**5 - 5 * 1**5) / math.factorial(5)
-        assert abs(v - exact) < 5 * se + 1e-3
-
-    def test_mc_deterministic(self):
-        box = AxisBox.cube(5, 0, 1)
-        reg = LinearRegion.make(box, [((1, 1, 1, 1, 1), Fraction(0), Fraction(2))])
-        v1, _ = region_volume(reg, mc_samples=50_000, seed=9)
-        v2, _ = region_volume(reg, mc_samples=50_000, seed=9)
-        assert v1 == v2
 
 
 class TestFpWedgeCensus:

@@ -29,10 +29,8 @@ UNREACHED = {
     "localdata.gamma_estimate": "benchmark entry point: ideal_density; acceptance's zeta residue",
     "localdata.ideal_count": "benchmark entry point: gamma_estimate's count",
     "geometry.points_in_region": "benchmark entry point: lattice_geometry",
-    "intlinalg.solve_rational": "geometry and IntLattice.contains, neither wired to a subcommand",
-    "geometry.region_volume": "geometry, awaiting its wiring into lattice",
-    "geometry.polytope_volume_exact": "geometry, awaiting its wiring into lattice",
-    "geometry.davenport_estimate": "geometry, awaiting its wiring into lattice",
+    "intlinalg.solve_rational": ("oracle: IntLattice.contains, in the benchmark kernel check"
+                                 " and the lattice tests"),
     "integrals.closed_form_l2": "acceptance-only: the exact l = 2 slice integral check",
 }
 
