@@ -54,6 +54,14 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _defined_ratio(rep, where: str) -> None:
+    """Exit 2 on a report whose ratio is undefined: a positive count against
+    a predicted 0, naming where the count was taken."""
+    if math.isinf(rep.ratio):
+        raise ValidationError(f"{rep.observed} counted on {where}, where the "
+                              f"predicted main term is 0: the ratio is undefined")
+
+
 def _write_report(outdir: Path, name: str, payload: dict,
                   csv_header=None, csv_rows=None) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
@@ -330,6 +338,7 @@ def _run_typei(p: dict) -> tuple:
 @_subcommand(**_EXPERIMENT)
 def _run_theorem(p: dict) -> tuple:
     rep = theorem_check(ExperimentConfig(ctx=p.pop("field"), **p))
+    _defined_ratio(rep, f"the box {rep.config['box']}")
     payload = {k: getattr(rep, k)
                for k in ("kind", "observed", "predicted", "pred_err", "ratio", "config")}
     payload["details"] = {k: v for k, v in rep.details.items() if k != "sseries"}
@@ -353,6 +362,7 @@ def _run_integral(p: dict) -> tuple:
     }
     if p["typeii"] is not None:
         rep = typeii_density_check(spec, **p["typeii"], ctx=p["field"])
+        _defined_ratio(rep, f"the Type II window {rep.details['window']}")
         payload["typeii"] = {k: getattr(rep, k)
                              for k in ("observed", "predicted", "ratio", "details")}
     return payload, None, None

@@ -29,11 +29,14 @@ from .localdata import (
     ideal_tau,
 )
 from .primes import (
+    BATCH_HI,
     WindowFactors,
     _divide_out,
+    certify,
     prime_mask,
     primes_in,
     sieve_primes,
+    trial_division,
     window_factorizations,
 )
 from .series import SeriesEstimate, singular_series
@@ -103,25 +106,30 @@ def _box_grid_eval(cfg: ExperimentConfig, lo1: int, hi1: int) -> np.ndarray:
     return eval_norm_poly_grid(norm_form_polynomial(cfg.ctx), axes)
 
 
-def _count_primes_in_values(vals: np.ndarray) -> tuple[int, int, tuple[int, int, int]]:
-    """Prime counts among the values and the work done to find them.
+def _slab_survivors(vals: np.ndarray):
+    """The first phase of the box count, on one slab's norm values.
 
-    Returns (# N >= 2 prime, # N <= -2 with |N| prime, (# removed by the
-    small-prime sieve, # batch-tested, # scalar-tested)), the tally from
-    primes.prime_mask, which certifies every int64.
+    Returns (# N >= 2 prime, # N <= -2 with |N| prime, # removed by trial
+    division, survivors, their signs N > 0): the counts cover what
+    primes.trial_division decides (|N| <= BATCH_LO, or with a prime factor
+    <= BATCH_LO), and the survivors' |N| are left for primes.certify.
     """
     flat = vals.ravel()
-    mask, tally = prime_mask(np.abs(flat))
+    mask, idx, v, removed = trial_division(np.abs(flat))
     return (int(np.count_nonzero(mask & (flat > 0))),
-            int(np.count_nonzero(mask & (flat < 0))), tally)
+            int(np.count_nonzero(mask & (flat < 0))), removed, v, flat[idx] > 0)
 
 
 def observed_prime_count(cfg: ExperimentConfig):
     """Exact prime counts of N_K over the box.
 
     Returns (positive-prime count, negative-|prime| count, slab rows).
-    Every count is certified (primes.prime_mask).  Slabs partition the
-    first coordinate; threads only change scheduling, never results.
+    Every count is certified (primes.certify).  Slabs partition the first
+    coordinate and are the rows of the report; threads only change
+    scheduling, never results.  Each slab evaluates its grid and
+    trial-divides it (_slab_survivors); then the survivors of every slab
+    are certified together, the batch test in max(threads, ...) parts on
+    the same pool, and each verdict is counted back to its slab.
     """
     npoints = math.prod(hi - lo + 1 for lo, hi in cfg.box)
     if npoints > cfg.point_budget:
@@ -133,33 +141,34 @@ def observed_prime_count(cfg: ExperimentConfig):
 
     def work(i: int):
         a, b = int(edges[i]), int(edges[i + 1]) - 1
-        if a > b:
-            return (i, a, b, 0, 0, 0), 0.0, 0.0, (0, 0, 0)
         t0 = time.perf_counter()
-        vals = _box_grid_eval(cfg, a, b)
+        vals = _box_grid_eval(cfg, a, b) if a <= b else np.zeros(0, dtype=np.int64)
         t1 = time.perf_counter()
-        pos, neg, counts = _count_primes_in_values(vals)
-        t2 = time.perf_counter()
-        return (i, a, b, vals.size, pos, neg), t1 - t0, t2 - t1, counts
+        found = _slab_survivors(vals)
+        return (a, b, vals.size, t1 - t0, time.perf_counter() - t1, *found)
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            results = list(ex.map(work, range(nslabs)))
-    else:
-        results = [work(i) for i in range(nslabs)]
-    rows = sorted(r[0] for r in results)
-    pos = sum(r[4] for r in rows)
-    neg = sum(r[5] for r in rows)
-    sieved, batch, scalar = (sum(r[3][j] for r in results) for j in range(3))
+    with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
+        run = ex.map if cfg.threads > 1 else map
+        (lo, hi, size, t_eval, t_trial, pos0, neg0, removed, v,
+         positive) = zip(*run(work, range(nslabs)))
+        bounds = np.cumsum([s.size for s in v])[:-1]  # slab i's survivors end here
+        v, positive = np.concatenate(v), np.concatenate(positive)
+        t0 = time.perf_counter()
+        prime, parts = certify(v, cfg.threads, run)
+        t_cert = time.perf_counter() - t0
+    pos = [c + int(np.count_nonzero(h)) for c, h in zip(pos0, np.split(prime & positive, bounds))]
+    neg = [c + int(np.count_nonzero(h)) for c, h in zip(neg0, np.split(prime & ~positive, bounds))]
+    batch = int(np.count_nonzero(v < BATCH_HI))
     log.info("box evaluation: %.3f s summed over %d slabs, %d values",
-             sum(r[1] for r in results), nslabs, npoints)
-    log.info("primality: %.3f s summed over %d slabs, %d values, %d removed by "
-             "the small-prime sieve, %d batch-tested, %d scalar-tested",
-             sum(r[2] for r in results), nslabs, npoints, sieved, batch, scalar)
-    slab_rows = [{"slab": r[0], "x1_lo": r[1], "x1_hi": r[2],
-                  "points": r[3], "primes_pos": r[4], "primes_neg": r[5]}
-                 for r in rows]
-    return pos, neg, slab_rows
+             sum(t_eval), nslabs, npoints)
+    log.info("primality: %.3f s trial division summed over %d slabs, %.3f s "
+             "certification in %d batches; %d values, %d removed by the "
+             "small-prime sieve, %d batch-tested, %d scalar-tested",
+             sum(t_trial), nslabs, t_cert, parts, npoints, sum(removed), batch,
+             v.size - batch)
+    slab_rows = [{"slab": i, "x1_lo": lo[i], "x1_hi": hi[i], "points": size[i],
+                  "primes_pos": pos[i], "primes_neg": neg[i]} for i in range(nslabs)]
+    return sum(pos), sum(neg), slab_rows
 
 
 # --- predicted side -------------------------------------------------------------
@@ -168,20 +177,26 @@ def observed_prime_count(cfg: ExperimentConfig):
 def _poly_values(poly: dict, pts: np.ndarray) -> np.ndarray:
     """Float values of poly at the rows of pts, summed term by term in key order.
 
-    Each power pts[:, var] ** e is computed once and shared by the
-    monomials that use it; every term is still c * x_1^e_1 * ... formed
-    left to right, so the floats equal those of a per-monomial evaluation.
+    The columns of pts are copied out contiguous first.  Each power
+    x_var ** e is computed once and shared by the monomials that use it;
+    every term is still c * x_1^e_1 * ... formed left to right, in place,
+    so the floats equal those of a per-monomial evaluation (c * x^e and
+    x^e * c are the same IEEE product).
     """
+    cols = pts.T.copy()
     powers: dict[tuple[int, int], np.ndarray] = {}
     vals = np.zeros(pts.shape[0])
     for ex, c in poly.items():
-        term = np.full(pts.shape[0], float(c))
+        term = None
         for var, e in enumerate(ex):
             if e:
                 if (var, e) not in powers:
-                    powers[var, e] = pts[:, var] ** e
-                term = term * powers[var, e]
-        vals += term
+                    powers[var, e] = cols[var] ** e
+                if term is None:
+                    term = powers[var, e] * float(c)
+                else:
+                    term *= powers[var, e]
+        vals += float(c) if term is None else term
     return vals
 
 
@@ -268,6 +283,14 @@ def _claim_regime(n: int, k: int, pure: bool) -> str:
     return "outside_theory"
 
 
+def _ratio(observed: int, predicted: float) -> float:
+    """observed / predicted, 0.0 when both are 0, and inf for a positive
+    count against a predicted 0, which has no ratio (the CLI exits 2)."""
+    if predicted > 0:
+        return observed / predicted
+    return 0.0 if observed == 0 else math.inf
+
+
 # the constant reported with the paper's lower bound (regime "lower_bound")
 LOWER_BOUND_C0 = 0.5
 
@@ -278,11 +301,11 @@ def theorem_check(cfg: ExperimentConfig) -> RunReport:
         raise ValidationError("p_cut must be at least 100")
     pos, neg, slabs = observed_prime_count(cfg)
     pred, err, S = predicted_main_term(cfg)
-    ratio = pos / pred if pred > 0 else math.inf
+    ratio = _ratio(pos, pred)
     regime = _claim_regime(cfg.ctx.n, cfg.ctx.k, cfg.ctx.pure_theta is not None)
     details = {
         "observed_negative_norm_primes": neg,
-        "primality_certified": True,  # prime_mask is exact on int64
+        "primality_certified": True,  # certify is exact on int64
         "sseries": S.to_json_dict(),
         "integral_error_included": True,
         "regime": regime,
@@ -443,7 +466,7 @@ def typeii_density_check(spec: PolytopeSpec, X: int, eta: float,
     }
     if ctx is not None and ell == 2 and X <= IDEAL_WINDOW_BUDGET:
         details["ideal_level"] = _ideal_window_count(spec, X, eta, ctx)
-    ratio = observed / predicted if predicted > 0 else (0.0 if observed == 0 else math.inf)
+    ratio = _ratio(observed, predicted)
     return RunReport(
         kind="typeii_density",
         observed=observed,

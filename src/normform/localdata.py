@@ -180,7 +180,8 @@ def nu_fast(p: int, ctx: FieldSpec) -> int:
 
 def nu_from_degrees(degs: list[int], p: int, m: int) -> int:
     """nu(p) from the distinct factor degrees of f mod p, by the
-    inclusion-exclusion of nu_fast; m = n - k."""
+    inclusion-exclusion of nu_fast; m = n - k.  The per-prime oracle of
+    nu_polynomial."""
     total = 0
     for size in range(1, len(degs) + 1):
         for S in itertools.combinations(degs, size):
@@ -192,9 +193,43 @@ def nu_from_degrees(degs: list[int], p: int, m: int) -> int:
 def nu2_from_degrees(degs: list[int], p: int, n: int) -> int:
     """nu_2(p) = p^n (1 - prod (1 - p^-d)) over the distinct factor degrees d
     of f mod p: p^n less the units of F_p[X]/(f), which CRT counts, in
-    integers: p^n - p^(n - sum d) prod (p^d - 1), with sum d <= n."""
+    integers: p^n - p^(n - sum d) prod (p^d - 1), with sum d <= n.  The
+    per-prime oracle of nu2_polynomial."""
     assert sum(degs) <= n
     return p**n - p ** (n - sum(degs)) * math.prod(p**d - 1 for d in degs)
+
+
+def nu_polynomial(degs: list[int], m: int) -> tuple[tuple[int, int], ...]:
+    """nu(p) = sum c p^e over the returned (e, c), at every p where the
+    distinct factors of f mod p have the degrees degs; m = n - k.
+
+    nu_from_degrees' inclusion-exclusion, collected by power of p: a
+    subset S of the factors adds (-1)^(|S| + 1) p^(m - min(m, sum S)).
+    """
+    coef: dict[int, int] = {}
+    for size in range(1, len(degs) + 1):
+        for S in itertools.combinations(degs, size):
+            e = m - min(m, sum(S))
+            coef[e] = coef.get(e, 0) + (-1) ** (size + 1)
+    return tuple(coef.items())
+
+
+def nu2_polynomial(degs: list[int], n: int) -> tuple[tuple[int, int], ...]:
+    """nu_2(p) = sum c p^e over the returned (e, c), at every p where the
+    distinct factors of f mod p have the degrees degs: nu2_from_degrees'
+    p^n - p^(n - sum d) prod (p^d - 1), multiplied out."""
+    assert sum(degs) <= n
+    units = {n - sum(degs): 1}
+    for d in degs:  # times p^d - 1
+        nxt: dict[int, int] = {}
+        for e, c in units.items():
+            nxt[e + d] = nxt.get(e + d, 0) + c
+            nxt[e] = nxt.get(e, 0) - c
+        units = nxt
+    coef = {n: 1}
+    for e, c in units.items():
+        coef[e] = coef.get(e, 0) - c
+    return tuple(coef.items())
 
 
 # --- rho ---------------------------------------------------------------------

@@ -206,12 +206,24 @@ def is_prime_batch(n: np.ndarray) -> np.ndarray:
 def prime_mask(n: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Primality of every entry of a 1-D int64 array of values >= 0.
 
+    trial_division, then certify on its survivors.  Returns (bool mask,
+    (# removed by trial division, # batch-tested, # scalar-tested)); the
+    three counts sum to the number of entries > BATCH_LO.
+    """
+    mask, idx, v, removed = trial_division(n)
+    mask[idx] = certify(v)[0]
+    low = int(np.count_nonzero(v < BATCH_HI))
+    return mask, (removed, low, v.size - low)
+
+
+def trial_division(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The first step of prime_mask, on a 1-D int64 array of values >= 0.
+
     Values <= BATCH_LO are looked up; larger ones are trial-divided by the
-    primes <= BATCH_LO, and the survivors go to is_prime_batch below
-    BATCH_HI and to is_prime_certified (deterministic for every int64)
-    above.  Returns (bool mask, (# removed by trial division,
-    # batch-tested, # scalar-tested)); the three counts sum to the number
-    of entries > BATCH_LO.
+    primes <= BATCH_LO.  Returns (mask, idx, v, removed): mask is the
+    verdict at every entry except the survivors, where it is False; idx and
+    v are the survivors' positions and values, odd and > BATCH_LO, left for
+    certify; removed counts the entries > BATCH_LO that a prime divided.
     """
     n = np.asarray(n, dtype=np.int64)
     mask = np.zeros(n.shape, dtype=bool)
@@ -223,11 +235,29 @@ def prime_mask(n: np.ndarray) -> tuple[np.ndarray, tuple[int, int, int]]:
     for coprime in _coprime_tables():  # compress as we go
         keep = coprime[v % coprime.size]
         idx, v = idx[keep], v[keep]
+    return mask, idx, v, above - v.size
+
+
+# Largest part certify hands to one is_prime_batch call
+BATCH_PART = 2**17
+
+
+def certify(v: np.ndarray, parts: int = 1, run=map) -> tuple[np.ndarray, int]:
+    """The second step of prime_mask: primality of the survivors v of
+    trial_division, as (bool array, number of batch parts).
+
+    The values below BATCH_HI go to is_prime_batch in max(parts,
+    ceil(count / BATCH_PART)) near-equal parts, through run (map, or a
+    thread pool's map); the others to is_prime_certified, deterministic for
+    every int64.  The parts change only the scheduling, never a verdict.
+    """
     low = v < BATCH_HI
-    mask[idx[low]] = is_prime_batch(v[low])
-    high = v[~low].tolist()
-    mask[idx[~low]] = [is_prime_certified(h)[0] for h in high]
-    return mask, (above - v.size, int(np.count_nonzero(low)), len(high))
+    lv = v[low]
+    out = np.empty(v.shape, dtype=bool)
+    parts = max(parts, -(-lv.size // BATCH_PART))
+    out[low] = np.concatenate(list(run(is_prime_batch, np.array_split(lv, parts))))
+    out[~low] = [is_prime_certified(h)[0] for h in v[~low].tolist()]
+    return out, parts
 
 
 @lru_cache(maxsize=1)

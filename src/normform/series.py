@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import BudgetExceeded, ValidationError
 from .fields import FieldSpec
 from .localdata import (
     bad_primes,
-    nu2_from_degrees,
-    nu_from_degrees,
+    nu2_polynomial,
+    nu_polynomial,
     squarefree_ideal_symbols,
 )
 from .primes import sieve_primes
@@ -79,19 +81,35 @@ def _local_factor_data(ctx: FieldSpec, p_cut: int) -> tuple:
     f mod p (Cohen, A Course in Computational Algebraic Number Theory,
     3.3.2).  So nu, nu_2 and nu_p depend only on the degrees of the
     distinct factors of f mod p, which batch_degree_patterns gives at every
-    prime, bad ones included.  degs, the CSV's degree pattern, keeps
+    prime, bad ones included.  For each distinct row of degrees, nu and
+    nu_2 are integer polynomials in p, built once and evaluated exactly in
+    Python ints at the row's primes.  degs, the CSV's degree pattern, keeps
     multiplicities: at the few bad primes it comes from a full factorization.
     """
     f = list(ctx.f_coeffs)
     bad = set(bad_primes(ctx))
     ps = sieve_primes(p_cut)
-    out = []
-    for p, row in zip(ps.tolist(), batch_degree_patterns(f, ps).tolist()):
+    pats = batch_degree_patterns(f, ps)
+    # group the primes by pattern row: sort the rows, cut where a row changes
+    order = np.lexsort(pats.T[::-1])
+    first = np.ones(len(ps), dtype=bool)
+    first[1:] = (pats[order[1:]] != pats[order[:-1]]).any(axis=1)
+    which = np.empty(len(ps), dtype=np.int64)
+    which[order] = np.cumsum(first) - 1
+    P = ps.astype(object)  # exact Python ints, one numpy call per term
+    nu = np.empty(len(ps), dtype=object)
+    nu2 = np.empty(len(ps), dtype=object)
+    degs, nu_p = [], []  # per pattern: the distinct degrees, the root count
+    for j, row in enumerate(pats[order[first]].tolist()):
         distinct = tuple(d for d, c in enumerate(row, 1) for _ in range(c))
-        degs = tuple(degree_pattern_mod_p(f, p)[0]) if p in bad else distinct
-        out.append((p, nu_from_degrees(distinct, p, ctx.m),
-                    nu2_from_degrees(distinct, p, ctx.n), degs, row[0]))
-    return tuple(out)
+        sel = which == j
+        nu[sel] = sum(c * P[sel] ** e for e, c in nu_polynomial(distinct, ctx.m))
+        nu2[sel] = sum(c * P[sel] ** e for e, c in nu2_polynomial(distinct, ctx.n))
+        degs.append(distinct)
+        nu_p.append(row[0])
+    return tuple(
+        (p, a, b, tuple(degree_pattern_mod_p(f, p)[0]) if p in bad else degs[j], nu_p[j])
+        for p, a, b, j in zip(ps.tolist(), nu.tolist(), nu2.tolist(), which.tolist()))
 
 
 @lru_cache(maxsize=4)

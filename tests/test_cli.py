@@ -75,6 +75,32 @@ class TestExitCodes:
                          "box": [[-70000, 1], [1, 1], [1, 1]]})
         assert run(["theorem", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_box_with_no_positive_norm_has_ratio_0(self, tmp_path):
+        # x^3 + 2^20: every norm on [1, 10]^2 is negative, so nothing is
+        # observed and nothing predicted
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"field": {"f": [2**20, 0, 0, 1], "k": 1}, "X": 10})
+        assert run(["theorem", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        rep = json.loads((tmp_path / "out" / "theorem.json").read_text())
+        assert (rep["observed"], rep["predicted"], rep["ratio"]) == (0, 0.0, 0.0)
+        assert rep["details"]["observed_negative_norm_primes"] > 0
+
+    def test_primes_against_nothing_predicted(self, tmp_path, capsys):
+        # the one-point box holds the prime N(1, 1) = 3 but has no volume
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"field": FIELD3, "X": 10, "box": [[1, 1], [1, 1]]})
+        assert run(["theorem", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "1 counted on the box [[1, 1], [1, 1]]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_typeii_count_against_nothing_predicted(self, tmp_path, capsys):
+        # the one-point polytope at log 23 / log 10^4 holds 23^3 = 12167
+        e = math.log(23) / math.log(10**4)
+        cfg = write_cfg(tmp_path, "c.json", {"intervals": [[e, e]] * 3, "target_sum": 1.0,
+                                             "typeii": {"X": 10**4, "eta": 0.5}})
+        assert run(["integral", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "1 counted on the Type II window [10000, 15000]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("X, eta", [(10**5, -0.5), (1, 0.5)])
     def test_meaningless_typeii_window(self, tmp_path, X, eta):
         cfg = write_cfg(tmp_path, "c.json",

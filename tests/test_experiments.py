@@ -18,7 +18,7 @@ from normform.errors import BudgetExceeded, ValidationError
 from normform.experiments import (
     ExperimentConfig,
     _claim_regime,
-    _count_primes_in_values,
+    _slab_survivors,
     _tau_sieve,
     divisor_sum_check,
     log_norm_integral,
@@ -32,7 +32,9 @@ from normform.fields import eval_norm_poly_grid, make_context, norm_form_polynom
 from normform.integrals import PolytopeSpec
 from normform.localdata import bad_primes, ideal_tau, resultant
 from normform.primes import (
+    BATCH_HI,
     WindowFactors,
+    certify,
     factorize,
     is_prime_certified,
     primes_in,
@@ -139,6 +141,18 @@ def scalar_counts(vals):
     return pos, neg
 
 
+def _count_primes_in_values(vals):
+    """observed_prime_count's two phases on the values of one slab:
+    (# N >= 2 prime, # N <= -2 with |N| prime, (# removed by trial
+    division, # batch-tested, # scalar-tested))."""
+    pos, neg, removed, v, positive = _slab_survivors(np.asarray(vals))
+    prime, _parts = certify(v)
+    batch = int(np.count_nonzero(v < BATCH_HI))
+    return (pos + int(np.count_nonzero(prime & positive)),
+            neg + int(np.count_nonzero(prime & ~positive)),
+            (removed, batch, v.size - batch))
+
+
 class TestCountRouting:
     def test_both_sides_of_the_batch_guard(self):
         vals = np.array([LARGEST_PRIME_BELOW_2_32, SMALLEST_PRIME_ABOVE_2_32,
@@ -157,6 +171,59 @@ class TestCountRouting:
         vals = vals + [LARGEST_PRIME_BELOW_2_32, SMALLEST_PRIME_ABOVE_2_32]
         pos, neg, _work = _count_primes_in_values(np.array(vals))
         assert (pos, neg) == scalar_counts(vals)
+
+
+def primality_line(caplog) -> tuple[str, tuple[int, int, int]]:
+    """The last primality log line and its (removed by trial division,
+    batch-tested, scalar-tested)."""
+    line = [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("primality")][-1]
+    return line, tuple(map(int, re.search(
+        r"(\d+) removed by the small-prime sieve, (\d+) batch-tested, "
+        r"(\d+) scalar-tested", line).groups()))
+
+
+class TestGatheredBatches:
+    """observed_prime_count trial-divides each slab, then certifies the
+    survivors of every slab together and counts each verdict back to its
+    slab."""
+
+    # x^3 - 2 on x1 in [1600, 1650], x2 in [1, 5]: 130 values below 2^32, 125 above
+    BOUNDARY_BOX = ((1600, 1650), (1, 5))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_batches_at_the_2_32_boundary(self, threads, caplog):
+        cfg = ExperimentConfig(ctx=CTX3, X=2, box=self.BOUNDARY_BOX, threads=threads)
+        with caplog.at_level(logging.INFO, logger="normform"):
+            pos, neg, slabs = observed_prime_count(cfg)
+        small = [p for p in range(2, 62) if is_prime_certified(p)[0]]
+        tally = [0, 0, 0]
+        for (x1, x2) in itertools.product(range(1600, 1651), range(1, 6)):
+            v = abs(oracle_norm((x1, x2), CTX3))
+            if any(v % p == 0 for p in small):
+                tally[0] += 1
+            else:
+                tally[1 if v < 2**32 else 2] += 1
+        assert primality_line(caplog)[1] == tuple(tally) == (212, 21, 22)
+        bounds = [(s["x1_lo"], s["x1_hi"]) for s in slabs]
+        assert len(bounds) == max(4 * threads, 8)
+        assert bounds[0][0] == 1600 and bounds[-1][1] == 1650
+        assert all(b + 1 == a for (_, b), (a, _) in zip(bounds, bounds[1:]))
+        for s in slabs:
+            norms = [oracle_norm(x, CTX3) for x in itertools.product(
+                range(s["x1_lo"], s["x1_hi"] + 1), range(1, 6))]
+            assert s["points"] == len(norms)
+            assert (s["primes_pos"], s["primes_neg"]) == scalar_counts(norms)
+        assert (pos, neg) == (sum(s["primes_pos"] for s in slabs),
+                              sum(s["primes_neg"] for s in slabs))
+
+    def test_benchmark_box_tally(self, caplog):
+        cfg = ExperimentConfig(ctx=CTX4, X=80, threads=2)
+        with caplog.at_level(logging.INFO, logger="normform"):
+            pos, neg, _slabs = observed_prime_count(cfg)
+        line, tally = primality_line(caplog)
+        assert tally == (394_604, 117_384, 0) and "in 2 batches" in line
+        assert (pos, neg) == (43_706, 9_057)
 
 
 def test_info_log_one_line_per_stage(caplog):
@@ -241,6 +308,17 @@ class TestPredictedMainTerm:
         got = log_norm_integral(cfg)
         monkeypatch.setattr(experiments, "_poly_values", self.per_monomial_values)
         assert got == log_norm_integral(cfg)
+
+    @pytest.mark.parametrize("low, k, X, samples", [
+        ([1, 0], 1, 50, 200_000),  # m = 1: Gauss-Legendre
+        ([-2, 0, 0], 1, 40, 200_000),  # m = 2: Gauss-Legendre
+        ([-2, 0, 0, 0], 1, 80, 400_000),  # the prime_count benchmark's Monte Carlo
+    ])
+    def test_columns_match_per_monomial_oracle(self, monkeypatch, low, k, X, samples):
+        cfg = ExperimentConfig(ctx=make_context(low, k), X=X, seed=1, mc_samples=samples)
+        got = log_norm_integral(cfg)
+        monkeypatch.setattr(experiments, "_poly_values", self.per_monomial_values)
+        assert list(map(float.hex, got)) == list(map(float.hex, log_norm_integral(cfg)))
 
 
 class TestTheoremCheck:

@@ -23,16 +23,19 @@ from normform.localdata import (
     ideal_tau,
     ideal_valuations,
     nu2_from_degrees,
+    nu2_polynomial,
     nu_brute,
     nu_fast,
+    nu_from_degrees,
+    nu_polynomial,
     prime_ideals_above,
     resultant,
     rho,
     rho_brute,
     squarefree_ideal_symbols,
 )
-from normform.primes import factorize, primes_in
-from normform.series import per_prime_factor_table
+from normform.primes import factorize, primes_in, sieve_primes
+from normform.series import per_prime_factor_table, singular_series, singular_series_tilde
 from normform.splitting import (
     batch_degree_patterns,
     degree_pattern_mod_p,
@@ -216,6 +219,69 @@ class TestBadPrimeClosedForm:
         assert 229 in bad_primes(CTXQ) and degs == (1, 1, 2) and nu_p == 1
         assert nu == nu_brute(229, CTXQ) == 52_669
         assert nu2 == 12_061_201
+
+
+def per_prime_local_factor_data(ctx, p_cut):
+    """Oracle for series._local_factor_data: the per-prime loop, nu and nu_2
+    from the distinct factor degrees at each prime in turn."""
+    f = list(ctx.f_coeffs)
+    bad = set(bad_primes(ctx))
+    ps = sieve_primes(p_cut)
+    out = []
+    for p, row in zip(ps.tolist(), batch_degree_patterns(f, ps).tolist()):
+        distinct = tuple(d for d, c in enumerate(row, 1) for _ in range(c))
+        degs = tuple(degree_pattern_mod_p(f, p)[0]) if p in bad else distinct
+        out.append((p, nu_from_degrees(distinct, p, ctx.m),
+                    nu2_from_degrees(distinct, p, ctx.n), degs, row[0]))
+    return tuple(out)
+
+
+# (low coefficients, k) of irreducible monic f: every shipped field first,
+# then Eisenstein polynomials, x^4 + 1 and x^4 - 10x^2 + 1 (split or
+# degree-2 factors mod every p), and polynomials irreducible mod 2 or 3
+EULER_FIELDS = [
+    ([-2, 0, 0], 1), ([-2, 0, 0, 0, 0, 0, 0], 2), ([1, 0], 0), ([-2, 0, 0, 0], 1),
+    ([-2, 0, 0], 0), ([-2, 0, 0], 2), ([-2, 0, 0, 0], 0), ([-2, 0, 0, 0], 2),
+    ([3, 3, 0], 1), ([-6, 0, 0, 0], 1), ([5, 0, 5, 0, 0], 1), ([3, -3, 0, 0, 0, 0, 0, 0], 2),
+    ([1, 0, 0, 0], 1), ([1, 0, -10, 0], 1), ([1, 1, 0, 0], 1), ([-1, -1, 0], 1),
+    ([1, 1, 0], 1), ([-1, -1, 0, 0, 0], 1), ([1, 1], 0), ([-2, 0, 0, 0, 0, 0], 1),
+    ([7, 0, 0, 0, 14, 0], 3), ([-3, 0, 0, 0, 0, 0, 0, 0], 3),
+]
+
+
+class TestPerPatternEulerFactors:
+    """The Euler-product rows evaluate one nu and nu_2 polynomial per degree
+    pattern; the per-prime loop is their oracle, to the last bit of every
+    product and CSV row."""
+
+    @pytest.mark.parametrize("low, k", EULER_FIELDS)
+    def test_matches_per_prime_loop(self, low, k, monkeypatch):
+        ctx = make_context(low, k)
+        assert min(bad_primes(ctx)) < 1000  # the bad-prime rows are compared too
+
+        def products(p_cut):
+            series._local_factors.cache_clear()
+            return ([float.hex(S(ctx, p_cut).value)
+                     for S in (singular_series, singular_series_tilde)],
+                    per_prime_factor_table(ctx, p_cut))
+
+        for p_cut in (100, 1000, 10_000):
+            got = products(p_cut)
+            with monkeypatch.context() as m:
+                m.setattr(series, "_local_factor_data", per_prime_local_factor_data)
+                assert products(p_cut) == got, (low, k, p_cut)
+        series._local_factors.cache_clear()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(1, 4), max_size=6), st.integers(0, 4),
+           st.sampled_from((2, 3, 101, 10**6 + 3)))
+    def test_polynomials_match_per_prime_formulas(self, degs, extra, p):
+        n = sum(degs) + extra
+        for m in range(1, n + 1):
+            assert sum(c * p**e for e, c in nu_polynomial(degs, m)) == \
+                nu_from_degrees(degs, p, m)
+        assert sum(c * p**e for e, c in nu2_polynomial(degs, n)) == \
+            nu2_from_degrees(degs, p, n)
 
 
 class TestNuFast:

@@ -22,6 +22,8 @@ UNREACHED = {
     "series.sieve_sum": "acceptance-only: the Perron-limit sieve sum",
     "localdata.nu_brute": "oracle: nu by exhaustive evaluation",
     "localdata.nu_fast": "oracle: nu from the splitting symbols at good p",
+    "localdata.nu_from_degrees": "oracle: nu per prime, against nu_polynomial",
+    "localdata.nu2_from_degrees": "oracle: nu_2 per prime, against nu2_polynomial",
     "localdata.rho": "oracle: the F_p-rank density that checks rho_group_closed",
     "localdata.rho_brute": "oracle: rho by literal counting",
     "intlinalg.kernel_oracle": "oracle: the kernel by column reduction, against kernel_sequential",
