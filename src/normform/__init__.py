@@ -15,7 +15,6 @@ from .errors import (  # noqa: F401
     NotSquarefree,
     RankTooLarge,
     ReducibleDetected,
-    Unbounded,
     ZeroVector,
     ZeroWedge,
 )

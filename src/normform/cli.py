@@ -39,7 +39,13 @@ from .fields import FieldSpec, norm_form
 from .integrals import PolytopeSpec, polytope_integral
 from .lattices import det_squared_formula, lambda_v, lattice_det_sq, reduced_basis, wedge
 from .primes import is_prime
-from .series import P_CUT_CAP, per_prime_factor_table, singular_series, singular_series_tilde
+from .series import (
+    P_CUT_CAP,
+    P_CUT_MIN,
+    per_prime_factor_table,
+    singular_series,
+    singular_series_tilde,
+)
 
 log = logging.getLogger("normform")
 
@@ -229,7 +235,7 @@ _SEED = Key(_int, 0, lo=0, hi=2**128 - 1, flag="seed")
 _EXPERIMENT = dict(
     field=Key(_field), X=Key(_int, lo=2), box=Key(_box, ()),
     eta1=Key(_finite, 0.1), eta2=Key(_finite, 0.05),
-    p_cut=Key(_int, 10_000, cap=P_CUT_CAP, flag="pcut"),  # the library checks >= 100
+    p_cut=Key(_int, 10_000, cap=P_CUT_CAP, flag="pcut"),  # the library checks >= P_CUT_MIN
     seed=_SEED, threads=Key(_int, 1, lo=1, flag="threads"),
     point_budget=Key(_int, 10**7, flag="budget"),
     mc_samples=Key(_int, 200_000, lo=MC_SLABS * MC_MIN_PER_SLAB, cap=MC_SAMPLES_CAP))
@@ -269,7 +275,7 @@ def _run_norms(p: dict) -> tuple:
 
 
 @_subcommand(field=Key(_field),
-             p_cut=Key(_int, 10_000, lo=100, cap=P_CUT_CAP, flag="pcut"))
+             p_cut=Key(_int, 10_000, lo=P_CUT_MIN, cap=P_CUT_CAP, flag="pcut"))
 def _run_sseries(p: dict) -> tuple:
     ctx, p_cut = p["field"], p["p_cut"]
     S = singular_series(ctx, p_cut)
@@ -393,8 +399,6 @@ def _run_buchstab(p: dict) -> tuple:
 @_subcommand(field=Key(_field), X=Key(_int, lo=1), e=Key(_int, 1, lo=0, hi=2),
              budget=Key(_int, 2 * 10**7, flag="budget", flag_only=True))
 def _run_divisor(p: dict) -> tuple:
-    if p["field"].m != 2:
-        raise ValidationError(f"divisor runs on n - k = 2 boxes, not {p['field'].m}")
     rep = divisor_sum_check(p["X"], p["e"], p["field"], budget=p["budget"])
     return {k: getattr(rep, k) for k in ("kind", "observed", "predicted", "ratio",
                                          "config", "details")}, None, None

@@ -49,10 +49,6 @@ class RankTooLarge(ValidationError):
     pass
 
 
-class Unbounded(ValidationError):
-    pass
-
-
 class BadPrime(ValidationError):
     pass
 

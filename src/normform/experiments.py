@@ -31,7 +31,8 @@ from .localdata import (
 from .primes import (
     BATCH_HI,
     WindowFactors,
-    _divide_out,
+    _exponents,
+    _progressions,
     certify,
     prime_mask,
     primes_in,
@@ -39,7 +40,7 @@ from .primes import (
     trial_division,
     window_factorizations,
 )
-from .series import SeriesEstimate, singular_series
+from .series import P_CUT_MIN, SeriesEstimate, singular_series
 from .splitting import roots_mod_p
 
 log = logging.getLogger("normform")
@@ -297,8 +298,8 @@ LOWER_BOUND_C0 = 0.5
 
 def theorem_check(cfg: ExperimentConfig) -> RunReport:
     """Observed vs predicted prime counts; flags the applicable claim regime."""
-    if cfg.p_cut < 100:  # the series' own floor, checked before the box is counted
-        raise ValidationError("p_cut must be at least 100")
+    if cfg.p_cut < P_CUT_MIN:  # the series' own floor, checked before the box is counted
+        raise ValidationError(f"p_cut must be at least {P_CUT_MIN}")
     pos, neg, slabs = observed_prime_count(cfg)
     pred, err, S = predicted_main_term(cfg)
     ratio = _ratio(pos, pred)
@@ -563,9 +564,9 @@ def divisor_sum_check(X: int, e: int, ctx: FieldSpec,
                       ideal_points_budget: int = 70_000) -> RunReport:
     """sum over the box [1, X]^(n-k) of tau(N_K(x))^e with growth diagnostics.
 
-    n-k = 2.  tau of every |N| value comes from _tau_sieve, which marks
-    the points each prime p divides from the roots of f mod p, one gather
-    over the box per prime.  e = 0 returns X^2 after the int64 guard,
+    n-k = 2.  tau of every |N| value comes from _tau_sieve, which
+    generates the points each prime p divides from the roots of f mod p,
+    one progression per root and column.  e = 0 returns X^2 after the int64 guard,
     checked at the corner (X, X) alone.  The exact ideal-level tau runs
     when the box is inside ideal_points_budget, skipping the points it
     cannot resolve, counted by reason.
@@ -652,12 +653,13 @@ def _tau_sieve(vals: np.ndarray, f: list[int], bad_set: set[int],
     vals[i, j] = |N((i + 1) + (j + 1) w)| with w a root of the monic f.  Since
     N(t + w) = (-1)^n f(-t), p divides N(x1 + x2 w) exactly when
     x1 + r x2 = 0 mod p for a root r of f mod p, or p divides x1 and x2,
-    at bad p too.  Per prime, a table of these residue classes is read
-    once over the box, and p is divided out of the points it marks.
-    Primes up to max(vals)^(1/3) are sieved, so each leftover is 1, a
-    prime, a prime square or a semiprime: enough for tau exactly.  All
-    leftovers are classified at once, by one primes.prime_mask call and
-    a vectorized square test.
+    at bad p too.  Per prime, these classes are one progression in x1 per
+    column, so p reads only the points it divides, and their exponents
+    come from the Type II window's m % p^k tests, with no division.
+    Primes up to max(vals)^(1/3) are sieved, so each leftover, |N| over
+    its sieved prime powers, is 1, a prime, a prime square or a
+    semiprime: enough for tau exactly.  All leftovers are classified at
+    once, by one primes.prime_mask call and a vectorized square test.
 
     Returns (tau array, bad mask, semiprime mask, factor map, number of
     primes sieved), the arrays shaped like vals.  The bad mask marks the
@@ -669,10 +671,10 @@ def _tau_sieve(vals: np.ndarray, f: list[int], bad_set: set[int],
     since tau does not need it split.
     """
     X = vals.shape[0]
-    remain = vals.flatten()
+    flat = vals.ravel()
+    prod = np.ones(vals.size, dtype=np.int64)  # the sieved part of each |N|
     tau_int = np.ones(vals.size, dtype=np.int64)
-    bad = np.zeros(vals.size, dtype=bool)
-    semi = np.zeros(vals.size, dtype=bool)
+    bad, semi = np.zeros((2, vals.size), dtype=bool)
     keep = None if store is None else store.ravel()
     fac_store: dict[tuple[int, int], dict[int, int]] = {}
     vmax = int(vals.max())
@@ -680,24 +682,23 @@ def _tau_sieve(vals: np.ndarray, f: list[int], bad_set: set[int],
     primes = sieve_primes(plimit).tolist()
     ax = np.arange(1, X + 1, dtype=np.int64)
     for p in primes:
-        # residues of [1, X] lie below q: for p > X no row past X is read
-        q = min(p, X + 1)
-        t = np.arange(q, dtype=np.int64)
-        zero = np.zeros((q, q), dtype=bool)
-        zero[0, 0] = True
-        for r in roots_mod_p(f, p):
-            a = (-r * t) % p
-            zero[a[a < q], t[a < q]] = True
-        res = ax % p
-        idx = np.flatnonzero(zero[np.ix_(res, res)])
-        ecount = _divide_out(remain, idx, p)
-        tau_int[idx] *= ecount + 1
+        # x1 = -r x2 mod p where p does not divide x2, and x1 = 0 (root 0) where
+        # it does; each least x1 >= 1 starts a progression at (x1 - 1) X + x2 - 1
+        roots = roots_mod_p(f, p)
+        free = ax[ax % p != 0]
+        x2 = np.concatenate([free] * len(roots) + [ax[p - 1::p]])
+        r = np.repeat(roots + [0], [len(free)] * len(roots) + [X // p])
+        at = _progressions((-r * x2 - 1) % p * X + x2 - 1, p * X, X * X)[0]
+        ecount = _exponents(flat[at], p, vmax)
+        prod[at] *= p ** ecount
+        tau_int[at] *= ecount + 1
         if p in bad_set:
-            bad[idx] = True
+            bad[at] = True
         if keep is not None:  # f has no rational root, so every marked N is nonzero
-            sel = keep[idx]
-            for k, ee in zip(idx[sel].tolist(), ecount[sel].tolist()):
+            sel = keep[at]
+            for k, ee in zip(at[sel].tolist(), ecount[sel].tolist()):
                 fac_store.setdefault(divmod(k, X), {})[p] = ee
+    remain = flat // prod
     left = np.flatnonzero(remain > 1)
     L = remain[left]
     prime = prime_mask(L)[0]

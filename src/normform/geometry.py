@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BudgetExceeded, RankTooLarge, Unbounded, ValidationError
+from .errors import BudgetExceeded, RankTooLarge, ValidationError
 from .intlinalg import _dot, _leaf_intervals, gram_det, lll_reduce
 from .lattices import IntLattice
 
@@ -52,34 +52,34 @@ class AxisBox:
 
 @dataclass(frozen=True)
 class LinearRegion:
-    """Bounded region: optional axis box plus linear-functional constraints.
+    """Bounded region: an axis box plus linear-functional constraints.
 
     Each constraint is (integer functional a, rational interval [lo, hi])
-    meaning lo <= a.x <= hi.  Boundedness must be certified by the box; a
-    region without a box is rejected.
+    meaning lo <= a.x <= hi.  The box certifies boundedness, so a region
+    without one is refused.
     """
 
-    box: AxisBox | None
+    box: AxisBox
     constraints: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...] = field(
         default=()
     )
+
+    def __post_init__(self):
+        if not isinstance(self.box, AxisBox):
+            raise ValidationError("region needs an axis box to certify boundedness")
 
     @classmethod
     def from_box(cls, box: AxisBox) -> "LinearRegion":
         return cls(box=box)
 
     @classmethod
-    def make(cls, box: AxisBox | None, constraints=()) -> "LinearRegion":
+    def make(cls, box: AxisBox, constraints=()) -> "LinearRegion":
         cons = tuple((tuple(int(c) for c in a), Fraction(lo), Fraction(hi))
                      for a, lo, hi in constraints)
         return cls(box=box, constraints=cons)
 
-    def require_bounded(self):
-        if self.box is None:
-            raise Unbounded("region needs an axis box to certify boundedness")
-
     def contains(self, x) -> bool:
-        if self.box is not None and not self.box.contains(x):
+        if not self.box.contains(x):
             return False
         for a, lo, hi in self.constraints:
             v = sum(c * t for c, t in zip(a, x))
@@ -100,7 +100,6 @@ def points_in_region(lat: IntLattice, region: LinearRegion,
     `budget`.  A box or constraint functional of another length than
     lat.ambient_dim raises ValidationError.
     """
-    region.require_bounded()
     n = lat.ambient_dim
     if region.box.dim != n or any(len(a) != n for a, _, _ in region.constraints):
         raise ValidationError(

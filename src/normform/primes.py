@@ -369,20 +369,24 @@ def tau(n: int, **kw) -> int:
     return math.prod(e + 1 for e in factorize(n, **kw).values())
 
 
-def _divide_out(remain: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
-    """Divide every power of p out of remain[idx] in place; return the exponents.
+def _progressions(first: np.ndarray, step, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions first[i] + t step[i] < stop, t >= 0, progression by
+    progression, and the count of each.  Each first[i] is below step[i]."""
+    cnt = (stop - 1 - first) // step + 1
+    # hit j is term j - start of its progression, start = hits of those before
+    at = np.repeat(first - step * (np.cumsum(cnt) - cnt), cnt)
+    return at + np.repeat(np.broadcast_to(step, cnt.shape), cnt) * np.arange(len(at)), cnt
 
-    Entries <= 0 are left alone: p divides 0 forever.  Each pass tests only
-    the entries the previous pass divided.
-    """
-    sub = remain[idx]
-    e = np.zeros(len(idx), dtype=np.int64)
-    live = np.flatnonzero((sub % p == 0) & (sub > 0))
-    while live.size:
-        sub[live] //= p
+
+def _exponents(v: np.ndarray, p, vmax: int) -> np.ndarray:
+    """The e with p^e exactly dividing each v in [1, vmax] that its p divides,
+    from v % p^(e+1) tests made only while p^(e+1) <= vmax: no division, no wrap."""
+    p = np.broadcast_to(p, v.shape)
+    e, live = np.ones(len(v), dtype=np.int64), np.arange(len(v))
+    while live.size:  # p^e divides v; is p^(e+1), if <= vmax, a divisor too?
+        live = live[p[live] ** e[live] <= vmax // p[live]]
+        live = live[v[live] % p[live] ** (e[live] + 1) == 0]
         e[live] += 1
-        live = live[sub[live] % p == 0]
-    remain[idx] = sub
     return e
 
 
@@ -465,8 +469,9 @@ def window_factorizations(lo: int, hi: int) -> WindowFactors:
 
     No integer is divided by a prime: primes <= _STRIDED_MAX mark their
     powers with strided slices, the larger ones are expanded into (position,
-    prime) pairs in one pass with one m % p^k test per k, and m over the
-    prime powers found is 1 or its one prime factor above sqrt(hi).
+    prime) pairs by _progressions and take their exponents from _exponents'
+    m % p^k tests, as the divisor grid's primes do, and m over the prime
+    powers found is 1 or its one prime factor above sqrt(hi).
 
     Omega(m) is counted as the sieve goes: one per prime power marked, the
     exponent of each batched pair, one for a cofactor above 1.
@@ -495,16 +500,9 @@ def window_factorizations(lo: int, hi: int) -> WindowFactors:
         ps.append(np.full(len(e), p, dtype=np.int64))
         es.append(e)
     sp = sieve[sieve > _STRIDED_MAX]
-    s = (-lo) % sp
-    cnt = (size - 1 - s) // sp + 1  # multiples of each prime in the window
+    at, cnt = _progressions((-lo) % sp, sp, size)
     p = np.repeat(sp, cnt)
-    # pair j is multiple j - first of its prime, first = pairs of smaller primes
-    at = np.repeat(s - sp * (np.cumsum(cnt) - cnt), cnt) + p * np.arange(len(p))
-    e, live = np.ones(len(p), dtype=np.int64), np.arange(len(p))
-    while live.size:  # p^e divides m; is p^(e+1), if <= hi - 1, a divisor too?
-        live = live[p[live] ** e[live] <= (hi - 1) // p[live]]
-        live = live[(lo + at[live]) % p[live] ** (e[live] + 1) == 0]
-        e[live] += 1
+    e = _exponents(lo + at, p, hi - 1)
     np.multiply.at(prod, at, p ** e)
     np.add.at(omega, at, e)
     cof = np.arange(lo, hi, dtype=np.int64) // prod

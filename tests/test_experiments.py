@@ -7,6 +7,7 @@ import logging
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from normform.primes import (
     window_factorizations,
 )
 from normform.primes import tau as tau_oracle
-from normform.splitting import degree_pattern_mod_p
+from normform.splitting import degree_pattern_mod_p, roots_mod_p
 from test_primes import FIRST_BATCHED, LAST_STRIDED, windows
 
 CTX3 = make_context([-2, 0, 0], 1)
@@ -791,3 +792,58 @@ class TestIdealLevelOracle:
         d = divisor_sum_check(96, 1, CTX3).details
         assert len(calls) == 261 and all(math.gcd(*x) > 1 for x in calls)
         assert d["ideal_points"] == REFERENCES["divisor_sum"]["ideal_points"]
+
+
+def mask_hits(f: list[int], p: int, X: int) -> np.ndarray:
+    """The flat positions in [1, X]^2 where p divides N, read from a q x q
+    table of residue classes gathered over the whole box: the oracle for
+    the divisor grid's progressions."""
+    q = min(p, X + 1)  # residues of [1, X] lie below q
+    t = np.arange(q, dtype=np.int64)
+    zero = np.zeros((q, q), dtype=bool)
+    zero[0, 0] = True
+    for r in roots_mod_p(f, p):
+        a = (-r * t) % p
+        zero[a[a < q], t[a < q]] = True
+    res = np.arange(1, X + 1) % p
+    return np.flatnonzero(zero[np.ix_(res, res)])
+
+
+class TestGridProgressions:
+    """Every sieved prime's progressions hit each point of the mask oracle
+    once, and no other point."""
+
+    @staticmethod
+    def check(ctx, X) -> set[str]:
+        """Compare each prime's hits; return which of p > X, a bad p and a
+        root 0 (p | f(0)) the sieved primes met."""
+        hits, real = [], experiments._progressions
+
+        def spy(*args):
+            out = real(*args)
+            hits.append(out[0])
+            return out
+        vals, _ = sieve_box(X, ctx)
+        f = list(ctx.f_coeffs)
+        with mock.patch.object(experiments, "_progressions", spy):
+            ps = sieve_primes(10**4)[:_tau_sieve(vals, f, set(), None)[4]].tolist()
+        assert len(hits) == len(ps)
+        for p, at in zip(ps, hits):
+            want = mask_hits(f, p, X)
+            assert np.array_equal(np.sort(at), want), p
+            assert np.array_equal(want, np.flatnonzero(vals.ravel() % p == 0)), p
+        met = {"p > X": ps[-1] > X, "bad p": bool(set(bad_primes(ctx)) & set(ps)),
+               "root 0": any(f[0] % p == 0 for p in ps)}
+        return {k for k, v in met.items() if v}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), X=st.integers(1, 60))
+    @pytest.mark.parametrize("n", [3, 4], ids=["cubic_k1", "quartic_k2"])
+    def test_hits_match_mask_oracle(self, n, data, X):
+        self.check(data.draw(n_minus_k_2_fields(n)), X)
+
+    @pytest.mark.parametrize("coeffs, k, X", [
+        ([-2, 0, 0], 1, 1), ([-2, 0, 0], 1, 5), ([3, 1, 0], 1, 40),
+        ([-2, 0, 0, 0], 2, 60), ([6, 3, -3, 0], 2, 33)])
+    def test_cases_met(self, coeffs, k, X):
+        assert self.check(make_context(coeffs, k), X) == {"p > X", "bad p", "root 0"}

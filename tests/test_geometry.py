@@ -16,7 +16,7 @@ from normform.census import (
     fp_wedge_census_report,
     skew_census,
 )
-from normform.errors import BudgetExceeded, DependentRows, Unbounded, ValidationError
+from normform.errors import BudgetExceeded, DependentRows, ValidationError
 from normform.fields import make_context
 from normform.geometry import AxisBox, LinearRegion, points_in_region
 from normform.intlinalg import gram_det, lll_reduce, rank_mod_p, rank_rational
@@ -57,9 +57,12 @@ class TestPointsInRegion:
             done += 1
 
     def test_unbounded_rejected(self):
-        lat = IntLattice(2, ((1, 0), (0, 1)))
-        with pytest.raises(Unbounded):
-            points_in_region(lat, LinearRegion.make(None, [((1, 0), 0, 5)]))
+        # the box certifies boundedness: no region is built without one
+        for box in (None, ((0, 0), (5, 5)), [AxisBox.cube(2, 0, 5)]):
+            with pytest.raises(ValidationError, match="axis box"):
+                LinearRegion.make(box, [((1, 0), 0, 5)])
+            with pytest.raises(ValidationError, match="axis box"):
+                LinearRegion.from_box(box)
 
     def test_budget(self):
         lat = IntLattice(2, ((1, 0), (0, 1)))

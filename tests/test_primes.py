@@ -1,6 +1,8 @@
 """Primality and factorization plumbing."""
 
+import importlib
 import math
+import pkgutil
 import random
 from unittest import mock
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import normform
 from normform import primes
 from normform.errors import FactorizationBudget
 from normform.primes import (
@@ -342,12 +345,47 @@ def test_window_matches_factorize_random_lo(lo, length):
     assert list(facs) == [factorize(m) for m in range(lo, lo + length)]
 
 
-def test_window_does_not_divide(monkeypatch):
-    def divide_out(*args):
-        raise AssertionError("window_factorizations divided the window")
-    monkeypatch.setattr(primes, "_divide_out", divide_out)
+def test_window_and_grid_share_the_exponent_pass(monkeypatch):
+    # the Type II window and the divisor grid read every exponent from the
+    # one no-division routine, and no module divides a prime out
+    from normform import experiments
+    from test_experiments import CTX3, sieve_box
+
+    real, calls = primes._exponents, []
+    assert experiments._exponents is real
+
+    def spy(v, p, vmax):
+        calls.append(vmax)
+        return real(v, p, vmax)
+    monkeypatch.setattr(primes, "_exponents", spy)
+    monkeypatch.setattr(experiments, "_exponents", spy)
     assert window_factorizations(10**6, 10**6 + 300) == [
         factorize(m) for m in range(10**6, 10**6 + 300)]
+    assert calls == [10**6 + 299]
+    vals, _ = sieve_box(12, CTX3)
+    nprimes = experiments._tau_sieve(vals, list(CTX3.f_coeffs), set(), None)[4]
+    assert calls[1:] == [int(vals.max())] * nprimes
+    modules = [importlib.import_module(f"normform.{m.name}")
+               for m in pkgutil.iter_modules(normform.__path__)]
+    assert len(modules) > 10 and not any(hasattr(m, "_divide_out") for m in modules)
+
+
+@pytest.mark.parametrize("p, e", [(2, 61), (2, 62), (3, 39), (5, 27), (7, 22), (11, 18)])
+def test_exponents_at_int64_edge(p, e):
+    # p^(e+1) is tested only while it is <= vmax, which may be 2^63 - 1
+    v = np.array([p**e, (p - 1) * p ** (e - 1), p], dtype=np.int64)
+    for vmax in (p**e, min(p ** (e + 1) - 1, 2**63 - 1)):
+        got = primes._exponents(v, p, vmax).tolist()
+        assert got == [factorize(int(m))[p] for m in v] == [e, e - 1, 1]
+    # the guard, not v, ends the count: no power above vmax is formed
+    assert primes._exponents(v[:1], p, p ** (e - 1)).tolist() == [e - 1]
+
+
+def test_exponents_per_value_primes():
+    # the window's call: one prime per value, the largest powers below 2^63
+    v = np.array([2**62, 3**39, 11**18, 3 * 11**17], dtype=np.int64)
+    got = primes._exponents(v, np.array([2, 3, 11, 11]), 2**63 - 1)
+    assert got.tolist() == [62, 39, 18, 17]
 
 
 def test_window_negative_index_and_index_error():
