@@ -44,11 +44,11 @@ class CensusReport:
 
 
 def constraint_row_tensors(ctx: FieldSpec) -> list[np.ndarray]:
-    """Matrices R_0..R_{k-1} with constraint_rows(v)[i] == R_i @ v."""
+    """Matrices R_0..R_{k-1} with constraint_rows(v)[i] == R_i @ v, of exact ints."""
     n = ctx.n
     unit_muls = [mul_matrix([int(a == j) for a in range(n)], ctx) for j in range(n)]
     return [np.array([[unit_muls[j][n - 1 - i][a] for j in range(n)] for a in range(n)],
-                     dtype=np.int64) for i in range(ctx.k)]
+                     dtype=object) for i in range(ctx.k)]
 
 
 def _subspace_bases(k: int, p: int):

@@ -77,6 +77,9 @@ class ExperimentConfig:
         if self.mc_samples < MC_SLABS * MC_MIN_PER_SLAB:
             raise ValidationError(f"mc_samples must be at least "
                                   f"{MC_SLABS * MC_MIN_PER_SLAB}, got {self.mc_samples}")
+        if any(abs(c) >= 2**62 for b in self.box for c in b):  # the int64 grids' range
+            raise BudgetExceeded(f"box {[list(b) for b in self.box]} has a coordinate "
+                                 f"of magnitude 2^62 or more")
 
     def to_json_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "ctx"}
@@ -126,11 +129,12 @@ def observed_prime_count(cfg: ExperimentConfig):
 
     Returns (positive-prime count, negative-|prime| count, slab rows).
     Every count is certified (primes.certify).  Slabs partition the first
-    coordinate and are the rows of the report; threads only change
-    scheduling, never results.  Each slab evaluates its grid and
-    trial-divides it (_slab_survivors); then the survivors of every slab
-    are certified together, the batch test in max(threads, ...) parts on
-    the same pool, and each verdict is counted back to its slab.
+    coordinate and are the rows of the report, min(max(4 threads, 8), box
+    side) of them: the rows depend on threads, the totals do not.  Each
+    slab evaluates its grid and trial-divides it (_slab_survivors); then
+    the survivors of every slab are certified together, the batch test in
+    max(threads, ...) parts on the same pool, and each verdict is counted
+    back to its slab.
     """
     npoints = math.prod(hi - lo + 1 for lo, hi in cfg.box)
     if npoints > cfg.point_budget:
@@ -329,24 +333,20 @@ def theorem_check(cfg: ExperimentConfig) -> RunReport:
 
 
 def _congruence_count(box, r: int, p: int) -> int:
-    """#{x in box : sum x_i r^(i-1) = 0 mod p}, exact, vectorized."""
-    m = len(box)
-    lo1, hi1 = box[0]
-    n1 = hi1 - lo1 + 1
-    cnt1 = np.zeros(p, dtype=np.int64)
-    res = np.arange(lo1, hi1 + 1, dtype=np.int64) % p
-    np.add.at(cnt1, res, 1)
-    if m == 1:
-        return int(cnt1[0])
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box[1:]]
-    grids = np.meshgrid(*axes, indexing="ij")
-    acc = np.zeros_like(grids[0])
-    rpow = r % p
-    for g in grids:
-        acc = (acc + g * rpow) % p
+    """#{x in box : sum x_i r^(i-1) = 0 mod p}, exact, vectorized.
+
+    At each point of the other axes x_1 must lie in the one class
+    need = -sum_(i>1) x_i r^(i-1) mod p, which holds
+    floor((hi_1 - need) / p) - floor((lo_1 - 1 - need) / p) values of
+    [lo_1, hi_1].  Every axis is reduced mod p first, so each product
+    stays below p^2.
+    """
+    (lo1, hi1), need, rpow = box[0], np.zeros(1, dtype=np.int64), r % p
+    for lo, hi in box[1:]:
+        axis = np.arange(lo, hi + 1, dtype=np.int64) % p
+        need = (need[:, None] - axis * rpow).ravel() % p
         rpow = rpow * r % p
-    need = (-acc) % p
-    return int(cnt1[need].sum())
+    return int(((hi1 - need) // p - (lo1 - 1 - need) // p).sum())
 
 
 def typei_discrepancy(cfg: ExperimentConfig, d_lo: int, d_hi: int) -> RunReport:
@@ -524,29 +524,20 @@ def _count_ordered_tuples(rows: np.ndarray, intervals, logX: float) -> int:
 def _ideal_window_count(spec: PolytopeSpec, X: int, eta: float, ctx: FieldSpec) -> dict:
     """l = 2 ideal-level window count over good-support prime ideal pairs."""
     t0 = time.perf_counter()
-    logX = math.log(X)
     lo, hi = X, int(X * (1 + eta))
     (a1, b1), (a2, b2) = spec.intervals
     max_first = int(math.ceil(X ** min(b1, 1.0))) + 1
-    slots = _prime_ideal_norm_table(ctx, max_first)
-    # expand into norms with multiplicity for the first factor
-    firsts = [(q, c) for (q, p, d, c) in slots if X**a1 <= q <= X**b1]
-    # second-factor norms: need counts of prime ideals with norm in a range
+    # a second factor's norm is at most hi / q < hi2, as q >= max(X^a1, 2)
     hi2 = int(hi / max(X**a1, 2)) + 1
-    slots2 = _prime_ideal_norm_table(ctx, hi2)
-    norms2 = np.array([q for (q, p, d, c) in slots2], dtype=np.float64)
-    counts2 = np.array([c for (q, p, d, c) in slots2], dtype=np.int64)
-    cum = np.concatenate([[0], np.cumsum(counts2)])
-    observed = 0
-    for q, c in firsts:
-        e1 = math.log(q) / logX
-        lo2 = max(lo / q, X**a2)
-        hi2r = min(hi / q, X**b2)
-        if hi2r < lo2:
-            continue
-        i = np.searchsorted(norms2, lo2, side="left")
-        j = np.searchsorted(norms2, hi2r, side="right")
-        observed += c * int(cum[j] - cum[i])
+    slots = np.array(_prime_ideal_norm_table(ctx, max(max_first, hi2)),
+                     dtype=np.int64).reshape(-1, 4)
+    norms, counts = slots[:, 0].astype(np.float64), slots[:, 3]
+    cum = np.concatenate([[0], np.cumsum(counts)])
+    first = (X**a1 <= norms) & (norms <= min(X**b1, max_first))
+    q = norms[first]
+    i = np.searchsorted(norms, np.maximum(lo / q, X**a2), side="left")
+    j = np.searchsorted(norms, np.minimum(hi / q, X**b2), side="right")
+    observed = int((counts[first] * (cum[np.maximum(i, j)] - cum[i])).sum())  # j < i: empty
     log.info("Type II ideal level: %d ordered prime-ideal pairs, %.3f s",
              observed, time.perf_counter() - t0)
     # prediction at the ideal level carries the gamma-hat density squared-ish

@@ -25,6 +25,7 @@ from .errors import (
     ZeroVector,
 )
 from .intlinalg import det_bareiss
+from .primes import factorize
 
 Vec = tuple[int, ...]
 
@@ -68,11 +69,14 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
 
     f_coeffs are the n low-order coefficients of monic f, constant term
     first; the leading 1 is implicit.  Rejects degree < 2, rational roots
-    and repeated factors.  A pure f = X^n - theta is certified irreducible
-    by Capelli's theorem (Lang, Algebra, VI Thm. 9.1): it is reducible
-    exactly when theta is a q-th power for a prime q | n, or 4 | n and
-    theta = -4c^4.  For any other f, irreducibility beyond the rational
-    root and squarefree tests is the caller's assertion, not checked here.
+    and repeated factors.  The rational root candidates are the divisors
+    of f(0), from primes.factorize: a constant term it cannot split (a
+    composite cofactor above 2^64) raises FactorizationBudget, CLI exit 3.
+    A pure f = X^n - theta is certified irreducible by Capelli's theorem
+    (Lang, Algebra, VI Thm. 9.1): it is reducible exactly when theta is a
+    q-th power for a prime q | n, or 4 | n and theta = -4c^4.  For any
+    other f, irreducibility beyond the rational root and squarefree tests
+    is the caller's assertion, not checked here.
     """
     f = [int(c) for c in f_coeffs] + [1]
     n = len(f) - 1
@@ -84,7 +88,10 @@ def make_context(f_coeffs: list[int], k: int) -> FieldSpec:
     c0 = f[0]
     if c0 == 0:
         raise ReducibleDetected("rational root 0 (zero constant term)")
-    for r in _divisors_signed(c0):
+    divisors = [1]
+    for p, e in factorize(c0).items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    for r in (r for d in sorted(divisors) for r in (d, -d)):
         if _poly_eval_int(f, r) == 0:
             raise ReducibleDetected(f"rational root {r}")
     pure = -f[0] if all(c == 0 for c in f[1:n]) else None
@@ -128,15 +135,6 @@ def _iroot(a: int, q: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def _divisors_signed(c: int) -> list[int]:
-    c = abs(c)
-    out = []
-    for d in range(1, math.isqrt(c) + 1):
-        if c % d == 0:
-            out += [d, -d, c // d, -(c // d)]
-    return sorted(set(out), key=abs)
 
 
 def _poly_eval_int(f: list[int], x: int) -> int:
@@ -286,9 +284,9 @@ def eval_norm_poly_grid(coeffs: Mapping[tuple[int, ...], int], grids,
     on the broadcast of the remaining grids only.
 
     Without p the values are exact: BudgetExceeded unless
-    sum |c| * max|x|^deg < 2^62, which bounds every term, partial sum and
-    Horner step.  With p every step is reduced mod p, exact for
-    1 < p < 2^31 (ValidationError otherwise), and the values lie in [0, p).
+    sum |c| * max(max|x|, 1)^deg < 2^62, which bounds every coefficient,
+    term, partial sum and Horner step.  With p every step is reduced mod
+    p, exact for 1 < p < 2^31 (ValidationError otherwise), into [0, p).
     """
     grids = [np.asarray(g, dtype=np.int64) for g in grids]
     shape = np.broadcast_shapes(*(g.shape for g in grids))
@@ -296,7 +294,7 @@ def eval_norm_poly_grid(coeffs: Mapping[tuple[int, ...], int], grids,
         deg = max(sum(ex) for ex in coeffs)
         big = max((max(-int(g.min()), int(g.max())) for g in grids if g.size),
                   default=0)
-        if sum(abs(c) for c in coeffs.values()) * big**deg >= 2**62:
+        if sum(abs(c) for c in coeffs.values()) * max(big, 1)**deg >= 2**62:
             raise BudgetExceeded("norm values overflow the vectorized int64 path")
     elif not 1 < p < 2**31:
         raise ValidationError(f"modulus {p} is outside (1, 2^31)")

@@ -30,6 +30,8 @@ from .fields import (
 from .intlinalg import det_bareiss, rank_mod_p
 from .primes import factorize, sieve_primes
 from .splitting import (
+    _pdivmod,
+    _poly_eval_mod,
     batch_degree_patterns,
     batch_root_counts,
     hensel_lift_factor,
@@ -239,26 +241,13 @@ def _condition_matrix(prime_ideals: list[PrimeIdeal], m: int) -> np.ndarray:
     """Stacked F_p-linear conditions for divisibility by each ideal.
 
     Row block for (p, g): the reduction map x -> sum x_i X^(i-1) mod (g, p)
-    written on the monomial basis of F_p[X]/(g).
+    written on the monomial basis of F_p[X]/(g); column i is X^i mod (g, p).
     """
     p = prime_ideals[0].p
     rows = []
     for pi in prime_ideals:
-        g = list(pi.factor_coeffs)
-        d = len(g) - 1
-        # columns: X^i mod g  for i = 0..m-1
-        cols = []
-        cur = [1] + [0] * (d - 1)
-        for i in range(m):
-            cols.append(cur[:])
-            # multiply by X mod g
-            cur = [0] + cur
-            lead = cur[d] if len(cur) > d else 0
-            cur = cur[:d]
-            if lead:
-                cur = [(c - lead * gc) % p for c, gc in zip(cur, g[:d])]
-        for t in range(d):
-            rows.append([cols[i][t] % p for i in range(m)])
+        cols = [_pdivmod([0] * i + [1], list(pi.factor_coeffs), p)[1] for i in range(m)]
+        rows += [[col[t] if t < len(col) else 0 for col in cols] for t in range(pi.degree)]
     return np.array(rows, dtype=np.int64)
 
 
@@ -481,10 +470,7 @@ def ideal_valuations(x, ctx: FieldSpec, fac: dict[int, int]) -> dict | None:
         assigned = 0
         for pi in _candidate_ideals(A, p, ctx.f_coeffs):
             if pi.degree == 1:
-                root = _lifted_root(ctx.f_coeffs, pi.label, p, prec)
-                r = 0
-                for c in reversed(A):
-                    r = (r * root + c) % q
+                r = _poly_eval_mod(A, _lifted_root(ctx.f_coeffs, pi.label, p, prec), q)
             else:
                 gl = _lifted_factor(ctx.f_coeffs, pi.factor_coeffs, p, prec)
                 r = resultant(list(gl), A) % q
@@ -514,10 +500,7 @@ def _candidate_ideals(A: list[int], p: int,
     if a[1] == 0 or any(a[2:]):
         return _prime_ideals_above_cached(p, f_coeffs)
     r = -a[0] * pow(a[1], -1, p) % p
-    fr = 0
-    for c in reversed(f_coeffs):
-        fr = (fr * r + c) % p
-    if fr:
+    if _poly_eval_mod(f_coeffs, r, p):
         return ()
     return (PrimeIdeal(p, 1, r, ((-r) % p, 1)),)
 

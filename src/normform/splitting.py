@@ -16,6 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .primes import _powmod_batch, is_prime
 
 # --- single-prime polynomial arithmetic over F_p ----------------------------
@@ -257,10 +258,14 @@ def _binomial_root_counts(n: int, c: int, p: np.ndarray) -> np.ndarray:
 def _batch_primes(f: list[int], primes) -> np.ndarray:
     """The primes as int64, once f and they suit the batch routines.
 
-    Raises ValueError unless deg f >= 2 (X mod f is stored as a row with a
+    Raises BudgetExceeded when a coefficient of f does not fit int64, and
+    ValueError unless deg f >= 2 (X mod f is stored as a row with a
     coefficient at X^1) and deg f * p^2 < 2^63 for every prime (the int64
     range of _batch_polymulmod and of a product of two residues).
     """
+    for c in f:
+        if not -2**63 <= c < 2**63:
+            raise BudgetExceeded(f"coefficient {c} of f does not fit int64")
     if len(f) - 1 < 2:
         raise ValueError("deg f must be >= 2")
     primes = np.asarray(primes, dtype=np.int64)

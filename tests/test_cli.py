@@ -75,6 +75,39 @@ class TestExitCodes:
                          "box": [[-70000, 1], [1, 1], [1, 1]]})
         assert run(["theorem", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    # the int64 edges: a box coordinate of magnitude 2^62 and an f coefficient
+    # outside int64 exit 3 (budget exceeded), never 1 from a numpy cast
+    @pytest.mark.parametrize("c, code", [(2**62 - 1, 0), (2**62, 3),
+                                         (-(2**62 - 1), 0), (-(2**62), 3)])
+    def test_typei_box_coordinate_at_2_62(self, tmp_path, capsys, c, code):
+        cfg = write_cfg(tmp_path, "c.json", {"field": FIELD3, "X": 10, "box": [[1, 3], [c, c]]})
+        assert run(["typei", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert ("2^62" in capsys.readouterr().err) == (code == 3)
+
+    @pytest.mark.parametrize("box", [[[10**20, 10**20 + 2], [1, 3], [1, 3]],
+                                     [[1, 3], [10**20, 10**20 + 2], [1, 3]]])
+    def test_theorem_box_beyond_int64(self, tmp_path, box):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"field": {"f": [-2, 0, 0, 0, 1], "k": 1}, "X": 10, "box": box})
+        assert run(["theorem", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
+    # x^5 + c is irreducible for each c (Capelli), and its discriminant
+    # 5^5 c^4 factors, so only the batch splitting's int64 guard decides
+    @pytest.mark.parametrize("c, code", [(2**63 - 1, 0), (2**63, 3), (-(2**63), 0)])
+    def test_sseries_coefficient_at_2_63(self, tmp_path, capsys, c, code):
+        cfg = write_cfg(tmp_path, "c.json", {"field": {"f": [c, 0, 0, 0, 0, 1], "k": 1},
+                                             "p_cut": 100})
+        assert run(["sseries", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert ("does not fit int64" in capsys.readouterr().err) == (code == 3)
+
+    def test_sseries_large_constant_term_exits_3(self, tmp_path):
+        # x^3 - 10^20: the rational root test factors f(0) rather than
+        # trial-dividing to sqrt |f(0)| = 10^10, and the batch splitting
+        # refuses the coefficient
+        cfg = write_cfg(tmp_path, "c.json", {"field": {"f": [-10**20, 0, 0, 1], "k": 1},
+                                             "p_cut": 100})
+        assert run(["sseries", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+
     def test_box_with_no_positive_norm_has_ratio_0(self, tmp_path):
         # x^3 + 2^20: every norm on [1, 10]^2 is negative, so nothing is
         # observed and nothing predicted
@@ -775,12 +808,22 @@ def test_readme_tables_match_declarations():
 
 # --- config fuzzer ----------------------------------------------------------------
 
-# the small runs, with the integral run given TYPEII_CFG's typeii block and field
-FUZZ_RUNS = [(c, TestExitCodes.TYPEII_CFG if c == "integral" else cfg) for c, cfg in RUNS]
+def fuzz_config(command: str, cfg: dict) -> dict:
+    """A small run as the fuzzer takes it: the integral run with TYPEII_CFG's
+    typeii block and field, and the box runs with their default box [1, X]^2
+    written out, so that single box entries are fuzzed too."""
+    if command == "integral":
+        return TestExitCodes.TYPEII_CFG
+    return {**cfg, "box": [[1, cfg["X"]]] * 2} if command in ("theorem", "typei", "norms") else cfg
+
+
+FUZZ_RUNS = [(c, fuzz_config(c, cfg)) for c, cfg in RUNS]
 DROP = object()
 # written into the JSON text as NaN, 1e400 and -1e400
 NAN, INF, NEG_INF = "@nan@", "@inf@", "@-inf@"
 MUTATIONS = [DROP, None, True, "1", 1.5, NAN, INF, NEG_INF, -1, 0, 10**30, [], {}]
+# what single entries of field.f and of box take: at and beyond the int64 range
+ENTRY_MUTATIONS = [2**62, 2**63, 10**30, -10**30]
 
 
 def key_paths(cfg: dict, prefix=()) -> list[tuple]:
@@ -791,6 +834,13 @@ def key_paths(cfg: dict, prefix=()) -> list[tuple]:
         if isinstance(v, dict):
             paths += key_paths(v, prefix + (k,))
     return paths
+
+
+def entry_paths(cfg: dict) -> list[tuple]:
+    """The path of every single entry of field.f and of box."""
+    f = cfg.get("field", {}).get("f", [])
+    return ([("field", "f", i) for i in range(len(f))]
+            + [("box", i, j) for i in range(len(cfg.get("box", []))) for j in (0, 1)])
 
 
 def mutated_json(cfg: dict, path: tuple, value) -> str:
@@ -808,40 +858,32 @@ def mutated_json(cfg: dict, path: tuple, value) -> str:
     return text
 
 
-FUZZ_CASES = [(command, cfg, path) for command, cfg in FUZZ_RUNS for path in key_paths(cfg)]
+FUZZ_CASES = ([(command, cfg, path, value) for command, cfg in FUZZ_RUNS
+               for path in key_paths(cfg) for value in MUTATIONS]
+              + [(command, cfg, path, value) for command, cfg in FUZZ_RUNS
+                 for path in entry_paths(cfg) for value in ENTRY_MUTATIONS])
 
 
 def fuzz_child(tmp: str) -> None:
-    """cli.main on fuzzed configs, in a process capped at 2 GB of address
-    space: each exits 0, 2 or 3, and never with an exception.  With more
-    examples than FUZZ_CASES x MUTATIONS, hypothesis runs each pair once."""
+    """cli.main on every fuzzed config once, in a process capped at 2 GB of
+    address space: each exits 0, 2 or 3, and never with an exception."""
     import contextlib
     import io
     import resource
 
-    from hypothesis import Phase, given, settings
-    from hypothesis import strategies as st
-
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
     path = Path(tmp) / "c.json"
-
-    @settings(derandomize=True, max_examples=1000, deadline=None, database=None,
-              phases=[Phase.generate])
-    @given(st.sampled_from(FUZZ_CASES), st.sampled_from(MUTATIONS))
-    def fuzz(case, value):
-        command, cfg, key = case
+    for command, cfg, key, value in FUZZ_CASES:
         path.write_text(mutated_json(cfg, key, value))
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = main([command, "--config", str(path), "--out", str(Path(tmp) / "out")])
         assert code in (0, 2, 3), (command, key, value, code)
 
-    fuzz()
-
 
 def test_config_fuzz_exits_0_2_or_3(tmp_path):
-    # one child runs every example; a missed cap fails it by MemoryError or timeout
-    assert len(FUZZ_CASES) * len(MUTATIONS) == 624 < 1000
+    # one child runs every case; a missed cap fails it by MemoryError or timeout
+    assert len(FUZZ_CASES) == 859
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "tests"), str(ROOT / "src")])}
     proc = subprocess.run(
         [sys.executable, "-c", f"import test_cli; test_cli.fuzz_child({str(tmp_path)!r})"],

@@ -31,7 +31,7 @@ from normform.experiments import (
 )
 from normform.fields import eval_norm_poly_grid, make_context, norm_form_polynomial
 from normform.integrals import PolytopeSpec
-from normform.localdata import bad_primes, ideal_tau, resultant
+from normform.localdata import _prime_ideal_norm_table, bad_primes, ideal_tau, resultant
 from normform.primes import (
     BATCH_HI,
     WindowFactors,
@@ -372,6 +372,24 @@ class TestTypeI:
                            if (x1 + pi.label * x2) % p == 0)
                 assert got == want
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(-10**15, 10**15) | st.integers(10**12, 10**15),
+                              st.integers(0, 12)), min_size=1, max_size=3),
+           st.integers(2, 2 * 10**6) | st.integers(10**5, 2 * 10**6), st.booleans(), st.data())
+    def test_congruence_count_vs_python_brute(self, axes, p, plant, data):
+        # coordinates up to 10^15 and p up to 2 * 10^6: x * r would wrap int64
+        # unless every axis is reduced mod p first
+        from normform.experiments import _congruence_count
+
+        r = data.draw(st.integers(0, p - 1))
+        lo1, w1 = axes[0]
+        if plant:  # shift x_1's range so that the box's low corner is a solution
+            lo1 -= sum(lo * r**i for i, (lo, _) in enumerate(axes)) % p
+        box = ((lo1, lo1 + w1),) + tuple((lo, lo + w) for lo, w in axes[1:])
+        want = sum(1 for x in itertools.product(*(range(lo, hi + 1) for lo, hi in box))
+                   if sum(xi * r**i for i, xi in enumerate(x)) % p == 0)
+        assert _congruence_count(box, r, p) == want
+
     def test_dyadic_report(self):
         cfg = ExperimentConfig(ctx=CTX3, X=50, seed=0)
         rep = typei_discrepancy(cfg, 16, 128)
@@ -589,6 +607,44 @@ class TestTypeII:
         rep = typeii_density_check(spec, 10**6, 0.5, ctx=CTX3)
         assert abs(rep.ratio - 1) < 0.15
         assert "ideal_level" in rep.details
+
+
+def ideal_window_oracle(spec, X: int, eta: float, ctx) -> int:
+    """The l = 2 ideal-level pair count slot by slot: one norm table for the
+    first factor up to ceil(X^min(b1, 1)) + 1, another for the second up to
+    hi / max(X^a1, 2) + 1, and a searchsorted pair per first-factor slot."""
+    lo, hi = X, int(X * (1 + eta))
+    (a1, b1), (a2, b2) = spec.intervals
+    max_first = int(math.ceil(X ** min(b1, 1.0))) + 1
+    firsts = [(q, c) for q, _, _, c in _prime_ideal_norm_table(ctx, max_first)
+              if X**a1 <= q <= X**b1]
+    slots2 = _prime_ideal_norm_table(ctx, int(hi / max(X**a1, 2)) + 1)
+    norms2 = np.array([q for q, _, _, _ in slots2], dtype=np.float64)
+    cum = np.concatenate([[0], np.cumsum(np.array([c for *_, c in slots2], dtype=np.int64))])
+    observed = 0
+    for q, c in firsts:
+        lo2, hi2 = max(lo / q, X**a2), min(hi / q, X**b2)
+        if hi2 >= lo2:
+            i = np.searchsorted(norms2, lo2, side="left")
+            j = np.searchsorted(norms2, hi2, side="right")
+            observed += c * int(cum[j] - cum[i])
+    return observed
+
+
+class TestIdealWindowOracle:
+    """_ideal_window_count (one norm table, one vectorized searchsorted pair)
+    against the per-slot loop over two tables."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.sampled_from(SIEVE_FIELDS + [CTX4, make_context([3, -3, 0, 0, 0, 0, 0, 0], 1)]),
+           st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 0.6)), min_size=2, max_size=2),
+           st.integers(2, 30_000), st.floats(0.01, 3.0))
+    @example(CTX3, [(0.4, 0.1), (0.3, 0.4)], 10**4, 0.5)
+    @example(CTX3, [(0.6, 0.6), (0.05, 0.1)], 5_000, 2.5)  # b1 > 1: X^b1 > max_first
+    def test_matches_per_slot_loop(self, ctx, widths, X, eta):
+        spec = PolytopeSpec.make([(a, a + w) for a, w in widths])
+        got = experiments._ideal_window_count(spec, X, eta, ctx)["observed_ordered_pairs"]
+        assert got == ideal_window_oracle(spec, X, eta, ctx)
 
 
 class TestDivisorSum:

@@ -15,6 +15,7 @@ from normform import fields
 from normform.errors import (
     BudgetExceeded,
     DegenerateDegree,
+    FactorizationBudget,
     ReducibleDetected,
     ValidationError,
     ZeroVector,
@@ -34,7 +35,7 @@ from normform.fields import (
 )
 from normform.intlinalg import solve_rational
 from normform.localdata import resultant
-from normform.primes import primes_in
+from normform.primes import is_prime, primes_in
 
 FIELDS = [
     ([-2, 0, 0], 1),          # X^3 - 2, pure
@@ -110,6 +111,42 @@ class TestMakeContext:
         worker.start()
         worker.join(timeout=20)
         assert got and got[0].f_coeffs == (1, b, 1)
+
+    @staticmethod
+    def timed_make_context(fc, k, seconds):
+        """make_context(fc, k) in a worker thread: (result or exception, returned in time)."""
+        got = []
+
+        def work():
+            try:
+                got.append(make_context(fc, k))
+            except Exception as exc:  # noqa: BLE001 - handed back to the test
+                got.append(exc)
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        worker.join(timeout=seconds)
+        return (got[0] if got else None), bool(got)
+
+    def test_large_constant_term_is_factored_not_trial_divided(self):
+        # the rational root candidates come from factorize(f(0)): x^3 - 10^20
+        # (sqrt |f(0)| = 10^10) and x^3 + x + q, q the next prime above 10^18,
+        # return at once
+        q = next(c for c in itertools.count(10**18 + 1) if is_prime(c))
+        for fc in ([-10**20, 0, 0], [q, 1, 0]):
+            ctx, in_time = self.timed_make_context(fc, 1, 2.0)
+            assert in_time and ctx.f_coeffs == (*fc, 1), fc
+
+    def test_rational_root_named_from_the_factorization(self):
+        with pytest.raises(ReducibleDetected, match="rational root 10000$"):
+            make_context([-10**12, 0, 0], 1)
+
+    def test_unsplittable_constant_term_is_a_budget(self):
+        # two prime factors above factorize's trial limit, their product
+        # above its 2^64 size limit: FactorizationBudget (exit 3), not hours
+        # of trial division
+        p1, p2 = (next(c for c in itertools.count(lo) if is_prime(c)) for lo in (2**40, 2**41))
+        got, in_time = self.timed_make_context([-p1 * p2, 0, 0], 1, 20.0)
+        assert in_time and isinstance(got, FactorizationBudget)
 
     def test_degree_guards(self):
         with pytest.raises(DegenerateDegree):
@@ -407,6 +444,11 @@ class TestEvalNormPolyGrid:
             eval_norm_poly_grid(poly, np.ix_(np.array([1, 1075]), np.array([1, 2])))
         with pytest.raises(BudgetExceeded):  # only the lower end is large
             eval_norm_poly_grid(poly, np.ix_(np.array([1, 2]), np.array([-1075, 9])))
+        # an all-zero grid still needs every coefficient inside the guard:
+        # x^3 + 10^30 x + 2 has coefficients beyond int64
+        big = norm_form_polynomial(make_context([2, 10**30, 0], 1))
+        with pytest.raises(BudgetExceeded):
+            eval_norm_poly_grid(big, ([0], [0]))
 
     def test_modulus_range(self):
         ctx = make_context([-2, 0, 0], 1)

@@ -299,6 +299,15 @@ class TestFpWedgeCensus:
         # the septic at p = 17: 18 lines and one plane, well inside 10^8
         assert fp_wedge_census(17, make_context([-2, 0, 0, 0, 0, 0, 0], 2)) >= 1
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_coefficients_beyond_int64(self, k):
+        # x^3 + 10^30 x + 2 and x^4 - 10^30 x + 3: the constraint tensors hold
+        # exact ints, reduced mod p only inside the census
+        for fc in ([2, 10**30, 0], [3, -10**30, 0, 0]):
+            ctx = make_context(fc, k)
+            for p in (5, 7):
+                assert fp_wedge_census(p, ctx) == pointwise_census(p, ctx)
+
 
 def pointwise_census(p, ctx):
     """The census by one rank mod p at every point of F_p^n (the oracle)."""
